@@ -27,7 +27,7 @@ from .ordering import (
     worst_case_regrets,
 )
 from .problem_io import load_path
-from .replicate import EXAMPLES, load_fixture, replicate
+from .replicate import EXAMPLES, _pooled_level_sequence, load_fixture, replicate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,7 +86,7 @@ def _cmd_decide(args) -> int:
         spec = ToleranceSpec.odds_derived()
     report = explore(doc.problem, doc.build_sequence(), spec)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(report.to_dict(), indent=2, allow_nan=False))
     else:
         _print_report(report)
     return 2 if report.status == NO_MANDATE else 0
@@ -169,7 +169,7 @@ def _cmd_ds_threshold(args) -> int:
             continue
         pooled = bel(dempster_combine(m1, discount(m2, rate)), event)
         report = explore(doc.problem,
-                         _point_sequence(doc.problem, event, pooled),
+                         _pooled_level_sequence(doc.problem, event, pooled),
                          doc.tolerance)
         if report.status == DECIDED:
             verdict = f"mandates {report.act}"
@@ -179,16 +179,6 @@ def _cmd_ds_threshold(args) -> int:
             verdict = "no mandate"
         print(f"  {side} (r = {rate:.4f}): belief {pooled:.4f} {verdict}")
     return 0
-
-
-def _point_sequence(problem, event: str, value: float):
-    from .intervals import ProbInterval
-    from .knowledge import BodyOfKnowledge, CredalSequence, Statement, level_from_body
-
-    body = BodyOfKnowledge(0, 0.0, (
-        Statement.event_interval("pooled", event, ProbInterval(value, value)),
-    ))
-    return CredalSequence((level_from_body(body, problem),))
 
 
 def _build_parser() -> _Parser:

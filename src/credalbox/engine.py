@@ -68,6 +68,9 @@ def tolerable_error(problem: DecisionProblem, spec: ToleranceSpec) -> float:
             "positive loss among the outcome utilities"
         )
     rho = max(gain, loss) / min(gain, loss)
+    if math.isinf(rho):
+        # the limit of 1/(rho + 1); the expression below would give NaN
+        return 0.0
     return 1.0 - rho / (rho + 1.0)
 
 

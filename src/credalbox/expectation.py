@@ -128,7 +128,6 @@ def eu_interval(act: Act) -> Interval:
     lows = [o.prob.lo for o in act.outcomes]
     highs = [o.prob.hi for o in act.outcomes]
     utils = [o.utility for o in act.outcomes]
-    _check_feasible(act.name, lows, highs)
     n = len(utils)
     ascending = sorted(range(n), key=lambda i: (utils[i], i))
     descending = sorted(range(n), key=lambda i: (-utils[i], i))

@@ -178,16 +178,16 @@ def accept_next_most_probable(statements: Sequence[Statement]) -> list[BodyOfKno
 
 
 def _transitive_closure(pairs: frozenset[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    closure = set(pairs)
-    grew = True
-    while grew:
-        grew = False
-        for a, b in list(closure):
-            for c, d in list(closure):
-                if b == c and (a, d) not in closure:
-                    closure.add((a, d))
-                    grew = True
-    return frozenset(closure)
+    """Warshall's pass: once class k is visited, every class that reaches
+    k also reaches everything k reaches."""
+    reach: dict[str, set[str]] = {}
+    for a, b in pairs:
+        reach.setdefault(a, set()).add(b)
+    for k in list(reach):
+        for out in reach.values():
+            if k in out:
+                out |= reach[k]
+    return frozenset((a, b) for a, out in reach.items() for b in out)
 
 
 @dataclass(frozen=True)
@@ -209,20 +209,18 @@ class ReferenceClassTable:
         for a, b in self.specificity:
             if a == b:
                 raise ValueError(f"specificity order is cyclic at class {a!r}")
-        seen: dict[tuple[str, str], ProbInterval] = {}
+        # the first entry wins, so equal intervals such as -0.0 and 0.0
+        # keep the bits they were listed with
+        freqs: dict[tuple[str, str], ProbInterval] = {}
         for cls, event, iv in self.entries:
-            key = (cls, event)
-            if key in seen and seen[key] != iv:
+            if freqs.setdefault((cls, event), iv) != iv:
                 raise ValueError(
                     f"class {cls!r} has two different frequencies for {event!r}"
                 )
-            seen[key] = iv
+        object.__setattr__(self, "_freqs", freqs)
 
     def freq(self, cls: str, event: str) -> ProbInterval | None:
-        for c, e, iv in self.entries:
-            if c == cls and e == event:
-                return iv
-        return None
+        return self._freqs.get((cls, event))
 
     def more_specific(self, a: str, b: str) -> bool:
         return (a, b) in self.specificity
@@ -368,10 +366,7 @@ def _event_constraints(body: BodyOfKnowledge,
             memberships.setdefault(s.item, set()).add(s.cls)
     for item in sorted(memberships):
         classes = memberships[item]
-        events = sorted({
-            e for c, e, _ in table.entries
-            if c in classes and table.freq(c, e) is not None
-        })
+        events = sorted({e for c, e, _ in table.entries if c in classes})
         for event in events:
             usable = {c for c in classes if table.freq(c, event) is not None}
             iv = direct_inference(item, event, usable, table)
@@ -462,14 +457,15 @@ def sequence_from_bodies(bodies: Sequence[BodyOfKnowledge],
 
 
 def is_nested(seq: CredalSequence, problem: DecisionProblem) -> bool:
-    """True when every later level's boxes sit inside every earlier one's."""
+    """True when every later level's boxes sit inside every earlier one's.
+
+    Containment is transitive, so comparing neighbouring levels suffices.
+    """
     resolved = [apply_level(problem, level) for level in seq.levels]
-    for later in range(len(resolved)):
-        for earlier in range(later):
-            for act_late, act_early in zip(resolved[later].acts,
-                                           resolved[earlier].acts):
-                for o_late, o_early in zip(act_late.outcomes, act_early.outcomes):
-                    if (o_late.prob.lo < o_early.prob.lo
-                            or o_late.prob.hi > o_early.prob.hi):
-                        return False
+    for earlier, later in zip(resolved, resolved[1:]):
+        for act_early, act_late in zip(earlier.acts, later.acts):
+            for o_early, o_late in zip(act_early.outcomes, act_late.outcomes):
+                if (o_late.prob.lo < o_early.prob.lo
+                        or o_late.prob.hi > o_early.prob.hi):
+                    return False
     return True

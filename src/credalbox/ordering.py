@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .expectation import DecisionProblem
-from .intervals import Interval, dominates
+from .intervals import Interval
 
 
 def _require(eu: Mapping[str, Interval]) -> None:
@@ -20,7 +20,6 @@ class MaximalSet:
     """Acts not strictly dominated, in original act order."""
 
     names: tuple[str, ...]
-    by: str = "dominance"
 
     def __contains__(self, name: str) -> bool:
         return name in self.names
@@ -36,13 +35,14 @@ class MaximalSet:
 
 
 def maximal_set(eu: Mapping[str, Interval]) -> MaximalSet:
-    """All acts that no other act strictly dominates."""
+    """All acts that no other act strictly dominates.
+
+    An act is dominated exactly when the best lower bound overall beats
+    its upper bound; no act dominates itself, because lo <= hi.
+    """
     _require(eu)
-    names = tuple(
-        a for a in eu
-        if not any(dominates(eu[b], eu[a]) for b in eu if b != a)
-    )
-    return MaximalSet(names)
+    best_lo = max(iv.lo for iv in eu.values())
+    return MaximalSet(tuple(a for a, iv in eu.items() if iv.hi >= best_lo))
 
 
 def maximin(eu: Mapping[str, Interval]) -> str:

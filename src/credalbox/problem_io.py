@@ -10,6 +10,7 @@ corpus.  A document with neither gets the single vacuous level 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -66,7 +67,12 @@ def _reject_unknown(mapping: dict, allowed: set[str], path: str) -> None:
 def _number(value, path: str, lo: float | None = None, hi: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        _fail(path, f"expected a finite number, got {out!r}")
     if lo is not None and out < lo:
         _fail(path, f"value {out!r} is below {lo}")
     if hi is not None and out > hi:
@@ -120,11 +126,8 @@ def _parse_statement(data, path: str, fallback_id: str) -> Statement:
         _fail(path, str(exc))
 
 
-def _statement_to_dict(s: Statement, with_meta: bool) -> dict:
-    out: dict = {"kind": s.kind}
-    if with_meta:
-        out["id"] = s.id
-        out["prob"] = s.prob
+def _statement_to_dict(s: Statement) -> dict:
+    out: dict = {"kind": s.kind, "id": s.id, "prob": s.prob}
     if s.event is not None:
         out["event"] = s.event
     if s.interval is not None:
@@ -285,6 +288,7 @@ def parse_document(data) -> ProblemDocument:
 
     level_specs = None
     if "levels" in root:
+        labels_of = {a.name: a.labels() for a in problem.acts}
         level_specs = []
         for i, raw in enumerate(_as_list(root["levels"], "$.levels")):
             lpath = f"$.levels[{i}]"
@@ -301,9 +305,14 @@ def parse_document(data) -> ProblemDocument:
             if "overrides" in lobj:
                 opath = f"{lpath}.overrides"
                 for act_name, raw_box in _as_mapping(lobj["overrides"], opath).items():
+                    if act_name not in labels_of:
+                        _fail(f"{opath}.{act_name}", f"unknown act {act_name!r}")
                     box = {}
                     for label, raw_iv in _as_mapping(
                             raw_box, f"{opath}.{act_name}").items():
+                        if label not in labels_of[act_name]:
+                            _fail(f"{opath}.{act_name}.{label}",
+                                  f"unknown outcome {label!r} of act {act_name!r}")
                         box[label] = _interval(raw_iv, f"{opath}.{act_name}.{label}")
                     overrides[act_name] = box
             for c in constraints:
@@ -383,8 +392,7 @@ def document_to_dict(doc: ProblemDocument) -> dict:
             {
                 "error": spec.error,
                 "constraints": [
-                    _statement_to_dict(s, with_meta=False)
-                    for s in spec.statements
+                    _statement_to_dict(s) for s in spec.statements
                 ],
                 "overrides": {
                     act: {label: [iv.lo, iv.hi] for label, iv in box.items()}
@@ -395,7 +403,7 @@ def document_to_dict(doc: ProblemDocument) -> dict:
         ]
     if doc.statements:
         out["statements"] = [
-            _statement_to_dict(s, with_meta=True) for s in doc.statements
+            _statement_to_dict(s) for s in doc.statements
         ]
         acceptance: dict = {"rule": doc.rule}
         if doc.rule == "threshold":

@@ -4,6 +4,9 @@ The expected-utility oracle enumerates the vertices of the feasible
 polytope {p : lo <= p <= hi, sum p = 1} directly: every vertex has at
 most one coordinate strictly between its bounds, so fixing all but one
 coordinate at a bound and solving for the free one visits every vertex.
+
+The maximal-set, nesting and closure oracles compute straight from
+their definitions, pair by pair, and check the one-pass runtime code.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import random
 
 from hypothesis import strategies as st
 
-from credalbox import Act, Outcome, ProbInterval
+from credalbox import Act, Outcome, ProbInterval, apply_level, dominates
 
 TOL = 1e-9
 
@@ -130,3 +133,41 @@ def int_intervals(span: int = 100):
     return st.tuples(
         st.integers(-span, span), st.integers(-span, span),
     ).map(lambda pair: Interval(float(min(pair)), float(max(pair))))
+
+
+def pairwise_maximal_set(eu):
+    """Oracle: acts no other act strictly dominates, tested pair by pair."""
+    return tuple(
+        a for a in eu
+        if not any(dominates(eu[b], eu[a]) for b in eu if b != a)
+    )
+
+
+def all_pairs_nested(seq, problem) -> bool:
+    """Oracle: every later level's boxes sit inside every earlier one's,
+    tested for every pair of levels."""
+    resolved = [apply_level(problem, level) for level in seq.levels]
+    for later in range(len(resolved)):
+        for earlier in range(later):
+            for act_late, act_early in zip(resolved[later].acts,
+                                           resolved[earlier].acts):
+                for o_late, o_early in zip(act_late.outcomes, act_early.outcomes):
+                    if (o_late.prob.lo < o_early.prob.lo
+                            or o_late.prob.hi > o_early.prob.hi):
+                        return False
+    return True
+
+
+def fixed_point_closure(pairs) -> frozenset:
+    """Oracle: transitive closure by repeating an all-pairs scan until
+    nothing is added."""
+    closure = set(pairs)
+    grew = True
+    while grew:
+        grew = False
+        for a, b in list(closure):
+            for c, d in list(closure):
+                if b == c and (a, d) not in closure:
+                    closure.add((a, d))
+                    grew = True
+    return frozenset(closure)

@@ -104,6 +104,27 @@ class TestDecide:
         jsonschema.validate(got, schema)
         assert got["act"] is None
 
+    def test_json_extreme_stakes_stay_valid(self, tmp_path, capsys):
+        # a gain of 1e-320 against a loss of 1e300 overflows the odds to
+        # infinity, which puts the odds-derived tolerance at its limit 0
+        doc = {
+            "problem": "extreme",
+            "acts": [{"name": "a1", "outcomes": [
+                {"label": "G", "utility": 1e-320},
+                {"label": "not-G", "utility": -1e300},
+            ]}],
+            "tolerance": {"mode": "odds-derived"},
+        }
+        target = tmp_path / "extreme.json"
+        target.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["decide", str(target), "--json"])
+        got = json.loads(capsys.readouterr().out,
+                         parse_constant=lambda name: pytest.fail(name))
+        assert code == 2
+        assert got["tolerance"] == 0.0
+        schema = json.loads(REPORT_SCHEMA.read_text(encoding="utf-8"))
+        jsonschema.validate(got, schema)
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(["decide", str(tmp_path / "nope.json")])
         err = capsys.readouterr().err

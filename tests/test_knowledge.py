@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from credalbox import (
     Act,
@@ -24,7 +28,7 @@ from credalbox import (
     level_from_body,
     sequence_from_bodies,
 )
-from support import interval_close
+from support import all_pairs_nested, fixed_point_closure, interval_close
 
 
 def jerry_problem():
@@ -204,6 +208,16 @@ class TestReferenceClassTable:
         with pytest.raises(ValueError, match="cyclic"):
             ReferenceClassTable(specificity=frozenset({("a", "b"), ("b", "a")}))
 
+    @given(st.frozensets(st.tuples(st.sampled_from("abcde"),
+                                   st.sampled_from("abcde")), max_size=10))
+    def test_closure_matches_fixed_point_scan(self, pairs):
+        want = fixed_point_closure(pairs)
+        if any(a == b for a, b in want):
+            with pytest.raises(ValueError, match="cyclic"):
+                ReferenceClassTable(specificity=pairs)
+        else:
+            assert ReferenceClassTable(specificity=pairs).specificity == want
+
     def test_conflicting_duplicate_entries_rejected(self):
         with pytest.raises(ValueError, match="two different"):
             ReferenceClassTable(entries=(
@@ -216,6 +230,13 @@ class TestReferenceClassTable:
         assert refs.freq("c", "G") == ProbInterval(0.1, 0.2)
         assert refs.freq("c", "H") is None
         assert refs.freq("d", "G") is None
+
+    def test_freq_returns_first_of_equal_entries(self):
+        refs = ReferenceClassTable(entries=(
+            ("c", "G", ProbInterval(-0.0, 0.5)),
+            ("c", "G", ProbInterval(0.0, 0.5)),
+        ))
+        assert math.copysign(1.0, refs.freq("c", "G").lo) == -1.0
 
     def test_with_entries_extends(self):
         base = ReferenceClassTable(entries=(("c", "G", ProbInterval(0.1, 0.2)),))
@@ -470,3 +491,14 @@ class TestSequencesAndNesting:
     def test_single_level_is_nested(self):
         problem, seq = self.seq_of_g_bounds((None, None))
         assert is_nested(seq, problem)
+
+    @given(st.lists(st.one_of(
+        st.just((None, None)),
+        st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+            lambda p: (min(p) / 4.0, max(p) / 4.0)),
+    ), min_size=1, max_size=5))
+    def test_matches_all_pairs_check(self, bounds):
+        # a coarse grid makes shared endpoints common, and a vacuous level
+        # between two tighter ones lets a violation skip a level
+        problem, seq = self.seq_of_g_bounds(*bounds)
+        assert is_nested(seq, problem) == all_pairs_nested(seq, problem)

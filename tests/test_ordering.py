@@ -16,14 +16,14 @@ from credalbox import (
     min_regret,
     worst_case_regrets,
 )
-from support import int_intervals
+from support import int_intervals, pairwise_maximal_set
 
 WIDE = {"a1": Interval(-16.8, 10.0), "a2": Interval(-5.5, 0.0)}
 SHARP = {"a1": Interval(0.0, 10.0), "a2": Interval(-3.0, -1.5)}
 
 
-def eu_maps(n_min=2, n_max=5):
-    return st.lists(int_intervals(), min_size=n_min, max_size=n_max).map(
+def eu_maps(n_min=2, n_max=5, span=100):
+    return st.lists(int_intervals(span), min_size=n_min, max_size=n_max).map(
         lambda ivs: {f"a{i}": iv for i, iv in enumerate(ivs)}
     )
 
@@ -48,6 +48,11 @@ class TestMaximalSet:
         got = maximal_set(WIDE)
         assert "a1" in got and "a2" in got and len(got) == 2
         assert not got.is_decision()
+
+    @given(eu_maps(1, 8, span=4))
+    def test_matches_pairwise_definition(self, eu):
+        # a span of 4 makes equal endpoints, and so ties, common
+        assert maximal_set(eu).names == pairwise_maximal_set(eu)
 
     @given(eu_maps())
     def test_never_empty(self, eu):

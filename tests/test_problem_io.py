@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -46,6 +47,12 @@ def doc_with(**extras):
     return data
 
 
+def doc_with_utility(value):
+    data = doc_with()
+    data["acts"][0]["outcomes"][0]["utility"] = value
+    return data
+
+
 def error_path(data):
     with pytest.raises(ProblemFormatError) as exc_info:
         parse_document(data)
@@ -65,6 +72,15 @@ class TestRoundTrip:
         doc = load_fixture(name)
         assert sequence_bytes(doc.build_sequence()) == \
             sequence_bytes(doc.build_sequence())
+
+    def test_level_constraint_keeps_id_and_prob(self):
+        doc = parse_document(doc_with(levels=[
+            {"error": 0.0, "constraints": [
+                {"id": "mine", "kind": "event-interval", "event": "G",
+                 "interval": [0.6, 0.8]},
+            ]},
+        ]))
+        assert loads(dumps(doc)) == doc
 
     def test_statements_document_round_trip(self):
         doc = load_fixture("example_b")
@@ -270,6 +286,23 @@ class TestValidationErrors:
 
     def test_non_object_root(self):
         assert "expected an object" in error_path([1, 2, 3])
+
+    @pytest.mark.parametrize("data,path", [
+        (doc_with(levels=[{"error": math.nan}]), "$.levels[0].error"),
+        (doc_with_utility(math.nan), "$.acts[0].outcomes[0].utility"),
+        (doc_with_utility(-math.inf), "$.acts[0].outcomes[0].utility"),
+        (doc_with_utility(10 ** 400), "$.acts[0].outcomes[0].utility"),
+        (doc_with(tolerance={"mode": "explicit", "max_error": math.nan}),
+         "$.tolerance.max_error"),
+        (doc_with(levels=[{"error": 0.0, "overrides": {"zz": {}}}]),
+         "$.levels[0].overrides.zz"),
+        (doc_with(levels=[{"error": 0.0,
+                           "overrides": {"a1": {"H": [0.1, 0.2]}}}]),
+         "$.levels[0].overrides.a1.H"),
+    ], ids=["nan-error", "nan-utility", "infinite-utility", "huge-int-utility",
+            "nan-max-error", "unknown-override-act", "unknown-override-outcome"])
+    def test_bad_value_named_at_path(self, data, path):
+        assert error_path(data).startswith(f"{path}: ")
 
 
 class TestSequenceSerialization:
