@@ -73,8 +73,12 @@ def frechet_and(p: ProbInterval, q: ProbInterval) -> ProbInterval:
 
     Nothing is assumed about how the two events interact, so the lower
     bound is max(0, p.lo + q.lo - 1) and the upper is min(p.hi, q.hi).
+    The lower bound never exceeds the upper in exact arithmetic, but the
+    float sum can round just above it (1.0 + x - 1.0 > x for some x), so
+    it is capped at the upper bound.
     """
-    return ProbInterval(max(0.0, p.lo + q.lo - 1.0), min(p.hi, q.hi))
+    hi = min(p.hi, q.hi)
+    return ProbInterval(min(max(0.0, p.lo + q.lo - 1.0), hi), hi)
 
 
 def intersect(p: ProbInterval, q: ProbInterval) -> ProbInterval | None:

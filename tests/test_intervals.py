@@ -81,6 +81,12 @@ class TestFrechetAnd:
         got = frechet_and(ProbInterval(0.2, 0.4), ProbInterval(0.3, 0.5))
         assert interval_close(got, 0.0, 0.4)
 
+    def test_certain_conjunct_with_rounding_point(self):
+        # 1.0 + x - 1.0 rounds above x for this x.
+        x = 0.7216369042122349
+        got = frechet_and(ProbInterval(1.0, 1.0), ProbInterval(x, x))
+        assert got.lo <= got.hi == x
+
     @given(prob_intervals(), prob_intervals())
     def test_result_is_a_probability_interval(self, p, q):
         got = frechet_and(p, q)
