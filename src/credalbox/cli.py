@@ -38,9 +38,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+#: table numbers at or above this magnitude print with .6g, not .4f
+_FIXED_LIMIT = 1e12
+
+
+def _num(x: float) -> str:
+    return f"{x:.4f}" if abs(x) < _FIXED_LIMIT else f"{x:.6g}"
+
+
 def _fmt(iv: Interval) -> str:
     # tables round to 4 decimals; full precision lives in --json
-    return f"[{iv.lo:.4f}, {iv.hi:.4f}]"
+    return f"[{_num(iv.lo)}, {_num(iv.hi)}]"
 
 
 def _print_table(head: list[str], rows: list[list[str]]) -> None:

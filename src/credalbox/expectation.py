@@ -131,8 +131,13 @@ def eu_interval(act: Act) -> Interval:
     n = len(utils)
     ascending = sorted(range(n), key=lambda i: (utils[i], i))
     descending = sorted(range(n), key=lambda i: (-utils[i], i))
-    lo = _allocate(lows, highs, utils, ascending)
-    hi = _allocate(lows, highs, utils, descending)
+    try:
+        lo = _allocate(lows, highs, utils, ascending)
+        hi = _allocate(lows, highs, utils, descending)
+    except OverflowError:
+        raise ValueError(
+            f"act {act.name!r}: expected utility overflows the float range"
+        ) from None
     if lo > hi:  # guard against stray rounding on near-degenerate boxes
         lo = hi = (lo + hi) / 2.0
     return Interval(lo, hi)

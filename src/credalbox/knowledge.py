@@ -208,7 +208,10 @@ class ReferenceClassTable:
                            _transitive_closure(frozenset(self.specificity)))
         for a, b in self.specificity:
             if a == b:
-                raise ValueError(f"specificity order is cyclic at class {a!r}")
+                # name the smallest class on a cycle, whatever the set order
+                first = min(c for c, d in self.specificity if c == d)
+                raise ValueError(
+                    f"specificity order is cyclic at class {first!r}")
         # the first entry wins, so equal intervals such as -0.0 and 0.0
         # keep the bits they were listed with
         freqs: dict[tuple[str, str], ProbInterval] = {}

@@ -7,6 +7,10 @@ coordinate at a bound and solving for the free one visits every vertex.
 
 The maximal-set, nesting and closure oracles compute straight from
 their definitions, pair by pair, and check the one-pass runtime code.
+
+The binomial tail oracles sum the probability mass term by term from
+log-gamma binomial coefficients, O(n) work per tail, and check the
+incomplete-beta tails and the Clopper-Pearson endpoints built on them.
 """
 
 from __future__ import annotations
@@ -171,3 +175,50 @@ def fixed_point_closure(pairs) -> frozenset:
                     closure.add((a, d))
                     grew = True
     return frozenset(closure)
+
+
+def binomial_tail_sum(n: int, p: float, support: range) -> float:
+    """Oracle: Binomial(n, p) mass on support, summed term by term from
+    log-gamma coefficients; p must lie strictly inside (0, 1)."""
+    log_p = math.log(p)
+    log_q = math.log1p(-p)
+    lg_n = math.lgamma(n + 1)
+    total = math.fsum(
+        math.exp(lg_n - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                 + i * log_p + (n - i) * log_q)
+        for i in support
+    )
+    return min(1.0, total)
+
+
+def oracle_binomial_cdf(k: int, n: int, p: float) -> float:
+    """Oracle P[X <= k] for p strictly inside (0, 1)."""
+    return binomial_tail_sum(n, p, range(0, min(k, n) + 1))
+
+
+def oracle_binomial_sf(k: int, n: int, p: float) -> float:
+    """Oracle P[X >= k] for p strictly inside (0, 1)."""
+    return binomial_tail_sum(n, p, range(max(k, 0), n + 1))
+
+
+def oracle_clopper_pearson(x: int, n: int, confidence: float,
+                           tol: float) -> tuple[float, float]:
+    """Oracle equal-tail endpoints: each oracle tail bisected on [0, 1]
+    until the bracket is narrower than tol."""
+    tail = (1.0 - confidence) / 2.0
+
+    def root(fn, increasing):
+        lo, hi = 0.0, 1.0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if (fn(mid) < tail) == increasing:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    lo = 0.0 if x == 0 else root(
+        lambda p: oracle_binomial_sf(x, n, p), increasing=True)
+    hi = 1.0 if x == n else root(
+        lambda p: oracle_binomial_cdf(x, n, p), increasing=False)
+    return lo, hi

@@ -125,6 +125,38 @@ class TestDecide:
         schema = json.loads(REPORT_SCHEMA.read_text(encoding="utf-8"))
         jsonschema.validate(got, schema)
 
+    def test_overflowing_expected_utility_names_the_act(self, tmp_path, capsys):
+        # lower bounds a hair above 1 on two maximal utilities push the
+        # expected utility past the largest float
+        top = 1.7976931348623157e308
+        doc = {
+            "problem": "overflow",
+            "acts": [{"name": "huge", "outcomes": [
+                {"label": "G", "utility": top, "prob": [0.5000000004, 0.6]},
+                {"label": "not-G", "utility": top, "prob": [0.5000000004, 0.6]},
+            ]}],
+        }
+        target = tmp_path / "overflow.json"
+        target.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["decide", str(target)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'huge'" in err
+
+    def test_huge_utilities_print_in_short_form(self, tmp_path, capsys):
+        doc = {
+            "problem": "huge",
+            "acts": [{"name": "a1", "outcomes": [
+                {"label": "G", "utility": 1e300},
+                {"label": "not-G", "utility": -2.5},
+            ]}],
+        }
+        target = tmp_path / "huge.json"
+        target.write_text(json.dumps(doc), encoding="utf-8")
+        main(["decide", str(target)])
+        assert "[-2.5000, 1e+300]" in capsys.readouterr().out
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(["decide", str(tmp_path / "nope.json")])
         err = capsys.readouterr().err
@@ -204,6 +236,8 @@ class TestCp:
         (["cp", "0", "10", "0.95"], "[0.0000, 0.3085]"),
         (["cp", "4", "4", "0.99"], "[0.2659, 1.0000]"),
         (["cp", "5", "5", "0.9999"], "[0.1380, 1.0000]"),
+        # the tails no longer sum n + 1 terms, so a hundred million is quick
+        (["cp", "12345678", "100000000", "0.95"], "[0.1234, 0.1235]"),
     ])
     def test_four_decimal_output(self, argv, expected, capsys):
         code = main(argv)

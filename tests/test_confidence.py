@@ -1,8 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credalbox import SampleCount, binomial_cdf, binomial_sf, clopper_pearson
+from credalbox import confidence
+from support import oracle_binomial_cdf, oracle_binomial_sf, oracle_clopper_pearson
 
 
 def cp(x, n, conf):
@@ -144,3 +148,57 @@ class TestTailHelpers:
             for k in range(10)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def tail_cases(draw):
+    """(k, n, p) with n <= 400, k from just below 0 to just above n and
+    p strictly inside (0, 1)."""
+    n = draw(st.integers(1, 400))
+    k = draw(st.integers(-1, n + 1))
+    p = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return k, n, p
+
+
+class TestTailOracle:
+    # the incomplete-beta tails against term-by-term log-gamma sums
+    @settings(max_examples=200, deadline=None)
+    @given(tail_cases())
+    def test_cdf_matches_tail_sum(self, case):
+        k, n, p = case
+        assert abs(binomial_cdf(k, n, p) - oracle_binomial_cdf(k, n, p)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(tail_cases())
+    def test_sf_matches_tail_sum(self, case):
+        k, n, p = case
+        assert abs(binomial_sf(k, n, p) - oracle_binomial_sf(k, n, p)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(tail_cases())
+    def test_cdf_and_sf_partition_the_mass(self, case):
+        k, n, p = case
+        assert abs(binomial_cdf(k, n, p) + binomial_sf(k + 1, n, p) - 1.0) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 400).flatmap(
+        lambda n: st.tuples(st.integers(0, n), st.just(n))),
+        st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99, 0.999]))
+    def test_endpoints_match_oracle_bisection(self, count, conf):
+        x, n = count
+        got = cp(x, n, conf)
+        lo, hi = oracle_clopper_pearson(x, n, conf, confidence.BISECTION_TOL)
+        assert abs(got.lo - lo) <= confidence.BISECTION_TOL
+        assert abs(got.hi - hi) <= confidence.BISECTION_TOL
+
+
+class TestContinuedFraction:
+    def test_tails_at_extreme_p(self):
+        # 1 - p rounds to 1.0 here; the tails still sit at their limits
+        assert binomial_cdf(3, 10**6, 1e-300) == 1.0
+        assert binomial_sf(3, 10**6, 1e-300) == 0.0
+
+    def test_continued_fraction_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(confidence, "_CF_MAX_STEPS", 3)
+        with pytest.raises(ValueError, match="did not converge"):
+            binomial_sf(50_000, 100_000, 0.5)

@@ -208,6 +208,15 @@ class TestReferenceClassTable:
         with pytest.raises(ValueError, match="cyclic"):
             ReferenceClassTable(specificity=frozenset({("a", "b"), ("b", "a")}))
 
+    def test_cycle_names_smallest_class_on_it(self):
+        # 'a' only feeds the cycle b -> ... -> z -> b, so the message names
+        # 'b' whatever order the pairs come out of the frozenset
+        ring = "bcdefghijklmnopqrstuvwxyz"
+        pairs = {(x, y) for x, y in zip(ring, ring[1:] + ring[0])}
+        pairs.add(("a", "b"))
+        with pytest.raises(ValueError, match="cyclic at class 'b'$"):
+            ReferenceClassTable(specificity=frozenset(pairs))
+
     @given(st.frozensets(st.tuples(st.sampled_from("abcde"),
                                    st.sampled_from("abcde")), max_size=10))
     def test_closure_matches_fixed_point_scan(self, pairs):
