@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .confidence import _bisect
 from .intervals import ProbInterval
 
 #: how far the masses may miss summing to exactly 1
@@ -55,6 +56,8 @@ class MassFunction:
         cleaned: dict[frozenset[str], float] = {}
         for focal, value in dict(self.masses).items():
             key = _as_set(frame, focal)
+            if not math.isfinite(value):
+                raise ValueError(f"mass for {sorted(key)} is not finite: {value!r}")
             if value < 0.0:
                 raise ValueError(f"mass for {sorted(key)} is negative: {value!r}")
             if key in cleaned:
@@ -143,7 +146,7 @@ def discount_threshold(fixed: MassFunction, discounted: MassFunction,
 
     fixed is combined with discounted-at-rate-r for r in [0, 1]; the
     belief in the event must be monotone in r and bracket the target.
-    Solved by bisection to 1e-9.
+    Solved to 1e-9 by the bisection Clopper-Pearson uses.
     """
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"target must lie in [0, 1], got {target!r}")
@@ -166,12 +169,4 @@ def discount_threshold(fixed: MassFunction, discounted: MassFunction,
             f"target {target!r} is outside the reachable beliefs "
             f"[{min(at0, at1):.9g}, {max(at0, at1):.9g}]"
         )
-    lo, hi = 0.0, 1.0
-    increasing = at1 > at0
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if (belief_at(mid) < target) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(belief_at, target, at1 > at0, 1e-9)

@@ -122,14 +122,13 @@ def binomial_sf(k: int, n: int, p: float) -> float:
     return min(1.0, _betai(k, n - k + 1, p))
 
 
-def _bisect(fn, target: float) -> float:
-    """Root of fn(p) = target for fn monotone on [0, 1]."""
+def _bisect(fn, target: float, increasing: bool, tol: float) -> float:
+    """Root of fn(p) = target for fn monotone on [0, 1] in the given
+    direction, to a bracket narrower than tol."""
     lo, hi = 0.0, 1.0
-    increasing = fn(1.0) >= fn(0.0)
-    while hi - lo > BISECTION_TOL:
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        value = fn(mid)
-        if (value < target) == increasing:
+        if (fn(mid) < target) == increasing:
             lo = mid
         else:
             hi = mid
@@ -147,11 +146,11 @@ def clopper_pearson(count: SampleCount, confidence: float) -> ProbInterval:
     if x == 0:
         lo = 0.0
     else:
-        lo = _bisect(lambda p: binomial_sf(x, n, p), tail)
+        lo = _bisect(lambda p: binomial_sf(x, n, p), tail, True, BISECTION_TOL)
     if x == n:
         hi = 1.0
     else:
-        hi = _bisect(lambda p: binomial_cdf(x, n, p), tail)
+        hi = _bisect(lambda p: binomial_cdf(x, n, p), tail, False, BISECTION_TOL)
     lo = min(max(lo, 0.0), 1.0)
     hi = min(max(hi, lo), 1.0)
     return ProbInterval(lo, hi)

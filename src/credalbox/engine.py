@@ -190,8 +190,13 @@ def _point_eu(utils: Sequence[float], probs: Sequence[float], act: str) -> float
         raise ValueError(
             f"act {act!r}: {len(probs)} probabilities for {len(utils)} outcomes"
         )
-    total = math.fsum(probs)
-    if abs(total - 1.0) > 1e-9:
+    try:
+        total = math.fsum(probs)
+    except ValueError:  # inf + -inf
+        total = math.nan
+    if not abs(total - 1.0) <= 1e-9:  # NaN fails here too
+        if not all(map(math.isfinite, probs)):
+            raise ValueError(f"act {act!r}: probabilities must be finite numbers")
         raise ValueError(f"act {act!r}: probabilities sum to {total!r}, not 1")
     if any(p < 0.0 for p in probs):
         raise ValueError(f"act {act!r}: negative probability")
@@ -216,8 +221,11 @@ class WeightedCredal:
         object.__setattr__(self, "members", members)
         if not members:
             raise ValueError("a weighted credal needs at least one member")
-        if any(w < 0.0 for _, w in members):
-            raise ValueError("member weights must be non-negative")
+        for pos, (_, w) in enumerate(members):
+            if not math.isfinite(w):
+                raise ValueError(f"member {pos} has non-finite weight {w!r}")
+            if w < 0.0:
+                raise ValueError("member weights must be non-negative")
         total = math.fsum(w for _, w in members)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"member weights sum to {total!r}, not 1")

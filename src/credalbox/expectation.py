@@ -80,15 +80,16 @@ class DecisionProblem:
         object.__setattr__(self, "acts", tuple(self.acts))
         if not self.acts:
             raise ValueError(f"problem {self.name!r} has no acts")
-        names = [a.name for a in self.acts]
-        if len(set(names)) != len(names):
+        by_name = {a.name: a for a in self.acts}
+        if len(by_name) != len(self.acts):
             raise ValueError(f"problem {self.name!r} repeats an act name")
+        object.__setattr__(self, "_by_name", by_name)
 
     def act(self, name: str) -> Act:
-        for a in self.acts:
-            if a.name == name:
-                return a
-        raise KeyError(f"problem {self.name!r} has no act {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(f"problem {self.name!r} has no act {name!r}") from None
 
     @property
     def act_names(self) -> tuple[str, ...]:

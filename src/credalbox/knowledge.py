@@ -310,34 +310,48 @@ class CredalSequence:
                 )
 
 
+def _check_targets(problem: DecisionProblem,
+                   boxes: Mapping[str, Mapping[str, ProbInterval]],
+                   where: str) -> None:
+    """Raise unless every act and outcome named in boxes exists."""
+    for act_name, box in boxes.items():
+        try:
+            labels = problem.act(act_name).labels()
+        except KeyError:
+            raise ValueError(f"{where} unknown act {act_name!r}") from None
+        for label in box:
+            if label not in labels:
+                raise ValueError(
+                    f"{where} unknown outcome {label!r} of act {act_name!r}"
+                )
+
+
 def apply_level(problem: DecisionProblem, level: CredalLevel) -> DecisionProblem:
     """The problem with outcome bounds replaced by the level's assignments.
 
     Replacement is wholesale: an assigned interval need not nest inside
-    the declared one.  Unknown act or outcome names are an error.
+    the declared one.  Acts the level leaves alone are passed through as
+    they are.  Unknown act or outcome names are an error.
     """
-    known = {a.name for a in problem.acts}
-    for act_name in level.assignments:
-        if act_name not in known:
-            raise ValueError(
-                f"level {level.index} assigns to unknown act {act_name!r}"
-            )
-    acts = []
-    for act in problem.acts:
-        over = level.assignments.get(act.name, {})
-        labels = {o.label for o in act.outcomes}
-        for label in over:
-            if label not in labels:
-                raise ValueError(
-                    f"level {level.index} assigns to unknown outcome "
-                    f"{label!r} of act {act.name!r}"
-                )
-        outs = tuple(
-            Outcome(o.label, o.utility, over.get(o.label, o.prob))
+    boxes = level.assignments
+    _check_targets(problem, boxes, f"level {level.index} assigns to")
+    return DecisionProblem(problem.name, tuple(
+        Act(act.name, tuple(
+            Outcome(o.label, o.utility, boxes[act.name].get(o.label, o.prob))
             for o in act.outcomes
-        )
-        acts.append(Act(act.name, outs))
-    return DecisionProblem(problem.name, tuple(acts))
+        )) if boxes.get(act.name) else act
+        for act in problem.acts
+    ))
+
+
+def _meet(bounds: dict[str, ProbInterval], key: str, iv: ProbInterval) -> bool:
+    """Narrow bounds[key] to its intersection with iv, or set it to iv
+    when absent.  False, with bounds untouched, when they are disjoint."""
+    merged = intersect(bounds[key], iv) if key in bounds else iv
+    if merged is None:
+        return False
+    bounds[key] = merged
+    return True
 
 
 def _event_constraints(body: BodyOfKnowledge,
@@ -348,20 +362,18 @@ def _event_constraints(body: BodyOfKnowledge,
         for s in body.statements if s.kind == "class-frequency"
     )
     constraints: dict[str, ProbInterval] = {}
-
-    def clamp(event: str, iv: ProbInterval, why: str) -> None:
-        merged = iv if event not in constraints else intersect(constraints[event], iv)
-        if merged is None:
-            raise ConflictingConstraintError(
-                f"body {body.index}: {why} leaves no probability for event {event!r}"
-            )
-        constraints[event] = merged
-
     for s in body.statements:
         if s.kind == "event-interval":
-            clamp(s.event, s.interval, f"statement {s.id!r}")
+            iv = s.interval
         elif s.kind == "condition":
-            clamp(s.event, CERTAIN if s.value else IMPOSSIBLE, f"statement {s.id!r}")
+            iv = CERTAIN if s.value else IMPOSSIBLE
+        else:
+            continue
+        if not _meet(constraints, s.event, iv):
+            raise ConflictingConstraintError(
+                f"body {body.index}: statement {s.id!r} leaves no "
+                f"probability for event {s.event!r}"
+            )
 
     memberships: dict[str, set[str]] = {}
     for s in body.statements:
@@ -373,7 +385,11 @@ def _event_constraints(body: BodyOfKnowledge,
         for event in events:
             usable = {c for c in classes if table.freq(c, event) is not None}
             iv = direct_inference(item, event, usable, table)
-            clamp(event, iv, f"direct inference for item {item!r}")
+            if not _meet(constraints, event, iv):
+                raise ConflictingConstraintError(
+                    f"body {body.index}: direct inference for item {item!r} "
+                    f"leaves no probability for event {event!r}"
+                )
     return constraints
 
 
@@ -389,56 +405,31 @@ def level_from_body(body: BodyOfKnowledge, problem: DecisionProblem,
     interval assertions that are intersected on top.
     """
     constraints = _event_constraints(body, refs)
-    if extra:
-        known = {a.name: set(a.labels()) for a in problem.acts}
-        for act_name, box in extra.items():
-            if act_name not in known:
-                raise ValueError(
-                    f"body {body.index}: asserted intervals for unknown "
-                    f"act {act_name!r}"
-                )
-            for label in box:
-                if label not in known[act_name]:
-                    raise ValueError(
-                        f"body {body.index}: asserted interval for unknown "
-                        f"outcome {label!r} of act {act_name!r}"
-                    )
+    extra = extra or {}
+    _check_targets(problem, extra, f"body {body.index}: asserted interval for")
     assignments: dict[str, dict[str, ProbInterval]] = {}
     for act in problem.acts:
-        over: dict[str, ProbInterval] = {}
-        for o in act.outcomes:
-            if o.label in constraints:
-                over[o.label] = constraints[o.label]
+        over = {o.label: constraints[o.label]
+                for o in act.outcomes if o.label in constraints}
         if len(act.outcomes) == 2:
             first, second = act.outcomes
-            forced = dict(over)
-            for mine, other in ((first, second), (second, first)):
-                if mine.label not in over:
-                    continue
-                comp = over[mine.label].complement()
-                if other.label in forced:
-                    merged = intersect(forced[other.label], comp)
-                    if merged is None:
-                        raise ConflictingConstraintError(
-                            f"body {body.index}: constraints on {first.label!r} "
-                            f"and {second.label!r} of act {act.name!r} conflict"
-                        )
-                    forced[other.label] = merged
-                else:
-                    forced[other.label] = comp
-            over = forced
-        for label, iv in ((extra or {}).get(act.name) or {}).items():
-            if label in over:
-                merged = intersect(over[label], iv)
-                if merged is None:
+            # both complements come from the bounds before either is forced
+            forced = [(other.label, over[mine.label].complement())
+                      for mine, other in ((first, second), (second, first))
+                      if mine.label in over]
+            for label, comp in forced:
+                if not _meet(over, label, comp):
                     raise ConflictingConstraintError(
-                        f"body {body.index}: asserted interval for outcome "
-                        f"{label!r} of act {act.name!r} conflicts with the "
-                        f"statement-derived bounds"
+                        f"body {body.index}: constraints on {first.label!r} "
+                        f"and {second.label!r} of act {act.name!r} conflict"
                     )
-                over[label] = merged
-            else:
-                over[label] = iv
+        for label, iv in extra.get(act.name, {}).items():
+            if not _meet(over, label, iv):
+                raise ConflictingConstraintError(
+                    f"body {body.index}: asserted interval for outcome "
+                    f"{label!r} of act {act.name!r} conflicts with the "
+                    f"statement-derived bounds"
+                )
         if over:
             box_lo = [over.get(o.label, o.prob).lo for o in act.outcomes]
             box_hi = [over.get(o.label, o.prob).hi for o in act.outcomes]

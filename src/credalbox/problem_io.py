@@ -39,9 +39,14 @@ def _fail(path: str, message: str) -> None:
     raise ProblemFormatError(f"{path}: {message}")
 
 
-def _as_mapping(value, path: str) -> dict:
+def _as_mapping(value, path: str, allowed: set[str] | None = None) -> dict:
+    """The value as an object; with allowed given, no other keys may appear."""
     if not isinstance(value, dict):
         _fail(path, f"expected an object, got {type(value).__name__}")
+    if allowed is not None:
+        unknown = set(value) - allowed
+        if unknown:
+            _fail(path, f"unknown key {sorted(unknown)[0]!r}")
     return value
 
 
@@ -51,17 +56,10 @@ def _as_list(value, path: str) -> list:
     return value
 
 
-def _get(mapping: dict, key: str, path: str, required: bool = True, default=None):
+def _get(mapping: dict, key: str, path: str):
     if key not in mapping:
-        if required:
-            _fail(path, f"missing required key {key!r}")
-        return default
+        _fail(path, f"missing required key {key!r}")
     return mapping[key]
-
-def _reject_unknown(mapping: dict, allowed: set[str], path: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        _fail(path, f"unknown key {sorted(unknown)[0]!r}")
 
 
 def _number(value, path: str, lo: float | None = None, hi: float | None = None) -> float:
@@ -99,9 +97,8 @@ def _interval(value, path: str) -> ProbInterval:
 
 
 def _parse_statement(data, path: str, fallback_id: str) -> Statement:
-    obj = _as_mapping(data, path)
-    _reject_unknown(obj, {"id", "kind", "prob", "event", "interval",
-                          "value", "item", "class"}, path)
+    obj = _as_mapping(data, path, {"id", "kind", "prob", "event", "interval",
+                                   "value", "item", "class"})
     kind = _string(_get(obj, "kind", path), f"{path}.kind")
     sid = obj.get("id", fallback_id)
     if not isinstance(sid, str) or not sid:
@@ -205,23 +202,20 @@ class ProblemDocument:
 
 def parse_document(data) -> ProblemDocument:
     """Validate a decoded JSON object into a ProblemDocument."""
-    root = _as_mapping(data, "$")
-    _reject_unknown(root, {"problem", "acts", "tolerance", "levels",
-                           "statements", "acceptance", "reference_classes"}, "$")
+    root = _as_mapping(data, "$", {"problem", "acts", "tolerance", "levels",
+                                   "statements", "acceptance", "reference_classes"})
     name = _string(_get(root, "problem", "$"), "$.problem")
 
     acts = []
     for i, raw_act in enumerate(_as_list(_get(root, "acts", "$"), "$.acts")):
         apath = f"$.acts[{i}]"
-        obj = _as_mapping(raw_act, apath)
-        _reject_unknown(obj, {"name", "outcomes"}, apath)
+        obj = _as_mapping(raw_act, apath, {"name", "outcomes"})
         act_name = _string(_get(obj, "name", apath), f"{apath}.name")
         outcomes = []
         raw_outs = _as_list(_get(obj, "outcomes", apath), f"{apath}.outcomes")
         for j, raw_out in enumerate(raw_outs):
             opath = f"{apath}.outcomes[{j}]"
-            oobj = _as_mapping(raw_out, opath)
-            _reject_unknown(oobj, {"label", "utility", "prob"}, opath)
+            oobj = _as_mapping(raw_out, opath, {"label", "utility", "prob"})
             label = _string(_get(oobj, "label", opath), f"{opath}.label")
             utility = _number(_get(oobj, "utility", opath), f"{opath}.utility")
             prob = VACUOUS
@@ -240,8 +234,7 @@ def parse_document(data) -> ProblemDocument:
     tolerance = ToleranceSpec.explicit(1.0)
     if "tolerance" in root:
         tpath = "$.tolerance"
-        tobj = _as_mapping(root["tolerance"], tpath)
-        _reject_unknown(tobj, {"mode", "max_error"}, tpath)
+        tobj = _as_mapping(root["tolerance"], tpath, {"mode", "max_error"})
         mode = _string(_get(tobj, "mode", tpath), f"{tpath}.mode")
         if mode == "explicit":
             max_error = _number(_get(tobj, "max_error", tpath),
@@ -257,13 +250,12 @@ def parse_document(data) -> ProblemDocument:
     refs = EMPTY_TABLE
     if "reference_classes" in root:
         rpath = "$.reference_classes"
-        robj = _as_mapping(root["reference_classes"], rpath)
-        _reject_unknown(robj, {"entries", "specificity"}, rpath)
+        robj = _as_mapping(root["reference_classes"], rpath,
+                           {"entries", "specificity"})
         entries = []
         for i, raw in enumerate(_as_list(robj.get("entries", []), f"{rpath}.entries")):
             epath = f"{rpath}.entries[{i}]"
-            eobj = _as_mapping(raw, epath)
-            _reject_unknown(eobj, {"class", "event", "interval"}, epath)
+            eobj = _as_mapping(raw, epath, {"class", "event", "interval"})
             entries.append((
                 _string(_get(eobj, "class", epath), f"{epath}.class"),
                 _string(_get(eobj, "event", epath), f"{epath}.event"),
@@ -292,9 +284,11 @@ def parse_document(data) -> ProblemDocument:
         level_specs = []
         for i, raw in enumerate(_as_list(root["levels"], "$.levels")):
             lpath = f"$.levels[{i}]"
-            lobj = _as_mapping(raw, lpath)
-            _reject_unknown(lobj, {"error", "constraints", "overrides"}, lpath)
+            lobj = _as_mapping(raw, lpath, {"error", "constraints", "overrides"})
             error = _number(_get(lobj, "error", lpath), f"{lpath}.error", 0.0, 1.0)
+            if level_specs and error < level_specs[-1].error:
+                _fail(f"{lpath}.error", f"level {i} error {error} drops below "
+                      f"level {i - 1} error {level_specs[-1].error}")
             constraints = tuple(
                 _parse_statement(raw_c, f"{lpath}.constraints[{j}]",
                                  f"level{i}.c{j}")
@@ -320,10 +314,12 @@ def parse_document(data) -> ProblemDocument:
                     _fail(f"{lpath}.constraints",
                           "level constraints are assertions; prob must stay 1")
             level_specs.append(LevelSpec(error, constraints, overrides))
+        if not level_specs:
+            _fail("$.levels", "a credal sequence needs at least one level")
 
     statements: tuple[Statement, ...] = ()
     rule = None
-    error_levels: tuple[float, ...] = ()
+    error_levels: list[float] = []
     if "statements" in root or "acceptance" in root:
         if "statements" not in root or "acceptance" not in root:
             _fail("$", "statements and acceptance must appear together")
@@ -335,16 +331,20 @@ def parse_document(data) -> ProblemDocument:
         if len(set(ids)) != len(ids):
             _fail("$.statements", "statement ids repeat")
         apath = "$.acceptance"
-        aobj = _as_mapping(root["acceptance"], apath)
-        _reject_unknown(aobj, {"rule", "error_levels"}, apath)
+        aobj = _as_mapping(root["acceptance"], apath, {"rule", "error_levels"})
         rule = _string(_get(aobj, "rule", apath), f"{apath}.rule")
         if rule == "threshold":
-            raw_levels = _as_list(_get(aobj, "error_levels", apath),
-                                  f"{apath}.error_levels")
-            error_levels = tuple(
-                _number(raw, f"{apath}.error_levels[{i}]", 0.0, 1.0)
-                for i, raw in enumerate(raw_levels)
-            )
+            epath = f"{apath}.error_levels"
+            for i, raw in enumerate(_as_list(_get(aobj, "error_levels", apath),
+                                             epath)):
+                eps = _number(raw, f"{epath}[{i}]", 0.0, 1.0)
+                if eps == 0.0:
+                    _fail(f"{epath}[{i}]", f"error level {eps!r} must lie in (0, 1]")
+                if error_levels and eps <= error_levels[-1]:
+                    _fail(f"{epath}[{i}]", "error levels must be strictly increasing")
+                error_levels.append(eps)
+            if not error_levels:
+                _fail(epath, "threshold acceptance needs at least one error level")
         elif rule == "next-most-probable":
             if "error_levels" in aobj:
                 _fail(apath, "next-most-probable acceptance takes no error_levels")

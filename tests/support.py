@@ -7,6 +7,8 @@ coordinate at a bound and solving for the free one visits every vertex.
 
 The maximal-set, nesting and closure oracles compute straight from
 their definitions, pair by pair, and check the one-pass runtime code.
+The apply_level oracle rebuilds every act, where the runtime passes
+acts with no box through.
 
 The binomial tail oracles sum the probability mass term by term from
 log-gamma binomial coefficients, O(n) work per tail, and check the
@@ -21,7 +23,14 @@ import random
 
 from hypothesis import strategies as st
 
-from credalbox import Act, Outcome, ProbInterval, apply_level, dominates
+from credalbox import (
+    Act,
+    DecisionProblem,
+    Outcome,
+    ProbInterval,
+    apply_level,
+    dominates,
+)
 
 TOL = 1e-9
 
@@ -145,6 +154,19 @@ def pairwise_maximal_set(eu):
         a for a in eu
         if not any(dominates(eu[b], eu[a]) for b in eu if b != a)
     )
+
+
+def rebuild_every_act(problem, level):
+    """Oracle for apply_level: every act and outcome built afresh, with
+    the level's interval where it has one and the declared one otherwise."""
+    return DecisionProblem(problem.name, tuple(
+        Act(act.name, tuple(
+            Outcome(o.label, o.utility,
+                    level.assignments.get(act.name, {}).get(o.label, o.prob))
+            for o in act.outcomes
+        ))
+        for act in problem.acts
+    ))
 
 
 def all_pairs_nested(seq, problem) -> bool:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -54,6 +55,12 @@ class TestMassFunction:
         with pytest.raises(ValueError):
             MassFunction(FRAME, {frozenset({"G"}): 1.2,
                                  frozenset({"not-G"}): -0.2})
+
+    def test_non_finite_mass_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"mass for \['G'\] is not finite"):
+                MassFunction(FRAME, {frozenset({"G"}): bad,
+                                     frozenset({"not-G"}): 1.0})
 
     def test_empty_focal_set_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):

@@ -284,6 +284,12 @@ class TestDsThreshold:
         assert code == 1
         assert "--m1" in capsys.readouterr().err
 
+    def test_nan_mass_exits_one(self, capsys):
+        code = main(["ds-threshold", "--m1", "nan,1", "--m2", "0.6,0.4",
+                     "--target", "0.5"])
+        assert code == 1
+        assert "error: mass for ['G'] is not finite: nan" in capsys.readouterr().err
+
     def test_unknown_event_exits_one(self, capsys):
         code = main(["ds-threshold", "--m1", "0.7,0.3", "--m2", "0.6,0.4",
                      "--target", "0.5", "--event", "Z"])

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from credalbox import (
@@ -224,6 +226,8 @@ class TestHigherOrderEu:
             WeightedCredal(((member, 1.5), (member, -0.5)))
         with pytest.raises(ValueError, match="sum"):
             WeightedCredal(((member, 0.4), (member, 0.4)))
+        with pytest.raises(ValueError, match="member 1 has non-finite weight"):
+            WeightedCredal(((member, 1.0), (member, math.nan)))
 
     def test_member_must_cover_every_act(self):
         credal = WeightedCredal((({"a1": (0.5, 0.5)}, 1.0),))
@@ -240,6 +244,10 @@ class TestHigherOrderEu:
         neg = WeightedCredal((({"a1": (1.5, -0.5), "a2": (0.5, 0.5)}, 1.0),))
         with pytest.raises(ValueError, match="negative"):
             higher_order_eu(jerry_problem(), neg)
+        for bad in ((math.nan, 1.0), (math.inf, -math.inf), (math.inf, 0.0)):
+            credal = WeightedCredal((({"a1": bad, "a2": (0.5, 0.5)}, 1.0),))
+            with pytest.raises(ValueError, match="act 'a1': .* finite"):
+                higher_order_eu(jerry_problem(), credal)
 
 
 def gather_or_pass():
@@ -309,6 +317,12 @@ class TestStarr:
         credal = ParameterizedCredal(
             0.3, 0.8, lambda theta: {"a1": (theta, 1.0 - theta)})
         with pytest.raises(ValueError, match="no distribution for act 'a2'"):
+            starr(gather_or_pass(), credal)
+
+    def test_nan_probability_names_the_act(self):
+        credal = ParameterizedCredal(
+            0.3, 0.8, lambda theta: {"a1": (math.nan, 1.0), "a2": (1.0,)})
+        with pytest.raises(ValueError, match="act 'a1': .* finite"):
             starr(gather_or_pass(), credal)
 
     def test_parameter_range_and_resolution_validated(self):

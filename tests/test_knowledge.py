@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -28,7 +29,14 @@ from credalbox import (
     level_from_body,
     sequence_from_bodies,
 )
-from support import all_pairs_nested, fixed_point_closure, interval_close
+from support import (
+    all_pairs_nested,
+    feasible_acts,
+    fixed_point_closure,
+    interval_close,
+    prob_intervals,
+    rebuild_every_act,
+)
 
 
 def jerry_problem():
@@ -354,6 +362,31 @@ class TestApplyLevel:
             apply_level(jerry_problem(),
                         CredalLevel(0, 0.0, {"a1": {"zz": ProbInterval(0.0, 1.0)}}))
 
+    @given(st.data())
+    def test_matches_rebuilding_every_act(self, data):
+        acts = tuple(data.draw(feasible_acts(name=f"a{i}"))
+                     for i in range(data.draw(st.integers(1, 4))))
+        problem = DecisionProblem("p", acts)
+        assignments = {}
+        for act in acts:
+            if data.draw(st.booleans()):
+                labels = data.draw(st.lists(st.sampled_from(act.labels()),
+                                            unique=True))
+                assignments[act.name] = {
+                    label: data.draw(prob_intervals()) for label in labels}
+        level = CredalLevel(0, 0.0, assignments)
+        try:
+            want = rebuild_every_act(problem, level)
+        except FeasibilityError as exc:
+            with pytest.raises(FeasibilityError, match=re.escape(str(exc))):
+                apply_level(problem, level)
+            return
+        got = apply_level(problem, level)
+        assert got == want
+        for act in acts:
+            if not assignments.get(act.name):
+                assert got.act(act.name) is act
+
     def test_original_problem_untouched(self):
         problem = jerry_problem()
         apply_level(problem, CredalLevel(0, 0.0,
@@ -440,9 +473,11 @@ class TestLevelFromBody:
                             extra={"a1": {"G": ProbInterval(0.0, 0.2)}})
 
     def test_extra_override_unknown_act(self):
-        with pytest.raises(ValueError, match="unknown act"):
-            level_from_body(BodyOfKnowledge(0, 0.0), jerry_problem(),
-                            extra={"zz": {"G": ProbInterval(0.0, 1.0)}})
+        # an empty box names its act all the same
+        for box in ({"G": ProbInterval(0.0, 1.0)}, {}):
+            with pytest.raises(ValueError, match="unknown act 'zz'"):
+                level_from_body(BodyOfKnowledge(0, 0.0), jerry_problem(),
+                                extra={"zz": box})
 
     def test_extra_override_unknown_outcome(self):
         with pytest.raises(ValueError, match="unknown outcome"):

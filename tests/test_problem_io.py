@@ -53,6 +53,12 @@ def doc_with_utility(value):
     return data
 
 
+def threshold_doc(error_levels):
+    return doc_with(statements=[{"kind": "condition", "event": "G"}],
+                    acceptance={"rule": "threshold",
+                                "error_levels": error_levels})
+
+
 def error_path(data):
     with pytest.raises(ProblemFormatError) as exc_info:
         parse_document(data)
@@ -102,6 +108,17 @@ class TestSchema:
     def test_fixture_matches_problem_schema(self, name):
         schema = json.loads(PROBLEM_SCHEMA.read_text(encoding="utf-8"))
         jsonschema.validate(json.loads(fixture_text(name)), schema)
+
+    @pytest.mark.parametrize("data", [
+        doc_with(levels=[]),
+        threshold_doc([]),
+        threshold_doc([0.0, 0.01]),
+    ], ids=["no-levels", "no-error-levels", "zero-error-level"])
+    def test_schema_rejects_what_parsing_rejects(self, data):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(
+                data, json.loads(PROBLEM_SCHEMA.read_text(encoding="utf-8")))
+        error_path(data)
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_serialized_form_matches_problem_schema(self, name):
@@ -299,8 +316,16 @@ class TestValidationErrors:
         (doc_with(levels=[{"error": 0.0,
                            "overrides": {"a1": {"H": [0.1, 0.2]}}}]),
          "$.levels[0].overrides.a1.H"),
+        (doc_with(levels=[]), "$.levels"),
+        (doc_with(levels=[{"error": 0.05}, {"error": 0.01}]),
+         "$.levels[1].error"),
+        (threshold_doc([]), "$.acceptance.error_levels"),
+        (threshold_doc([0.05, 0.01]), "$.acceptance.error_levels[1]"),
+        (threshold_doc([0.0, 0.01]), "$.acceptance.error_levels[0]"),
     ], ids=["nan-error", "nan-utility", "infinite-utility", "huge-int-utility",
-            "nan-max-error", "unknown-override-act", "unknown-override-outcome"])
+            "nan-max-error", "unknown-override-act", "unknown-override-outcome",
+            "no-levels", "level-error-drops", "no-error-levels",
+            "error-levels-fall", "zero-error-level"])
     def test_bad_value_named_at_path(self, data, path):
         assert error_path(data).startswith(f"{path}: ")
 
