@@ -15,7 +15,9 @@ most specific accepted reference class.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Iterable, Mapping, Sequence
 
 from .expectation import Act, DecisionProblem, FeasibilityError, Outcome, _check_feasible
@@ -99,7 +101,10 @@ class Statement:
                    event=event, interval=interval)
 
 
-def _check_statements_consistent(statements: Sequence[Statement]) -> None:
+def _merged_events(statements: Sequence[Statement]) -> dict[str, ProbInterval]:
+    """Each event's bounds under the body's event-interval and condition
+    statements, merged in body order; raises when statements repeat an id
+    or leave an event no probability."""
     ids = [s.id for s in statements]
     if len(set(ids)) != len(ids):
         raise InconsistentBodyError("statement ids repeat within one body")
@@ -107,23 +112,24 @@ def _check_statements_consistent(statements: Sequence[Statement]) -> None:
     for s in statements:
         if s.kind in ("event-interval", "condition"):
             by_event.setdefault(s.event, []).append(s)
+    merged: dict[str, ProbInterval] = {}
     for event, group in by_event.items():
-        merged: ProbInterval | None = None
         for s in group:
             iv = s.interval if s.kind == "event-interval" else (
                 CERTAIN if s.value else IMPOSSIBLE)
-            merged = iv if merged is None else intersect(merged, iv)
-            if merged is None:
+            if not _meet(merged, event, iv):
                 culprits = ", ".join(repr(t.id) for t in group)
                 raise InconsistentBodyError(
                     f"statements {culprits} cannot all hold for event {event!r}"
                 )
+    return merged
 
 
 @dataclass(frozen=True)
 class BodyOfKnowledge:
     """Statements accepted at one error level of a nested (or merely
-    indexed) family of corpora."""
+    indexed) family of corpora.  The event bounds its statements entail
+    are merged once, here, and kept for resolution."""
 
     index: int
     error: float
@@ -135,7 +141,7 @@ class BodyOfKnowledge:
             raise ValueError(f"body index must be non-negative, got {self.index!r}")
         if not 0.0 <= self.error <= 1.0:
             raise ValueError(f"body error must lie in [0, 1], got {self.error!r}")
-        _check_statements_consistent(self.statements)
+        object.__setattr__(self, "_events", _merged_events(self.statements))
 
 
 def accept_threshold(statements: Sequence[Statement],
@@ -177,17 +183,77 @@ def accept_next_most_probable(statements: Sequence[Statement]) -> list[BodyOfKno
     return bodies
 
 
-def _transitive_closure(pairs: frozenset[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    """Warshall's pass: once class k is visited, every class that reaches
-    k also reaches everything k reaches."""
-    reach: dict[str, set[str]] = {}
+def _first_on_cycle(succ: Mapping[str, list[str]]) -> str:
+    """The smallest class that reaches itself through succ."""
+    def on_cycle(start: str) -> bool:
+        seen: set[str] = set()
+        todo = list(succ[start])
+        while todo:
+            cls = todo.pop()
+            if cls == start:
+                return True
+            if cls not in seen:
+                seen.add(cls)
+                todo.extend(succ.get(cls, ()))
+        return False
+    return next(c for c in sorted(succ) if on_cycle(c))
+
+
+def _reach_map(pairs: Iterable[tuple[str, str]]) -> dict[str, frozenset[str]]:
+    """Each class that is more specific than some class, mapped to every
+    class it is more specific than.
+
+    One depth-first walk: a class's reach is its direct successors plus
+    their reaches, each built once.  A cyclic order raises, naming the
+    smallest class on a cycle.
+    """
+    succ: dict[str, list[str]] = {}
     for a, b in pairs:
-        reach.setdefault(a, set()).add(b)
-    for k in list(reach):
-        for out in reach.values():
-            if k in out:
-                out |= reach[k]
-    return frozenset((a, b) for a, out in reach.items() for b in out)
+        succ.setdefault(a, []).append(b)
+    reach: dict[str, frozenset[str]] = {}
+    for root in succ:
+        if root in reach:
+            continue
+        path = {root}
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            node, todo = stack[-1]
+            for nxt in todo:
+                if nxt in path:
+                    raise ValueError("specificity order is cyclic at class "
+                                     f"{_first_on_cycle(succ)!r}")
+                if nxt in succ and nxt not in reach:
+                    path.add(nxt)
+                    stack.append((nxt, iter(succ[nxt])))
+                    break
+            else:
+                stack.pop()
+                path.discard(node)
+                # widest reach first, so that a successor already in out
+                # is skipped with its reach: an order given already
+                # closed then costs about one step per pair
+                out: set[str] = set()
+                for nxt in sorted(succ[node], key=lambda c: len(reach.get(c, ())),
+                                  reverse=True):
+                    if nxt not in out:
+                        out.add(nxt)
+                        out.update(reach.get(nxt, ()))
+                reach[node] = frozenset(out)
+    return reach
+
+
+def _add_freqs(freqs: dict[tuple[str, str], ProbInterval],
+               entries: Iterable[tuple[str, str, ProbInterval]]
+               ) -> dict[tuple[str, str], ProbInterval]:
+    """freqs with the entries added.  The first entry for a (class, event)
+    pair wins, so equal intervals such as -0.0 and 0.0 keep the bits
+    they were listed with."""
+    for cls, event, iv in entries:
+        if freqs.setdefault((cls, event), iv) != iv:
+            raise ValueError(
+                f"class {cls!r} has two different frequencies for {event!r}"
+            )
+    return freqs
 
 
 @dataclass(frozen=True)
@@ -196,7 +262,9 @@ class ReferenceClassTable:
 
     entries maps (class, event) pairs to frequency intervals; specificity
     lists (more_specific, less_specific) pairs and is closed under
-    transitivity here.
+    transitivity here, once: tables made by with_entries share the
+    closed order and the map from each class to the classes it is more
+    specific than.
     """
 
     entries: tuple[tuple[str, str, ProbInterval], ...] = ()
@@ -204,36 +272,44 @@ class ReferenceClassTable:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(self, "specificity",
-                           _transitive_closure(frozenset(self.specificity)))
-        for a, b in self.specificity:
-            if a == b:
-                # name the smallest class on a cycle, whatever the set order
-                first = min(c for c, d in self.specificity if c == d)
-                raise ValueError(
-                    f"specificity order is cyclic at class {first!r}")
-        # the first entry wins, so equal intervals such as -0.0 and 0.0
-        # keep the bits they were listed with
-        freqs: dict[tuple[str, str], ProbInterval] = {}
-        for cls, event, iv in self.entries:
-            if freqs.setdefault((cls, event), iv) != iv:
-                raise ValueError(
-                    f"class {cls!r} has two different frequencies for {event!r}"
-                )
-        object.__setattr__(self, "_freqs", freqs)
+        reach = _reach_map(self.specificity)
+        object.__setattr__(self, "specificity", frozenset(
+            (a, b) for a, below in reach.items() for b in below))
+        object.__setattr__(self, "_reach", reach)
+        object.__setattr__(self, "_freqs", _add_freqs({}, self.entries))
 
     def freq(self, cls: str, event: str) -> ProbInterval | None:
         return self._freqs.get((cls, event))
 
     def more_specific(self, a: str, b: str) -> bool:
-        return (a, b) in self.specificity
+        return b in self._reach.get(a, ())
 
     def with_entries(self, extra: Iterable[tuple[str, str, ProbInterval]]
                      ) -> ReferenceClassTable:
-        return ReferenceClassTable(self.entries + tuple(extra), self.specificity)
+        """This table with the extra entries appended.  Only the new
+        entries are checked; the closed order is shared, and this table
+        never sees them."""
+        extra = tuple(extra)
+        table = copy.copy(self)
+        object.__setattr__(table, "entries", self.entries + extra)
+        object.__setattr__(table, "_freqs", _add_freqs(dict(self._freqs), extra))
+        return table
 
 
 EMPTY_TABLE = ReferenceClassTable()
+
+
+def _most_specific(classes: Iterable[str],
+                   refs: ReferenceClassTable) -> frozenset[str]:
+    """The classes no other of the classes is more specific than.  A
+    class drops out when it lies in the reach of one kept so far, and
+    pushes out the kept ones in its own reach."""
+    most: set[str] = set()
+    for c in classes:
+        if not any(refs.more_specific(m, c) for m in most):
+            most = {m for m in most if not refs.more_specific(c, m)}
+            most.add(c)
+    return frozenset(most)
 
 
 def direct_inference(item: str, event: str, accepted_classes: Iterable[str],
@@ -254,17 +330,15 @@ def direct_inference(item: str, event: str, accepted_classes: Iterable[str],
         raise NoUniqueReferenceClassError(
             f"class {missing[0]!r} has no known frequency for event {event!r}"
         )
-    most_specific = [
-        c for c in classes
-        if not any(refs.more_specific(d, c) for d in classes if d != c)
-    ]
+    most_specific = sorted(_most_specific(classes, refs))
     answers = {refs.freq(c, event) for c in most_specific}
     if len(answers) > 1:
         culprits = ", ".join(repr(c) for c in most_specific)
         raise NoUniqueReferenceClassError(
             f"incomparable reference classes {culprits} disagree about {event!r}"
         )
-    return next(iter(answers))
+    # equal intervals may differ in the sign of a zero: the first class's win
+    return refs.freq(most_specific[0], event)
 
 
 @dataclass(frozen=True)
@@ -354,99 +428,208 @@ def _meet(bounds: dict[str, ProbInterval], key: str, iv: ProbInterval) -> bool:
     return True
 
 
-def _event_constraints(body: BodyOfKnowledge,
-                       refs: ReferenceClassTable) -> dict[str, ProbInterval]:
-    """Event bounds entailed by a body's statements."""
-    table = refs.with_entries(
-        (s.cls, s.event, s.interval)
-        for s in body.statements if s.kind == "class-frequency"
-    )
-    constraints: dict[str, ProbInterval] = {}
-    for s in body.statements:
-        if s.kind == "event-interval":
-            iv = s.interval
-        elif s.kind == "condition":
-            iv = CERTAIN if s.value else IMPOSSIBLE
-        else:
-            continue
-        if not _meet(constraints, s.event, iv):
-            raise ConflictingConstraintError(
-                f"body {body.index}: statement {s.id!r} leaves no "
-                f"probability for event {s.event!r}"
-            )
+class _Resolver:
+    """Resolves bodies of knowledge against one problem and base table,
+    one body after another.
 
-    memberships: dict[str, set[str]] = {}
-    for s in body.statements:
-        if s.kind == "membership":
-            memberships.setdefault(s.item, set()).add(s.cls)
-    for item in sorted(memberships):
-        classes = memberships[item]
-        events = sorted({e for c, e, _ in table.entries if c in classes})
-        for event in events:
-            usable = {c for c in classes if table.freq(c, event) is not None}
-            iv = direct_inference(item, event, usable, table)
-            if not _meet(constraints, event, iv):
-                raise ConflictingConstraintError(
-                    f"body {body.index}: direct inference for item {item!r} "
-                    f"leaves no probability for event {event!r}"
-                )
-    return constraints
+    When a body holds every statement of the body resolved before it,
+    that body's table, event bounds and per-(item, event) most specific
+    classes carry forward, and only the (item, event) pairs, events and
+    acts that the new statements touch are recomputed.  Direct inference
+    is not monotone, because a newly accepted, more specific class
+    replaces the old answer, so a touched event is merged again from its
+    parts instead of narrowing its old bound.  Any other body is
+    resolved from empty.
+    """
+
+    def __init__(self, problem: DecisionProblem, refs: ReferenceClassTable):
+        self.problem = problem
+        self.refs = refs
+        self._acts_with: dict[str, list[int]] | None = None
+        self._start()
+
+    def _start(self) -> None:
+        self.body: BodyOfKnowledge | None = None
+        self.table = self.refs
+        # class -> events it has a frequency for, and items accepted in it
+        self.freq_events: dict[str, set[str]] = {}
+        for cls, event, _ in self.refs.entries:
+            self.freq_events.setdefault(cls, set()).add(event)
+        self.members: dict[str, set[str]] = {}
+        # (item, event) -> most specific usable classes, and their answer
+        self.most: dict[tuple[str, str], frozenset[str]] = {}
+        self.answers: dict[tuple[str, str], ProbInterval] = {}
+        # event -> items with an answer for it, and its merged bound
+        self.answered: dict[str, set[str]] = {}
+        self.bounds: dict[str, ProbInterval] = {}
+        # act position -> its box at the last level, if any
+        self.boxes: list[dict[str, ProbInterval] | None] = [None] * len(self.problem.acts)
+
+    def _added(self, body: BodyOfKnowledge) -> Sequence[Statement] | None:
+        """The statements body adds to the body resolved before it, or
+        None when body must be resolved from empty."""
+        if self.body is None:
+            return None
+        old, new = self.body.statements, body.statements
+        if len(new) >= len(old) and all(map(is_, old, new)):
+            return new[len(old):]
+        known = set(map(id, old))
+        if not known <= set(map(id, new)):
+            return None
+        added = [s for s in new if id(s) not in known]
+        # the bits of a repeated frequency come from whichever statement
+        # is first in body order, which the carried table cannot tell
+        if any(s.kind == "class-frequency"
+               and self.table.freq(s.cls, s.event) is not None for s in added):
+            return None
+        return added
+
+    def _touched(self, added: Sequence[Statement]) -> dict[tuple[str, str], list[str]]:
+        """(item, event) pairs that gain usable classes, with the classes."""
+        touched: dict[tuple[str, str], list[str]] = {}
+        for s in added:
+            if s.kind == "class-frequency":
+                events = self.freq_events.setdefault(s.cls, set())
+                if s.event not in events:
+                    events.add(s.event)
+                    for item in self.members.get(s.cls, ()):
+                        touched.setdefault((item, s.event), []).append(s.cls)
+            elif s.kind == "membership":
+                items = self.members.setdefault(s.cls, set())
+                if s.item not in items:
+                    items.add(s.item)
+                    for event in self.freq_events.get(s.cls, ()):
+                        touched.setdefault((s.item, event), []).append(s.cls)
+        return touched
+
+    def _infer(self, body: BodyOfKnowledge, added: Sequence[Statement]) -> set[str]:
+        """Update the answers and event bounds the added statements
+        touch, and return the touched events.  Of several errors, the one
+        raised is the first in (item, event) order, as a resolution item
+        by item and event by event would meet it."""
+        table = self.table = self.table.with_entries(
+            (s.cls, s.event, s.interval)
+            for s in added if s.kind == "class-frequency")
+        touched = self._touched(added)
+        errors: list[tuple[tuple[str, str, int], ValueError]] = []
+        for (item, event), classes in touched.items():
+            # the new classes only compete with the most specific old ones
+            most = _most_specific([*self.most.get((item, event), ()), *classes], table)
+            self.most[item, event] = most
+            self.answered.setdefault(event, set()).add(item)
+            try:
+                self.answers[item, event] = direct_inference(item, event, most, table)
+            except NoUniqueReferenceClassError as exc:
+                self.answers.pop((item, event), None)
+                errors.append(((item, event, 0), exc))
+        changed = {event for _, event in touched}
+        changed.update(s.event for s in added
+                       if s.kind in ("event-interval", "condition"))
+        for event in changed:
+            self.bounds.pop(event, None)
+            if event in body._events:
+                self.bounds[event] = body._events[event]
+            for item in sorted(self.answered.get(event, ())):
+                iv = self.answers.get((item, event))
+                if iv is not None and not _meet(self.bounds, event, iv):
+                    errors.append(((item, event, 1), ConflictingConstraintError(
+                        f"body {body.index}: direct inference for item {item!r} "
+                        f"leaves no probability for event {event!r}"
+                    )))
+                    break
+        if errors:
+            raise min(errors, key=lambda e: e[0])[1]
+        return changed
+
+    def _acts_of(self, label: str) -> list[int]:
+        if self._acts_with is None:
+            self._acts_with = {}
+            for pos, act in enumerate(self.problem.acts):
+                for o in act.outcomes:
+                    self._acts_with.setdefault(o.label, []).append(pos)
+        return self._acts_with.get(label, [])
+
+    def level(self, body: BodyOfKnowledge,
+              extra: Mapping[str, Mapping[str, ProbInterval]]) -> CredalLevel:
+        """The credal level of body, with extra's assertions on top."""
+        added = self._added(body)
+        fresh = added is None
+        if fresh:
+            self._start()
+            added = body.statements
+        # a body that raises leaves the next one to start from empty
+        self.body = None
+        changed = self._infer(body, added)
+        _check_targets(self.problem, extra, f"body {body.index}: asserted interval for")
+        acts = self.problem.acts
+        if fresh or extra:
+            redo = range(len(acts))
+        else:
+            redo = sorted({pos for event in changed for pos in self._acts_of(event)})
+        for pos in redo:
+            act = acts[pos]
+            over = {o.label: self.bounds[o.label]
+                    for o in act.outcomes if o.label in self.bounds}
+            if len(act.outcomes) == 2:
+                first, second = act.outcomes
+                # both complements come from the bounds before either is forced
+                forced = [(other.label, over[mine.label].complement())
+                          for mine, other in ((first, second), (second, first))
+                          if mine.label in over]
+                for label, comp in forced:
+                    if not _meet(over, label, comp):
+                        raise ConflictingConstraintError(
+                            f"body {body.index}: constraints on {first.label!r} "
+                            f"and {second.label!r} of act {act.name!r} conflict"
+                        )
+            for label, iv in extra.get(act.name, {}).items():
+                if not _meet(over, label, iv):
+                    raise ConflictingConstraintError(
+                        f"body {body.index}: asserted interval for outcome "
+                        f"{label!r} of act {act.name!r} conflicts with the "
+                        f"statement-derived bounds"
+                    )
+            if over:
+                box_lo = [over.get(o.label, o.prob).lo for o in act.outcomes]
+                box_hi = [over.get(o.label, o.prob).hi for o in act.outcomes]
+                try:
+                    _check_feasible(act.name, box_lo, box_hi)
+                except FeasibilityError as exc:
+                    raise FeasibilityError(f"body {body.index}: {exc}") from exc
+            self.boxes[pos] = over
+        # the boxes now hold extra, which the next body must not inherit
+        self.body = None if extra else body
+        return CredalLevel(index=body.index, error=body.error, assignments={
+            act.name: box for act, box in zip(acts, self.boxes) if box})
 
 
 def level_from_body(body: BodyOfKnowledge, problem: DecisionProblem,
                     refs: ReferenceClassTable = EMPTY_TABLE,
                     extra: Mapping[str, Mapping[str, ProbInterval]] | None = None,
-                    ) -> CredalLevel:
+                    *, resolver: _Resolver | None = None) -> CredalLevel:
     """Resolve a body's statements into a credal level for the problem.
 
     Event constraints apply to every outcome sharing the event's label.
     In a two-outcome act, a constraint on one outcome forces the
     complementary bounds onto the other.  extra supplies act-keyed
-    interval assertions that are intersected on top.
+    interval assertions that are intersected on top.  resolver, when
+    given, is the one that resolved the previous body of the same
+    sequence against the same problem and table; without it the body
+    is resolved from empty.
     """
-    constraints = _event_constraints(body, refs)
-    extra = extra or {}
-    _check_targets(problem, extra, f"body {body.index}: asserted interval for")
-    assignments: dict[str, dict[str, ProbInterval]] = {}
-    for act in problem.acts:
-        over = {o.label: constraints[o.label]
-                for o in act.outcomes if o.label in constraints}
-        if len(act.outcomes) == 2:
-            first, second = act.outcomes
-            # both complements come from the bounds before either is forced
-            forced = [(other.label, over[mine.label].complement())
-                      for mine, other in ((first, second), (second, first))
-                      if mine.label in over]
-            for label, comp in forced:
-                if not _meet(over, label, comp):
-                    raise ConflictingConstraintError(
-                        f"body {body.index}: constraints on {first.label!r} "
-                        f"and {second.label!r} of act {act.name!r} conflict"
-                    )
-        for label, iv in extra.get(act.name, {}).items():
-            if not _meet(over, label, iv):
-                raise ConflictingConstraintError(
-                    f"body {body.index}: asserted interval for outcome "
-                    f"{label!r} of act {act.name!r} conflicts with the "
-                    f"statement-derived bounds"
-                )
-        if over:
-            box_lo = [over.get(o.label, o.prob).lo for o in act.outcomes]
-            box_hi = [over.get(o.label, o.prob).hi for o in act.outcomes]
-            try:
-                _check_feasible(act.name, box_lo, box_hi)
-            except FeasibilityError as exc:
-                raise FeasibilityError(f"body {body.index}: {exc}") from exc
-            assignments[act.name] = over
-    return CredalLevel(index=body.index, error=body.error, assignments=assignments)
+    if resolver is None:
+        resolver = _Resolver(problem, refs)
+    return resolver.level(body, extra or {})
 
 
 def sequence_from_bodies(bodies: Sequence[BodyOfKnowledge],
                          problem: DecisionProblem,
                          refs: ReferenceClassTable = EMPTY_TABLE) -> CredalSequence:
-    """Credal sequence induced by resolving each body against the problem."""
+    """Credal sequence induced by resolving each body against the problem;
+    nested bodies are resolved incrementally."""
+    resolver = _Resolver(problem, refs)
     return CredalSequence(tuple(
-        level_from_body(body, problem, refs) for body in bodies
+        level_from_body(body, problem, refs, resolver=resolver) for body in bodies
     ))
 
 

@@ -78,6 +78,13 @@ def _number(value, path: str, lo: float | None = None, hi: float | None = None) 
     return out
 
 
+_NO_LEVELS = "a credal sequence needs at least one level"
+
+
+def _level_drop(i: int, error: float, previous: float) -> str:
+    return f"level {i} error {error} drops below level {i - 1} error {previous}"
+
+
 def _string(value, path: str) -> str:
     if not isinstance(value, str) or not value:
         _fail(path, "expected a non-empty string")
@@ -168,6 +175,12 @@ class ProblemDocument:
     def __post_init__(self):
         if self.level_specs is not None:
             object.__setattr__(self, "level_specs", tuple(self.level_specs))
+            if not self.level_specs:
+                raise ProblemFormatError(_NO_LEVELS)
+            for i in range(1, len(self.level_specs)):
+                error, previous = self.level_specs[i].error, self.level_specs[i - 1].error
+                if error < previous:
+                    raise ProblemFormatError(_level_drop(i, error, previous))
         object.__setattr__(self, "statements", tuple(self.statements))
         object.__setattr__(self, "error_levels", tuple(self.error_levels))
         if self.level_specs is not None and self.statements:
@@ -287,8 +300,7 @@ def parse_document(data) -> ProblemDocument:
             lobj = _as_mapping(raw, lpath, {"error", "constraints", "overrides"})
             error = _number(_get(lobj, "error", lpath), f"{lpath}.error", 0.0, 1.0)
             if level_specs and error < level_specs[-1].error:
-                _fail(f"{lpath}.error", f"level {i} error {error} drops below "
-                      f"level {i - 1} error {level_specs[-1].error}")
+                _fail(f"{lpath}.error", _level_drop(i, error, level_specs[-1].error))
             constraints = tuple(
                 _parse_statement(raw_c, f"{lpath}.constraints[{j}]",
                                  f"level{i}.c{j}")
@@ -315,7 +327,7 @@ def parse_document(data) -> ProblemDocument:
                           "level constraints are assertions; prob must stay 1")
             level_specs.append(LevelSpec(error, constraints, overrides))
         if not level_specs:
-            _fail("$.levels", "a credal sequence needs at least one level")
+            _fail("$.levels", _NO_LEVELS)
 
     statements: tuple[Statement, ...] = ()
     rule = None

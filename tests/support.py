@@ -10,6 +10,12 @@ their definitions, pair by pair, and check the one-pass runtime code.
 The apply_level oracle rebuilds every act, where the runtime passes
 acts with no box through.
 
+The resolution oracle resolves every body of knowledge on its own:
+it closes the specificity order again for each body, merges each
+event's statements again, and finds the most specific reference class
+pair by pair.  The runtime closes the order once and resolves nested
+bodies incrementally.
+
 The binomial tail oracles sum the probability mass term by term from
 log-gamma binomial coefficients, O(n) work per tail, and check the
 incomplete-beta tails and the Clopper-Pearson endpoints built on them.
@@ -24,13 +30,24 @@ import random
 from hypothesis import strategies as st
 
 from credalbox import (
+    CERTAIN,
+    IMPOSSIBLE,
     Act,
+    ConflictingConstraintError,
+    CredalLevel,
+    CredalSequence,
     DecisionProblem,
+    FeasibilityError,
+    NoUniqueReferenceClassError,
     Outcome,
     ProbInterval,
+    ReferenceClassTable,
     apply_level,
     dominates,
+    intersect,
 )
+from credalbox.expectation import _check_feasible
+from credalbox.knowledge import EMPTY_TABLE
 
 TOL = 1e-9
 
@@ -197,6 +214,142 @@ def fixed_point_closure(pairs) -> frozenset:
                     closure.add((a, d))
                     grew = True
     return frozenset(closure)
+
+
+def pairwise_direct_inference(item, event, classes, table) -> ProbInterval:
+    """Oracle direct inference: a class is most specific when no other
+    accepted class is more specific, tested pair by pair."""
+    classes = sorted(classes)
+    most_specific = [
+        c for c in classes
+        if not any((d, c) in table.specificity for d in classes if d != c)
+    ]
+    answers = {table.freq(c, event) for c in most_specific}
+    if len(answers) > 1:
+        culprits = ", ".join(repr(c) for c in most_specific)
+        raise NoUniqueReferenceClassError(
+            f"incomparable reference classes {culprits} disagree about {event!r}"
+        )
+    return next(iter(answers))
+
+
+def oracle_level(body, problem, refs=EMPTY_TABLE, extra=None) -> CredalLevel:
+    """Oracle for level_from_body: the body resolved on its own, with a
+    table closed afresh and item by item, event by event inference."""
+    table = ReferenceClassTable(refs.entries + tuple(
+        (s.cls, s.event, s.interval)
+        for s in body.statements if s.kind == "class-frequency"
+    ), refs.specificity)
+    constraints = {}
+    for s in body.statements:
+        if s.kind in ("event-interval", "condition"):
+            iv = s.interval if s.kind == "event-interval" else (
+                CERTAIN if s.value else IMPOSSIBLE)
+            # a body's own statements always meet
+            constraints[s.event] = (intersect(constraints[s.event], iv)
+                                    if s.event in constraints else iv)
+    memberships = {}
+    for s in body.statements:
+        if s.kind == "membership":
+            memberships.setdefault(s.item, set()).add(s.cls)
+    for item in sorted(memberships):
+        classes = memberships[item]
+        for event in sorted({e for c, e, _ in table.entries if c in classes}):
+            usable = {c for c in classes if table.freq(c, event) is not None}
+            iv = pairwise_direct_inference(item, event, usable, table)
+            merged = intersect(constraints[event], iv) if event in constraints else iv
+            if merged is None:
+                raise ConflictingConstraintError(
+                    f"body {body.index}: direct inference for item {item!r} "
+                    f"leaves no probability for event {event!r}"
+                )
+            constraints[event] = merged
+
+    extra = extra or {}
+    where = f"body {body.index}: asserted interval for"
+    labels_of = {act.name: act.labels() for act in problem.acts}
+    for act_name, box in extra.items():
+        if act_name not in labels_of:
+            raise ValueError(f"{where} unknown act {act_name!r}")
+        for label in box:
+            if label not in labels_of[act_name]:
+                raise ValueError(
+                    f"{where} unknown outcome {label!r} of act {act_name!r}")
+    assignments = {}
+    for act in problem.acts:
+        over = {o.label: constraints[o.label]
+                for o in act.outcomes if o.label in constraints}
+        if len(act.outcomes) == 2:
+            first, second = act.outcomes
+            forced = [(other.label, over[mine.label].complement())
+                      for mine, other in ((first, second), (second, first))
+                      if mine.label in over]
+            for label, comp in forced:
+                merged = intersect(over[label], comp) if label in over else comp
+                if merged is None:
+                    raise ConflictingConstraintError(
+                        f"body {body.index}: constraints on {first.label!r} "
+                        f"and {second.label!r} of act {act.name!r} conflict"
+                    )
+                over[label] = merged
+        for label, iv in extra.get(act.name, {}).items():
+            merged = intersect(over[label], iv) if label in over else iv
+            if merged is None:
+                raise ConflictingConstraintError(
+                    f"body {body.index}: asserted interval for outcome "
+                    f"{label!r} of act {act.name!r} conflicts with the "
+                    f"statement-derived bounds"
+                )
+            over[label] = merged
+        if over:
+            try:
+                _check_feasible(act.name,
+                                [over.get(o.label, o.prob).lo for o in act.outcomes],
+                                [over.get(o.label, o.prob).hi for o in act.outcomes])
+            except FeasibilityError as exc:
+                raise FeasibilityError(f"body {body.index}: {exc}") from exc
+            assignments[act.name] = over
+    return CredalLevel(index=body.index, error=body.error, assignments=assignments)
+
+
+def oracle_sequence(bodies, problem, refs=EMPTY_TABLE) -> CredalSequence:
+    """Oracle for sequence_from_bodies: every body resolved on its own."""
+    return CredalSequence(tuple(oracle_level(b, problem, refs) for b in bodies))
+
+
+def chain_document(n: int) -> dict:
+    """A next-most-probable problem file over a chain of n reference
+    classes, c{k+1} more specific than c{k}.  Item x belongs to every
+    class and the frequency of E narrows around 0.6 towards the specific
+    end.  Credence falls with specificity, frequency before membership,
+    so each of the 2n + 1 bodies accepts one statement more, and each
+    membership makes a more specific class replace the answer.  Betting
+    on E pays 10 or loses 5, so it beats passing once the accepted
+    class's lower bound exceeds 1/3; for n = 12 that is c5, whose
+    membership body 12 accepts at error 0.022."""
+    statements = []
+    for k in range(n):
+        half = 0.4 * (n - k) / n
+        statements.append({"id": f"f{k}", "kind": "class-frequency",
+                           "class": f"c{k}", "event": "E",
+                           "interval": [round(0.6 - half, 9), round(0.6 + half, 9)],
+                           "prob": round(1.0 - 0.004 * k, 9)})
+        statements.append({"id": f"m{k}", "kind": "membership", "item": "x",
+                           "class": f"c{k}", "prob": round(0.998 - 0.004 * k, 9)})
+    return {
+        "problem": f"chain-{n}",
+        "acts": [
+            {"name": "bet", "outcomes": [{"label": "E", "utility": 10.0},
+                                         {"label": "not-E", "utility": -5.0}]},
+            {"name": "pass", "outcomes": [{"label": "none", "utility": 0.0}]},
+        ],
+        "tolerance": {"mode": "explicit", "max_error": 0.05},
+        "statements": statements,
+        "acceptance": {"rule": "next-most-probable"},
+        "reference_classes": {
+            "specificity": [[f"c{k + 1}", f"c{k}"] for k in range(n - 1)],
+        },
+    }
 
 
 def binomial_tail_sum(n: int, p: float, support: range) -> float:

@@ -4,9 +4,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from credalbox import explore, load_fixture
+from credalbox import explore, load_fixture, load_path
 from credalbox.cli import main
 from credalbox.replicate import fixture_text
+from support import chain_document
 
 REPORT_SCHEMA = Path(__file__).resolve().parent.parent / "schema" / "report.schema.json"
 
@@ -156,6 +157,43 @@ class TestDecide:
         target.write_text(json.dumps(doc), encoding="utf-8")
         main(["decide", str(target)])
         assert "[-2.5000, 1e+300]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("doc,code,line", [
+        # level 0 already lies beyond the tolerance, so nothing is explored
+        ({"problem": "far", "acts": [{"name": "a1", "outcomes": [
+            {"label": "G", "utility": 1.0}]}],
+          "tolerance": {"mode": "explicit", "max_error": 0.1},
+          "levels": [{"error": 0.5}]},
+         2, "(no level lies within tolerance)"),
+        # point probabilities with equal expected utilities
+        ({"problem": "tie", "acts": [
+            {"name": "a", "outcomes": [
+                {"label": "G", "utility": 10.0, "prob": [0.5, 0.5]},
+                {"label": "not-G", "utility": 0.0, "prob": [0.5, 0.5]}]},
+            {"name": "b", "outcomes": [
+                {"label": "H", "utility": 5.0, "prob": [1.0, 1.0]}]}]},
+         0, "status: risk problem (point probabilities, best acts tied)  "
+            "first best act: a  level: 0"),
+    ], ids=["no-level-within-tolerance", "risk-problem"])
+    def test_table_report_lines(self, tmp_path, capsys, doc, code, line):
+        target = tmp_path / "doc.json"
+        target.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["decide", str(target)]) == code
+        assert line in capsys.readouterr().out.splitlines()
+
+    def test_next_most_probable_chain_file(self, tmp_path, capsys):
+        target = tmp_path / "chain.json"
+        target.write_text(json.dumps(chain_document(12)), encoding="utf-8")
+        code = main(["decide", str(target), "--json"])
+        got = json.loads(capsys.readouterr().out)
+        assert code == 0
+        doc = load_path(target)
+        assert got == explore(doc.problem, doc.build_sequence(), doc.tolerance).to_dict()
+        jsonschema.validate(got, json.loads(REPORT_SCHEMA.read_text(encoding="utf-8")))
+        # see chain_document: c5's membership, accepted in body 12, is the
+        # first to lift the lower bound on E above 1/3
+        assert (got["status"], got["act"], got["level_used"]) == ("decided", "bet", 12)
+        assert got["error_used"] == pytest.approx(0.022)
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(["decide", str(tmp_path / "nope.json")])

@@ -1,8 +1,9 @@
+import json
 import math
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credalbox import (
@@ -27,15 +28,21 @@ from credalbox import (
     eu_interval,
     is_nested,
     level_from_body,
+    loads,
+    sequence_bytes,
     sequence_from_bodies,
 )
+from credalbox import knowledge
 from support import (
     all_pairs_nested,
+    chain_document,
     feasible_acts,
     fixed_point_closure,
     interval_close,
     prob_intervals,
     rebuild_every_act,
+    oracle_level,
+    oracle_sequence,
 )
 
 
@@ -309,6 +316,14 @@ class TestDirectInference:
         got = direct_inference("i", "G", {"north", "south"}, refs)
         assert got == ProbInterval(0.4, 0.6)
 
+    def test_agreeing_classes_answer_with_the_smallest_ones_bits(self):
+        refs = ReferenceClassTable(entries=(
+            ("south", "G", ProbInterval(0.0, 0.6)),
+            ("north", "G", ProbInterval(-0.0, 0.6)),
+        ))
+        got = direct_inference("i", "G", {"south", "north"}, refs)
+        assert math.copysign(1.0, got.lo) == -1.0
+
 
 class TestCredalStructures:
     def test_level_index_and_error_bounds(self):
@@ -546,3 +561,217 @@ class TestSequencesAndNesting:
         # between two tighter ones lets a violation skip a level
         problem, seq = self.seq_of_g_bounds(*bounds)
         assert is_nested(seq, problem) == all_pairs_nested(seq, problem)
+
+
+# a coarse grid of endpoints, with both signs of zero, so that equal
+# frequencies listed with different bits and empty meets are common
+ENDS = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0])
+INTERVALS = st.tuples(ENDS, ENDS).map(lambda p: ProbInterval(*sorted(p)))
+CLASSES = "abcd"
+EVENTS = ("E", "F", "G")
+# E and F share the two-outcome act, so one forces the other; the
+# three-outcome act can turn out infeasible
+RESOLUTION_PROBLEM = DecisionProblem("p", (
+    Act("bet", (Outcome("E", 10.0), Outcome("F", -5.0))),
+    Act("tri", (Outcome("E", 1.0), Outcome("G", 2.0, ProbInterval(0.0, 0.4)),
+                Outcome("F", 0.0, ProbInterval(0.0, 0.4)))),
+))
+EXTRAS = st.fixed_dictionaries({}, optional={
+    "bet": st.dictionaries(st.sampled_from("EF"), INTERVALS, max_size=2),
+    "tri": st.dictionaries(st.sampled_from("EGF"), INTERVALS, max_size=2),
+})
+
+
+@st.composite
+def corpora(draw):
+    """(base table, statements): a chain or a DAG over four classes,
+    at most two base frequencies and up to ten statements of every
+    kind, with tied credences."""
+    order = draw(st.permutations(CLASSES))
+    if draw(st.booleans()):
+        pairs = set(zip(order, order[1:draw(st.integers(1, 4))]))
+    else:
+        links = draw(st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+            lambda p: p[0] < p[1]), max_size=5))
+        pairs = {(order[i], order[j]) for i, j in links}
+    base = draw(st.dictionaries(
+        st.tuples(st.sampled_from(CLASSES), st.sampled_from(EVENTS)),
+        INTERVALS, max_size=2))
+    refs = ReferenceClassTable(
+        tuple((c, e, iv) for (c, e), iv in base.items()), frozenset(pairs))
+    cls, event = st.sampled_from(CLASSES), st.sampled_from(EVENTS)
+    statements = []
+    kinds = st.sampled_from(["class-frequency", "membership", "class-frequency",
+                             "membership", "event-interval", "condition"])
+    for i, kind in enumerate(draw(st.lists(kinds, max_size=10))):
+        sid, prob = f"s{i}", draw(st.sampled_from([0.9, 0.95, 0.99, 1.0]))
+        if kind == "class-frequency":
+            s = Statement.class_frequency(sid, draw(cls), draw(event),
+                                          draw(INTERVALS), prob)
+        elif kind == "membership":
+            s = Statement.membership(sid, draw(st.sampled_from("xy")), draw(cls), prob)
+        elif kind == "event-interval":
+            s = Statement.event_interval(sid, draw(event), draw(INTERVALS), prob)
+        else:
+            s = Statement.condition(sid, draw(event), draw(st.booleans()), prob)
+        statements.append(s)
+    return refs, statements
+
+
+def drawn_bodies(data, statements):
+    """Bodies that either grow the body before them, the new statements
+    put anywhere in it, or pick any statements in any order."""
+    bodies: list[BodyOfKnowledge] = []
+    for j in range(data.draw(st.integers(1, 4))):
+        if bodies and data.draw(st.booleans()):
+            held = list(bodies[-1].statements)
+            for s in statements:
+                if all(s is not t for t in held) and data.draw(st.booleans()):
+                    held.insert(data.draw(st.integers(0, len(held))), s)
+        else:
+            order = data.draw(st.permutations(statements))
+            held = [s for s in order if data.draw(st.booleans())]
+        bodies.append(BodyOfKnowledge(j, j / 10.0, tuple(held)))
+    return bodies
+
+
+def resolved(build):
+    """The built sequence or level as comparable bits, or the error."""
+    try:
+        out = build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, CredalSequence):
+        return sequence_bytes(out)
+    return out.index, out.error, repr(sorted(
+        (act, sorted((label, iv.lo, iv.hi) for label, iv in box.items()))
+        for act, box in out.assignments.items()))
+
+
+class TestIncrementalResolution:
+    @settings(max_examples=400, deadline=None)
+    @given(corpora(), st.sampled_from(["next-most-probable", "threshold", "drawn"]),
+           st.data())
+    def test_matches_the_oracle(self, corpus, rule, data):
+        refs, statements = corpus
+        try:
+            if rule == "next-most-probable":
+                bodies = accept_next_most_probable(statements)
+            elif rule == "threshold":
+                levels = data.draw(st.lists(st.sampled_from([0.02, 0.06, 0.2]),
+                                            min_size=1, unique=True))
+                bodies = accept_threshold(statements, sorted(levels))
+            else:
+                bodies = drawn_bodies(data, statements)
+        except InconsistentBodyError:
+            return
+        problem = RESOLUTION_PROBLEM
+        assert resolved(lambda: sequence_from_bodies(bodies, problem, refs)) == \
+            resolved(lambda: oracle_sequence(bodies, problem, refs))
+        # one resolver through every body, each with its own assertions,
+        # going on after a body that fails
+        resolver = knowledge._Resolver(problem, refs)
+        for body in bodies:
+            extra = data.draw(EXTRAS)
+            assert resolved(lambda: level_from_body(
+                body, problem, refs, extra, resolver=resolver)) == \
+                resolved(lambda: oracle_level(body, problem, refs, extra))
+
+    def test_later_specific_class_replaces_the_answer(self):
+        # the narrower frequency of a more specific class replaces the
+        # earlier answer instead of being met with it
+        refs = ReferenceClassTable(specificity=frozenset({("soft", "berries")}))
+        statements = [
+            Statement.membership("m1", "i", "berries", prob=0.99),
+            Statement.class_frequency("f1", "berries", "G", ProbInterval(0.2, 0.9), 0.99),
+            Statement.membership("m2", "i", "soft", prob=0.95),
+            Statement.class_frequency("f2", "soft", "G", ProbInterval(0.1, 0.3), 0.9),
+        ]
+        bodies = accept_next_most_probable(statements)
+        seq = sequence_from_bodies(bodies, jerry_problem(), refs)
+        got = [lvl.assignments.get("a1", {}).get("G") for lvl in seq.levels]
+        assert got == [None, None, ProbInterval(0.2, 0.9), ProbInterval(0.2, 0.9),
+                       ProbInterval(0.1, 0.3)]
+
+    def test_repeated_frequency_follows_body_order(self):
+        # body 2 lists the -0.0 frequency first, although body 1 accepted
+        # the 0.0 one, so the first entry in body order is the -0.0 one
+        statements = [
+            Statement.class_frequency("late", "c", "G", ProbInterval(-0.0, 0.5), 0.95),
+            Statement.class_frequency("early", "c", "G", ProbInterval(0.0, 0.5), 0.99),
+            Statement.membership("m", "i", "c", 0.99),
+        ]
+        bodies = accept_threshold(statements, [0.02, 0.1])
+        seq = sequence_from_bodies(bodies, jerry_problem())
+        assert sequence_bytes(seq) == sequence_bytes(
+            oracle_sequence(bodies, jerry_problem()))
+        assert [math.copysign(1.0, lvl.assignments["a1"]["G"].lo)
+                for lvl in seq.levels[1:]] == [1.0, -1.0]
+
+    def test_conflicting_frequencies_named_in_body_order(self):
+        # in body order 'd' conflicts first, though the body before
+        # already held the entry that the new 'c' statement conflicts with
+        statements = [
+            Statement.class_frequency("d1", "d", "G", ProbInterval(0.1, 0.2), 0.99),
+            Statement.class_frequency("c2", "c", "G", ProbInterval(0.3, 0.4), 0.95),
+            Statement.class_frequency("d2", "d", "G", ProbInterval(0.5, 0.6), 0.95),
+            Statement.class_frequency("c1", "c", "G", ProbInterval(0.7, 0.8), 0.99),
+        ]
+        bodies = accept_threshold(statements, [0.02, 0.1])
+        with pytest.raises(ValueError, match="^class 'd' has two different"):
+            sequence_from_bodies(bodies, jerry_problem())
+
+    @pytest.mark.parametrize("x_statements,message", [
+        ((Statement.membership("x1", "x", "n1"), Statement.membership("x2", "x", "s1")),
+         "incomparable reference classes 'n1', 's1' disagree about 'G'"),
+        ((Statement.event_interval("g", "G", ProbInterval(0.9, 1.0)),
+          Statement.membership("x1", "x", "n1")),
+         "body 0: direct inference for item 'x' leaves no probability for event 'G'"),
+    ], ids=["no-unique-class", "conflict"])
+    def test_first_error_in_item_and_event_order(self, x_statements, message):
+        # item y fails too, and comes first in the body, but x sorts first
+        refs = ReferenceClassTable(entries=(
+            ("n1", "G", ProbInterval(0.1, 0.2)), ("s1", "G", ProbInterval(0.3, 0.4)),
+            ("n2", "H", ProbInterval(0.5, 0.6)), ("s2", "H", ProbInterval(0.7, 0.8)),
+        ))
+        body = BodyOfKnowledge(0, 0.0, (
+            Statement.membership("y1", "y", "n2"), Statement.membership("y2", "y", "s2"),
+        ) + x_statements)
+        with pytest.raises(ValueError) as exc_info:
+            level_from_body(body, jerry_problem(), refs)
+        assert str(exc_info.value) == message
+        with pytest.raises(ValueError) as exc_info:
+            oracle_level(body, jerry_problem(), refs)
+        assert str(exc_info.value) == message
+
+    def test_equal_copy_of_a_statement_is_resolved_afresh(self):
+        # the copy equals the original but for the sign of a zero, so
+        # the second body is no extension of the first
+        refs = ReferenceClassTable()
+        member = Statement.membership("m", "i", "c")
+        first = Statement.class_frequency("f", "c", "G", ProbInterval(0.0, 0.5))
+        copy = Statement.class_frequency("f", "c", "G", ProbInterval(-0.0, 0.5))
+        assert copy == first
+        bodies = [BodyOfKnowledge(0, 0.0, (first, member)),
+                  BodyOfKnowledge(1, 0.1, (copy, member))]
+        seq = sequence_from_bodies(bodies, jerry_problem(), refs)
+        assert math.copysign(1.0, seq.levels[1].assignments["a1"]["G"].lo) == -1.0
+
+    def test_order_closed_once_per_document(self, monkeypatch):
+        calls = {"close": 0, "with_entries": 0}
+        reach_map = knowledge._reach_map
+        with_entries = ReferenceClassTable.with_entries
+
+        def counted_reach_map(pairs):
+            calls["close"] += 1
+            return reach_map(pairs)
+
+        def counted_with_entries(self, extra):
+            calls["with_entries"] += 1
+            return with_entries(self, extra)
+
+        monkeypatch.setattr(knowledge, "_reach_map", counted_reach_map)
+        monkeypatch.setattr(ReferenceClassTable, "with_entries", counted_with_entries)
+        seq = loads(json.dumps(chain_document(12))).build_sequence()
+        assert len(seq.levels) == 25
+        assert calls == {"close": 1, "with_entries": 25}

@@ -8,7 +8,10 @@ import pytest
 from credalbox import (
     CredalLevel,
     CredalSequence,
+    InconsistentBodyError,
+    LevelSpec,
     ProbInterval,
+    ProblemDocument,
     ProblemFormatError,
     ToleranceSpec,
     document_to_dict,
@@ -65,10 +68,34 @@ def error_path(data):
     return str(exc_info.value)
 
 
+# documents that exercise what no fixture holds: reference-class
+# entries and level overrides
+CYCLE_DOCS = {
+    "reference-entries": doc_with(
+        statements=[{"kind": "membership", "item": "i", "class": "soft"}],
+        acceptance={"rule": "next-most-probable"},
+        reference_classes={
+            "entries": [{"class": "all", "event": "G", "interval": [0.2, 0.9]},
+                        {"class": "soft", "event": "G", "interval": [-0.0, 0.3]}],
+            "specificity": [["soft", "all"]],
+        }),
+    "overrides": doc_with(levels=[
+        {"error": 0.0},
+        {"error": 0.1, "overrides": {"a1": {"G": [0.25, 0.5]}, "a2": {}}},
+    ]),
+}
+
+
 class TestRoundTrip:
-    @pytest.mark.parametrize("name", FIXTURES)
-    def test_fixture_survives_a_cycle(self, name):
-        doc = load_fixture(name)
+    @pytest.mark.parametrize("load", [
+        pytest.param(lambda name=name: load_fixture(name), id=name)
+        for name in FIXTURES
+    ] + [
+        pytest.param(lambda data=data: parse_document(data), id=name)
+        for name, data in CYCLE_DOCS.items()
+    ])
+    def test_fixture_survives_a_cycle(self, load):
+        doc = load()
         again = loads(dumps(doc))
         assert again == doc
         assert document_to_dict(again) == document_to_dict(doc)
@@ -164,6 +191,21 @@ class TestParsing:
         forced = seq.levels[1].assignments["a1"]["not-G"]
         assert forced.lo == pytest.approx(0.2)
         assert forced.hi == pytest.approx(0.4)
+
+    def test_next_most_probable_conflict_names_the_body(self):
+        # the body that first accepts both statements is body 2
+        doc = parse_document(doc_with(
+            statements=[
+                {"kind": "event-interval", "event": "G", "interval": [0.0, 0.1],
+                 "prob": 0.99},
+                {"kind": "event-interval", "event": "G", "interval": [0.5, 0.6],
+                 "prob": 0.9},
+            ],
+            acceptance={"rule": "next-most-probable"}))
+        with pytest.raises(InconsistentBodyError) as exc_info:
+            doc.build_sequence()
+        assert str(exc_info.value) == \
+            "body 2: statements 's0', 's1' cannot all hold for event 'G'"
 
     def test_level_overrides_parsed(self):
         data = doc_with(levels=[
@@ -296,6 +338,19 @@ class TestValidationErrors:
             {"error": 0.0, "constraints": [{"event": "G"}]},
         ])
         assert "missing required key 'kind'" in error_path(data)
+
+    @pytest.mark.parametrize("specs,message", [
+        ((), "a credal sequence needs at least one level"),
+        ((LevelSpec(0.5), LevelSpec(0.1)),
+         "level 1 error 0.1 drops below level 0 error 0.5"),
+    ], ids=["no-levels", "level-error-drops"])
+    def test_document_refuses_what_parsing_refuses(self, specs, message):
+        problem = parse_document(MINIMAL).problem
+        with pytest.raises(ProblemFormatError) as exc_info:
+            ProblemDocument(problem, level_specs=specs)
+        assert str(exc_info.value) == message
+        data = doc_with(levels=[{"error": spec.error} for spec in specs])
+        assert error_path(data).endswith(f": {message}")
 
     def test_invalid_json_text(self):
         with pytest.raises(ProblemFormatError, match="not valid JSON"):
