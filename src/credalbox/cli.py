@@ -120,15 +120,16 @@ def _cmd_compare(args) -> int:
         print(f"  {name}: {_fmt(eu[name])}")
     print()
     sub = {name: eu[name] for name in surviving.names}
-    regrets = worst_case_regrets(sub)
+    floor = maximin(sub)
+    least = min_regret(sub)
     alpha = args.alpha
     hur = hurwicz(sub, alpha)
     ranking = midpoint_rank(sub)
     rows = [
         ["dominance", " ".join(surviving.names), "undominated acts"],
-        ["maximin", maximin(sub), f"lower bound {sub[maximin(sub)].lo:.6g}"],
-        ["min-regret", min_regret(sub),
-         f"worst-case regret {regrets[min_regret(sub)]:.6g}"],
+        ["maximin", floor, f"lower bound {sub[floor].lo:.6g}"],
+        ["min-regret", least,
+         f"worst-case regret {worst_case_regrets(sub)[least]:.6g}"],
         [f"hurwicz({alpha:g})", hur,
          f"score {alpha * sub[hur].hi + (1 - alpha) * sub[hur].lo:.6g}"],
         ["midpoint", ranking[0], "ranking " + " > ".join(ranking)],
@@ -179,12 +180,9 @@ def _cmd_ds_threshold(args) -> int:
         report = explore(doc.problem,
                          _pooled_level_sequence(doc.problem, event, pooled),
                          doc.tolerance)
-        if report.status == DECIDED:
-            verdict = f"mandates {report.act}"
-        elif report.status == RISK_PROBLEM:
-            verdict = f"ties, first best act {report.act}"
-        else:
-            verdict = "no mandate"
+        # a2's one outcome keeps its vacuous box, so the level never
+        # collapses to points and explore cannot report a risk problem
+        verdict = f"mandates {report.act}" if report.status == DECIDED else "no mandate"
         print(f"  {side} (r = {rate:.4f}): belief {pooled:.4f} {verdict}")
     return 0
 

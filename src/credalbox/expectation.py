@@ -53,14 +53,15 @@ class Act:
             raise ValueError("act name must be non-empty")
         if not self.outcomes:
             raise ValueError(f"act {self.name!r} has no outcomes")
-        labels = [o.label for o in self.outcomes]
+        labels = tuple(o.label for o in self.outcomes)
         if len(set(labels)) != len(labels):
             raise ValueError(f"act {self.name!r} repeats an outcome label")
         _check_feasible(self.name, [o.prob.lo for o in self.outcomes],
                         [o.prob.hi for o in self.outcomes])
+        object.__setattr__(self, "_labels", labels)
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(o.label for o in self.outcomes)
+        return self._labels
 
     def outcome(self, label: str) -> Outcome:
         for o in self.outcomes:
@@ -125,7 +126,15 @@ def _allocate(lows: list[float], highs: list[float], utils: list[float],
 
 
 def eu_interval(act: Act) -> Interval:
-    """Exact bounds on expected utility over the act's probability box."""
+    """Exact bounds on expected utility over the act's probability box.
+
+    Computed once per act instance and kept on it: Act is frozen, so
+    the result cannot go stale, and an act that several problems or
+    levels share is evaluated once.
+    """
+    cached = act.__dict__.get("_eu")
+    if cached is not None:
+        return cached
     lows = [o.prob.lo for o in act.outcomes]
     highs = [o.prob.hi for o in act.outcomes]
     utils = [o.utility for o in act.outcomes]
@@ -141,7 +150,9 @@ def eu_interval(act: Act) -> Interval:
         ) from None
     if lo > hi:  # guard against stray rounding on near-degenerate boxes
         lo = hi = (lo + hi) / 2.0
-    return Interval(lo, hi)
+    iv = Interval(lo, hi)
+    object.__setattr__(act, "_eu", iv)
+    return iv
 
 
 def eu_all(problem: DecisionProblem) -> dict[str, Interval]:

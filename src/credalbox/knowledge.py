@@ -404,18 +404,22 @@ def apply_level(problem: DecisionProblem, level: CredalLevel) -> DecisionProblem
     """The problem with outcome bounds replaced by the level's assignments.
 
     Replacement is wholesale: an assigned interval need not nest inside
-    the declared one.  Acts the level leaves alone are passed through as
-    they are.  Unknown act or outcome names are an error.
+    the declared one.  Acts the level leaves alone, and the outcomes a
+    box does not name, are passed through as they are, so whatever was
+    computed on them carries over.  Unknown act or outcome names are an
+    error.
     """
     boxes = level.assignments
     _check_targets(problem, boxes, f"level {level.index} assigns to")
-    return DecisionProblem(problem.name, tuple(
-        Act(act.name, tuple(
-            Outcome(o.label, o.utility, boxes[act.name].get(o.label, o.prob))
-            for o in act.outcomes
-        )) if boxes.get(act.name) else act
-        for act in problem.acts
-    ))
+    acts = []
+    for act in problem.acts:
+        box = boxes.get(act.name)
+        if box:
+            act = Act(act.name, tuple(
+                Outcome(o.label, o.utility, box[o.label]) if o.label in box else o
+                for o in act.outcomes))
+        acts.append(act)
+    return DecisionProblem(problem.name, tuple(acts))
 
 
 def _meet(bounds: dict[str, ProbInterval], key: str, iv: ProbInterval) -> bool:
@@ -426,6 +430,16 @@ def _meet(bounds: dict[str, ProbInterval], key: str, iv: ProbInterval) -> bool:
         return False
     bounds[key] = merged
     return True
+
+
+def _act_index(problem: DecisionProblem) -> tuple[dict[str, list[int]], dict[str, int]]:
+    """The positions of the acts with an outcome of each label, and each
+    act's position by name."""
+    by_label: dict[str, list[int]] = {}
+    for pos, act in enumerate(problem.acts):
+        for o in act.outcomes:
+            by_label.setdefault(o.label, []).append(pos)
+    return by_label, {act.name: pos for pos, act in enumerate(problem.acts)}
 
 
 class _Resolver:
@@ -439,13 +453,14 @@ class _Resolver:
     is not monotone, because a newly accepted, more specific class
     replaces the old answer, so a touched event is merged again from its
     parts instead of narrowing its old bound.  Any other body is
-    resolved from empty.
+    resolved from empty.  Either way only the acts with an outcome on a
+    recomputed event, or named in the level's assertions, are visited.
     """
 
     def __init__(self, problem: DecisionProblem, refs: ReferenceClassTable):
         self.problem = problem
         self.refs = refs
-        self._acts_with: dict[str, list[int]] | None = None
+        self._index: tuple[dict[str, list[int]], dict[str, int]] | None = None
         self._start()
 
     def _start(self) -> None:
@@ -541,20 +556,21 @@ class _Resolver:
             raise min(errors, key=lambda e: e[0])[1]
         return changed
 
-    def _acts_of(self, label: str) -> list[int]:
-        if self._acts_with is None:
-            self._acts_with = {}
-            for pos, act in enumerate(self.problem.acts):
-                for o in act.outcomes:
-                    self._acts_with.setdefault(o.label, []).append(pos)
-        return self._acts_with.get(label, [])
+    def _redo(self, events: Iterable[str], names: Iterable[str]) -> list[int]:
+        """Positions, in act order, of the acts with an outcome labelled
+        by one of the events or named in names."""
+        if self._index is None:
+            self._index = _act_index(self.problem)
+        by_label, by_name = self._index
+        redo = {pos for event in events for pos in by_label.get(event, ())}
+        redo.update(by_name[name] for name in names)
+        return sorted(redo)
 
     def level(self, body: BodyOfKnowledge,
               extra: Mapping[str, Mapping[str, ProbInterval]]) -> CredalLevel:
         """The credal level of body, with extra's assertions on top."""
         added = self._added(body)
-        fresh = added is None
-        if fresh:
+        if added is None:
             self._start()
             added = body.statements
         # a body that raises leaves the next one to start from empty
@@ -562,11 +578,9 @@ class _Resolver:
         changed = self._infer(body, added)
         _check_targets(self.problem, extra, f"body {body.index}: asserted interval for")
         acts = self.problem.acts
-        if fresh or extra:
-            redo = range(len(acts))
-        else:
-            redo = sorted({pos for event in changed for pos in self._acts_of(event)})
-        for pos in redo:
+        # an act no changed bound and no assertion reaches keeps its box,
+        # which after a fresh start is none
+        for pos in self._redo(changed, extra):
             act = acts[pos]
             over = {o.label: self.bounds[o.label]
                     for o in act.outcomes if o.label in self.bounds}

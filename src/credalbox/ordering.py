@@ -53,13 +53,19 @@ def maximin(eu: Mapping[str, Interval]) -> str:
 
 def worst_case_regrets(eu: Mapping[str, Interval]) -> dict[str, float]:
     """Worst-case regret per act: best rival upper bound minus own lower
-    bound, floored at zero.  A lone act has regret zero."""
+    bound, floored at zero.  A lone act has regret zero.
+
+    Every act's best rival is the act with the best upper bound, except
+    for that act itself, whose best rival holds the second best.
+    """
     _require(eu)
-    out: dict[str, float] = {}
-    for a in eu:
-        rivals = [eu[b].hi for b in eu if b != a]
-        out[a] = max(0.0, max(rivals) - eu[a].lo) if rivals else 0.0
-    return out
+    if len(eu) == 1:
+        return {a: 0.0 for a in eu}
+    top = max(eu, key=lambda a: eu[a].hi)
+    best = eu[top].hi
+    runner_up = max(iv.hi for a, iv in eu.items() if a != top)
+    return {a: max(0.0, (runner_up if a == top else best) - iv.lo)
+            for a, iv in eu.items()}
 
 
 def min_regret(eu: Mapping[str, Interval]) -> str:

@@ -24,6 +24,7 @@ from .knowledge import (
     CredalSequence,
     ReferenceClassTable,
     Statement,
+    _Resolver,
     accept_next_most_probable,
     accept_threshold,
     level_from_body,
@@ -35,18 +36,31 @@ class ProblemFormatError(ValueError):
     """The document fails validation; the message names the faulty path."""
 
 
+class _Invalid(Exception):
+    """A check failed at path, relative to the value being parsed.  Each
+    caller the failure passes through puts its own step in front, so a
+    path is built only when parsing fails."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(path, message)
+        self.path = path
+        self.message = message
+
+    def under(self, step: str) -> _Invalid:
+        self.path = step + self.path
+        return self
+
+
 def _fail(path: str, message: str) -> None:
-    raise ProblemFormatError(f"{path}: {message}")
+    raise _Invalid(path, message)
 
 
 def _as_mapping(value, path: str, allowed: set[str] | None = None) -> dict:
     """The value as an object; with allowed given, no other keys may appear."""
     if not isinstance(value, dict):
         _fail(path, f"expected an object, got {type(value).__name__}")
-    if allowed is not None:
-        unknown = set(value) - allowed
-        if unknown:
-            _fail(path, f"unknown key {sorted(unknown)[0]!r}")
+    if allowed is not None and not value.keys() <= allowed:
+        _fail(path, f"unknown key {sorted(value.keys() - allowed)[0]!r}")
     return value
 
 
@@ -63,6 +77,17 @@ def _get(mapping: dict, key: str, path: str):
 
 
 def _number(value, path: str, lo: float | None = None, hi: float | None = None) -> float:
+    # a finite float, the common case, is returned as it is
+    if type(value) is not float or not -math.inf < value < math.inf:
+        value = _finite(value, path)
+    if lo is not None and value < lo:
+        _fail(path, f"value {value!r} is below {lo}")
+    if hi is not None and value > hi:
+        _fail(path, f"value {value!r} is above {hi}")
+    return value
+
+
+def _finite(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
     try:
@@ -71,10 +96,6 @@ def _number(value, path: str, lo: float | None = None, hi: float | None = None) 
         out = math.inf
     if not math.isfinite(out):
         _fail(path, f"expected a finite number, got {out!r}")
-    if lo is not None and out < lo:
-        _fail(path, f"value {out!r} is below {lo}")
-    if hi is not None and out > hi:
-        _fail(path, f"value {out!r} is above {hi}")
     return out
 
 
@@ -95,39 +116,51 @@ def _interval(value, path: str) -> ProbInterval:
     pair = _as_list(value, path)
     if len(pair) != 2:
         _fail(path, f"expected [lo, hi], got {len(pair)} entries")
-    lo = _number(pair[0], f"{path}[0]")
-    hi = _number(pair[1], f"{path}[1]")
     try:
-        return ProbInterval(lo, hi)
+        return ProbInterval(_number(pair[0], "[0]"), _number(pair[1], "[1]"))
+    except _Invalid as exc:
+        raise exc.under(path)
     except ValueError as exc:
         _fail(path, str(exc))
 
 
-def _parse_statement(data, path: str, fallback_id: str) -> Statement:
-    obj = _as_mapping(data, path, {"id", "kind", "prob", "event", "interval",
-                                   "value", "item", "class"})
-    kind = _string(_get(obj, "kind", path), f"{path}.kind")
-    sid = obj.get("id", fallback_id)
+def _parse_statement(data, fallback_id: str) -> Statement:
+    obj = _as_mapping(data, "", {"id", "kind", "prob", "event", "interval",
+                                 "value", "item", "class"})
+    kind = _string(_get(obj, "kind", ""), ".kind")
+    sid = obj["id"] if "id" in obj else fallback_id
     if not isinstance(sid, str) or not sid:
-        _fail(f"{path}.id", "expected a non-empty string")
-    prob = _number(obj.get("prob", 1.0), f"{path}.prob", 0.0, 1.0)
+        _fail(".id", "expected a non-empty string")
+    prob = _number(obj.get("prob", 1.0), ".prob", 0.0, 1.0)
     kwargs = {}
     if "event" in obj:
-        kwargs["event"] = _string(obj["event"], f"{path}.event")
+        kwargs["event"] = _string(obj["event"], ".event")
     if "interval" in obj:
-        kwargs["interval"] = _interval(obj["interval"], f"{path}.interval")
+        kwargs["interval"] = _interval(obj["interval"], ".interval")
     if "value" in obj:
         if not isinstance(obj["value"], bool):
-            _fail(f"{path}.value", "expected true or false")
+            _fail(".value", "expected true or false")
         kwargs["value"] = obj["value"]
     if "item" in obj:
-        kwargs["item"] = _string(obj["item"], f"{path}.item")
+        kwargs["item"] = _string(obj["item"], ".item")
     if "class" in obj:
-        kwargs["cls"] = _string(obj["class"], f"{path}.class")
+        kwargs["cls"] = _string(obj["class"], ".class")
     try:
         return Statement(id=sid, kind=kind, prob=prob, **kwargs)
     except ValueError as exc:
-        _fail(path, str(exc))
+        _fail("", str(exc))
+
+
+def _parse_statements(raw, path: str, id_prefix: str) -> tuple[Statement, ...]:
+    """The array at path as statements; the i-th is named id_prefix + i
+    when it has no id of its own."""
+    out = []
+    for i, data in enumerate(_as_list(raw, path)):
+        try:
+            out.append(_parse_statement(data, f"{id_prefix}{i}"))
+        except _Invalid as exc:
+            raise exc.under(f"{path}[{i}]")
+    return tuple(out)
 
 
 def _statement_to_dict(s: Statement) -> dict:
@@ -198,12 +231,13 @@ class ProblemDocument:
     def build_sequence(self) -> CredalSequence:
         """Resolve the document's credal sequence against its problem."""
         if self.level_specs is not None:
-            levels = []
-            for index, spec in enumerate(self.level_specs):
-                body = BodyOfKnowledge(index, spec.error, spec.statements)
-                levels.append(level_from_body(
-                    body, self.problem, self.refs, extra=spec.overrides))
-            return CredalSequence(tuple(levels))
+            resolver = _Resolver(self.problem, self.refs)
+            return CredalSequence(tuple(
+                level_from_body(BodyOfKnowledge(index, spec.error, spec.statements),
+                                self.problem, self.refs, extra=spec.overrides,
+                                resolver=resolver)
+                for index, spec in enumerate(self.level_specs)
+            ))
         if self.statements:
             if self.rule == "threshold":
                 bodies = accept_threshold(self.statements, self.error_levels)
@@ -215,164 +249,192 @@ class ProblemDocument:
 
 def parse_document(data) -> ProblemDocument:
     """Validate a decoded JSON object into a ProblemDocument."""
-    root = _as_mapping(data, "$", {"problem", "acts", "tolerance", "levels",
-                                   "statements", "acceptance", "reference_classes"})
-    name = _string(_get(root, "problem", "$"), "$.problem")
+    try:
+        return _parse_root(data)
+    except _Invalid as exc:
+        raise ProblemFormatError(f"${exc.path}: {exc.message}") from None
 
+
+def _parse_root(data) -> ProblemDocument:
+    root = _as_mapping(data, "", {"problem", "acts", "tolerance", "levels",
+                                  "statements", "acceptance", "reference_classes"})
+    name = _string(_get(root, "problem", ""), ".problem")
     acts = []
-    for i, raw_act in enumerate(_as_list(_get(root, "acts", "$"), "$.acts")):
-        apath = f"$.acts[{i}]"
-        obj = _as_mapping(raw_act, apath, {"name", "outcomes"})
-        act_name = _string(_get(obj, "name", apath), f"{apath}.name")
-        outcomes = []
-        raw_outs = _as_list(_get(obj, "outcomes", apath), f"{apath}.outcomes")
-        for j, raw_out in enumerate(raw_outs):
-            opath = f"{apath}.outcomes[{j}]"
-            oobj = _as_mapping(raw_out, opath, {"label", "utility", "prob"})
-            label = _string(_get(oobj, "label", opath), f"{opath}.label")
-            utility = _number(_get(oobj, "utility", opath), f"{opath}.utility")
-            prob = VACUOUS
-            if "prob" in oobj:
-                prob = _interval(oobj["prob"], f"{opath}.prob")
-            outcomes.append(Outcome(label, utility, prob))
+    for i, raw in enumerate(_as_list(_get(root, "acts", ""), ".acts")):
         try:
-            acts.append(Act(act_name, tuple(outcomes)))
-        except ValueError as exc:
-            _fail(apath, str(exc))
+            acts.append(_parse_act(raw))
+        except _Invalid as exc:
+            raise exc.under(f".acts[{i}]")
     try:
         problem = DecisionProblem(name, tuple(acts))
     except ValueError as exc:
-        _fail("$.acts", str(exc))
+        _fail(".acts", str(exc))
 
     tolerance = ToleranceSpec.explicit(1.0)
     if "tolerance" in root:
-        tpath = "$.tolerance"
-        tobj = _as_mapping(root["tolerance"], tpath, {"mode", "max_error"})
-        mode = _string(_get(tobj, "mode", tpath), f"{tpath}.mode")
-        if mode == "explicit":
-            max_error = _number(_get(tobj, "max_error", tpath),
-                                f"{tpath}.max_error", 0.0, 1.0)
-            tolerance = ToleranceSpec.explicit(max_error)
-        elif mode == "odds-derived":
-            if "max_error" in tobj:
-                _fail(tpath, "odds-derived tolerance carries no max_error")
-            tolerance = ToleranceSpec.odds_derived()
-        else:
-            _fail(f"{tpath}.mode", f"unknown tolerance mode {mode!r}")
-
+        tolerance = _parse_tolerance(root["tolerance"])
     refs = EMPTY_TABLE
     if "reference_classes" in root:
-        rpath = "$.reference_classes"
-        robj = _as_mapping(root["reference_classes"], rpath,
-                           {"entries", "specificity"})
-        entries = []
-        for i, raw in enumerate(_as_list(robj.get("entries", []), f"{rpath}.entries")):
-            epath = f"{rpath}.entries[{i}]"
-            eobj = _as_mapping(raw, epath, {"class", "event", "interval"})
-            entries.append((
-                _string(_get(eobj, "class", epath), f"{epath}.class"),
-                _string(_get(eobj, "event", epath), f"{epath}.event"),
-                _interval(_get(eobj, "interval", epath), f"{epath}.interval"),
-            ))
-        pairs = []
-        for i, raw in enumerate(_as_list(robj.get("specificity", []),
-                                         f"{rpath}.specificity")):
-            ppath = f"{rpath}.specificity[{i}]"
-            pair = _as_list(raw, ppath)
-            if len(pair) != 2:
-                _fail(ppath, "expected [more_specific, less_specific]")
-            pairs.append((_string(pair[0], f"{ppath}[0]"),
-                          _string(pair[1], f"{ppath}[1]")))
-        try:
-            refs = ReferenceClassTable(tuple(entries), frozenset(pairs))
-        except ValueError as exc:
-            _fail(rpath, str(exc))
+        refs = _parse_refs(root["reference_classes"])
 
     if "levels" in root and ("statements" in root or "acceptance" in root):
-        _fail("$", "document states both levels and statements; pick one")
-
+        _fail("", "document states both levels and statements; pick one")
     level_specs = None
     if "levels" in root:
-        labels_of = {a.name: a.labels() for a in problem.acts}
         level_specs = []
-        for i, raw in enumerate(_as_list(root["levels"], "$.levels")):
-            lpath = f"$.levels[{i}]"
-            lobj = _as_mapping(raw, lpath, {"error", "constraints", "overrides"})
-            error = _number(_get(lobj, "error", lpath), f"{lpath}.error", 0.0, 1.0)
-            if level_specs and error < level_specs[-1].error:
-                _fail(f"{lpath}.error", _level_drop(i, error, level_specs[-1].error))
-            constraints = tuple(
-                _parse_statement(raw_c, f"{lpath}.constraints[{j}]",
-                                 f"level{i}.c{j}")
-                for j, raw_c in enumerate(_as_list(lobj.get("constraints", []),
-                                                   f"{lpath}.constraints"))
-            )
-            overrides: dict[str, dict[str, ProbInterval]] = {}
-            if "overrides" in lobj:
-                opath = f"{lpath}.overrides"
-                for act_name, raw_box in _as_mapping(lobj["overrides"], opath).items():
-                    if act_name not in labels_of:
-                        _fail(f"{opath}.{act_name}", f"unknown act {act_name!r}")
-                    box = {}
-                    for label, raw_iv in _as_mapping(
-                            raw_box, f"{opath}.{act_name}").items():
-                        if label not in labels_of[act_name]:
-                            _fail(f"{opath}.{act_name}.{label}",
-                                  f"unknown outcome {label!r} of act {act_name!r}")
-                        box[label] = _interval(raw_iv, f"{opath}.{act_name}.{label}")
-                    overrides[act_name] = box
-            for c in constraints:
-                if c.prob != 1.0:
-                    _fail(f"{lpath}.constraints",
-                          "level constraints are assertions; prob must stay 1")
-            level_specs.append(LevelSpec(error, constraints, overrides))
+        for i, raw in enumerate(_as_list(root["levels"], ".levels")):
+            try:
+                previous = level_specs[-1].error if level_specs else None
+                level_specs.append(_parse_level(raw, i, previous, problem))
+            except _Invalid as exc:
+                raise exc.under(f".levels[{i}]")
         if not level_specs:
-            _fail("$.levels", _NO_LEVELS)
+            _fail(".levels", _NO_LEVELS)
 
     statements: tuple[Statement, ...] = ()
     rule = None
     error_levels: list[float] = []
     if "statements" in root or "acceptance" in root:
         if "statements" not in root or "acceptance" not in root:
-            _fail("$", "statements and acceptance must appear together")
-        statements = tuple(
-            _parse_statement(raw, f"$.statements[{i}]", f"s{i}")
-            for i, raw in enumerate(_as_list(root["statements"], "$.statements"))
-        )
+            _fail("", "statements and acceptance must appear together")
+        statements = _parse_statements(root["statements"], ".statements", "s")
         ids = [s.id for s in statements]
         if len(set(ids)) != len(ids):
-            _fail("$.statements", "statement ids repeat")
-        apath = "$.acceptance"
-        aobj = _as_mapping(root["acceptance"], apath, {"rule", "error_levels"})
-        rule = _string(_get(aobj, "rule", apath), f"{apath}.rule")
-        if rule == "threshold":
-            epath = f"{apath}.error_levels"
-            for i, raw in enumerate(_as_list(_get(aobj, "error_levels", apath),
-                                             epath)):
-                eps = _number(raw, f"{epath}[{i}]", 0.0, 1.0)
-                if eps == 0.0:
-                    _fail(f"{epath}[{i}]", f"error level {eps!r} must lie in (0, 1]")
-                if error_levels and eps <= error_levels[-1]:
-                    _fail(f"{epath}[{i}]", "error levels must be strictly increasing")
-                error_levels.append(eps)
-            if not error_levels:
-                _fail(epath, "threshold acceptance needs at least one error level")
-        elif rule == "next-most-probable":
-            if "error_levels" in aobj:
-                _fail(apath, "next-most-probable acceptance takes no error_levels")
-        else:
-            _fail(f"{apath}.rule", f"unknown acceptance rule {rule!r}")
+            _fail(".statements", "statement ids repeat")
+        rule, error_levels = _parse_acceptance(root["acceptance"])
 
+    return ProblemDocument(
+        problem=problem, tolerance=tolerance, level_specs=level_specs,
+        statements=statements, rule=rule, error_levels=error_levels,
+        refs=refs,
+    )
+
+
+def _parse_act(raw) -> Act:
+    obj = _as_mapping(raw, "", {"name", "outcomes"})
+    name = _string(_get(obj, "name", ""), ".name")
+    outcomes = []
+    for j, raw_out in enumerate(_as_list(_get(obj, "outcomes", ""), ".outcomes")):
+        try:
+            out = _as_mapping(raw_out, "", {"label", "utility", "prob"})
+            outcomes.append(Outcome(
+                _string(_get(out, "label", ""), ".label"),
+                _number(_get(out, "utility", ""), ".utility"),
+                _interval(out["prob"], ".prob") if "prob" in out else VACUOUS,
+            ))
+        except _Invalid as exc:
+            raise exc.under(f".outcomes[{j}]")
     try:
-        return ProblemDocument(
-            problem=problem, tolerance=tolerance, level_specs=level_specs,
-            statements=statements, rule=rule, error_levels=error_levels,
-            refs=refs,
-        )
-    except ProblemFormatError:
-        raise
+        return Act(name, tuple(outcomes))
     except ValueError as exc:
-        _fail("$", str(exc))
+        _fail("", str(exc))
+
+
+def _parse_tolerance(raw) -> ToleranceSpec:
+    obj = _as_mapping(raw, ".tolerance", {"mode", "max_error"})
+    mode = _string(_get(obj, "mode", ".tolerance"), ".tolerance.mode")
+    if mode == "explicit":
+        return ToleranceSpec.explicit(_number(_get(obj, "max_error", ".tolerance"),
+                                              ".tolerance.max_error", 0.0, 1.0))
+    if mode == "odds-derived":
+        if "max_error" in obj:
+            _fail(".tolerance", "odds-derived tolerance carries no max_error")
+        return ToleranceSpec.odds_derived()
+    _fail(".tolerance.mode", f"unknown tolerance mode {mode!r}")
+
+
+def _parse_refs(raw) -> ReferenceClassTable:
+    obj = _as_mapping(raw, ".reference_classes", {"entries", "specificity"})
+    entries = []
+    for i, data in enumerate(_as_list(obj.get("entries", []),
+                                      ".reference_classes.entries")):
+        try:
+            entry = _as_mapping(data, "", {"class", "event", "interval"})
+            entries.append((_string(_get(entry, "class", ""), ".class"),
+                            _string(_get(entry, "event", ""), ".event"),
+                            _interval(_get(entry, "interval", ""), ".interval")))
+        except _Invalid as exc:
+            raise exc.under(f".reference_classes.entries[{i}]")
+    pairs = []
+    for i, data in enumerate(_as_list(obj.get("specificity", []),
+                                      ".reference_classes.specificity")):
+        try:
+            pair = _as_list(data, "")
+            if len(pair) != 2:
+                _fail("", "expected [more_specific, less_specific]")
+            pairs.append((_string(pair[0], "[0]"), _string(pair[1], "[1]")))
+        except _Invalid as exc:
+            raise exc.under(f".reference_classes.specificity[{i}]")
+    try:
+        return ReferenceClassTable(tuple(entries), frozenset(pairs))
+    except ValueError as exc:
+        _fail(".reference_classes", str(exc))
+
+
+def _parse_level(raw, i: int, previous: float | None,
+                 problem: DecisionProblem) -> LevelSpec:
+    """The i-th level; previous is the error of the level before, if any."""
+    obj = _as_mapping(raw, "", {"error", "constraints", "overrides"})
+    error = _number(_get(obj, "error", ""), ".error", 0.0, 1.0)
+    if previous is not None and error < previous:
+        _fail(".error", _level_drop(i, error, previous))
+    constraints = _parse_statements(obj.get("constraints", []), ".constraints",
+                                    f"level{i}.c")
+    overrides: dict[str, dict[str, ProbInterval]] = {}
+    for act_name, raw_box in _as_mapping(obj.get("overrides", {}), ".overrides").items():
+        try:
+            overrides[act_name] = _parse_box(raw_box, act_name, problem)
+        except _Invalid as exc:
+            raise exc.under(f".overrides.{act_name}")
+    for c in constraints:
+        if c.prob != 1.0:
+            _fail(".constraints", "level constraints are assertions; prob must stay 1")
+    return LevelSpec(error, constraints, overrides)
+
+
+def _parse_box(raw, act_name: str, problem: DecisionProblem) -> dict[str, ProbInterval]:
+    """One act's override box."""
+    try:
+        labels = problem.act(act_name).labels()
+    except KeyError:
+        _fail("", f"unknown act {act_name!r}")
+    box = {}
+    for label, raw_iv in _as_mapping(raw, "").items():
+        try:
+            if label not in labels:
+                _fail("", f"unknown outcome {label!r} of act {act_name!r}")
+            box[label] = _interval(raw_iv, "")
+        except _Invalid as exc:
+            raise exc.under(f".{label}")
+    return box
+
+
+def _parse_acceptance(raw) -> tuple[str, list[float]]:
+    obj = _as_mapping(raw, ".acceptance", {"rule", "error_levels"})
+    rule = _string(_get(obj, "rule", ".acceptance"), ".acceptance.rule")
+    error_levels: list[float] = []
+    if rule == "threshold":
+        raw_levels = _as_list(_get(obj, "error_levels", ".acceptance"),
+                              ".acceptance.error_levels")
+        for i, data in enumerate(raw_levels):
+            try:
+                eps = _number(data, "", 0.0, 1.0)
+                if eps == 0.0:
+                    _fail("", f"error level {eps!r} must lie in (0, 1]")
+                if error_levels and eps <= error_levels[-1]:
+                    _fail("", "error levels must be strictly increasing")
+            except _Invalid as exc:
+                raise exc.under(f".acceptance.error_levels[{i}]")
+            error_levels.append(eps)
+        if not error_levels:
+            _fail(".acceptance.error_levels",
+                  "threshold acceptance needs at least one error level")
+    elif rule == "next-most-probable":
+        if "error_levels" in obj:
+            _fail(".acceptance", "next-most-probable acceptance takes no error_levels")
+    else:
+        _fail(".acceptance.rule", f"unknown acceptance rule {rule!r}")
+    return rule, error_levels
 
 
 def document_to_dict(doc: ProblemDocument) -> dict:

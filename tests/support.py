@@ -5,10 +5,13 @@ polytope {p : lo <= p <= hi, sum p = 1} directly: every vertex has at
 most one coordinate strictly between its bounds, so fixing all but one
 coordinate at a bound and solving for the free one visits every vertex.
 
-The maximal-set, nesting and closure oracles compute straight from
-their definitions, pair by pair, and check the one-pass runtime code.
+The maximal-set, regret, nesting and closure oracles compute straight
+from their definitions, pair by pair, and check the one-pass runtime
+code.
 The apply_level oracle rebuilds every act, where the runtime passes
-acts with no box through.
+acts with no box and outcomes a box does not name through.  The
+explore oracle rebuilds every act and computes every expected utility
+afresh on every level, where the runtime computes each act's once.
 
 The resolution oracle resolves every body of knowledge on its own:
 it closes the specificity order again for each body, merges each
@@ -31,20 +34,29 @@ from hypothesis import strategies as st
 
 from credalbox import (
     CERTAIN,
+    DECIDED,
     IMPOSSIBLE,
+    NO_MANDATE,
+    RISK_PROBLEM,
     Act,
     ConflictingConstraintError,
     CredalLevel,
     CredalSequence,
     DecisionProblem,
+    DecisionReport,
     FeasibilityError,
+    InfeasibleLevelError,
     NoUniqueReferenceClassError,
     Outcome,
     ProbInterval,
     ReferenceClassTable,
+    ToleranceSpec,
+    TraceRow,
     apply_level,
     dominates,
+    eu_interval,
     intersect,
+    tolerable_error,
 )
 from credalbox.expectation import _check_feasible
 from credalbox.knowledge import EMPTY_TABLE
@@ -173,6 +185,16 @@ def pairwise_maximal_set(eu):
     )
 
 
+def pairwise_worst_case_regrets(eu):
+    """Oracle worst-case regrets: each act's best rival found by scanning
+    every other act."""
+    out = {}
+    for a in eu:
+        rivals = [eu[b].hi for b in eu if b != a]
+        out[a] = max(0.0, max(rivals) - eu[a].lo) if rivals else 0.0
+    return out
+
+
 def rebuild_every_act(problem, level):
     """Oracle for apply_level: every act and outcome built afresh, with
     the level's interval where it has one and the declared one otherwise."""
@@ -184,6 +206,35 @@ def rebuild_every_act(problem, level):
         ))
         for act in problem.acts
     ))
+
+
+def oracle_explore(problem, seq, spec=None) -> DecisionReport:
+    """Oracle for explore: every act rebuilt and every expected utility
+    computed afresh on every level, and dominance tested pair by pair."""
+    spec = spec if spec is not None else ToleranceSpec.explicit(1.0)
+    tolerance = tolerable_error(problem, spec)
+    trace = []
+    for level in seq.levels:
+        if level.error >= tolerance:
+            break
+        try:
+            effective = rebuild_every_act(problem, level)
+        except FeasibilityError as exc:
+            raise InfeasibleLevelError(
+                f"level {level.index} (error {level.error:g}): {exc}") from exc
+        eu = {act.name: eu_interval(act) for act in effective.acts}
+        surviving = pairwise_maximal_set(eu)
+        trace.append(TraceRow(level.index, level.error, eu, surviving))
+        common = dict(problem=problem.name, tolerance=tolerance,
+                      level_used=level.index, error_used=level.error, trace=trace)
+        if len(surviving) == 1:
+            return DecisionReport(status=DECIDED, act=surviving[0], **common)
+        if all(o.prob.lo == o.prob.hi for act in effective.acts for o in act.outcomes):
+            best = max(eu, key=lambda name: eu[name].lo)
+            return DecisionReport(status=RISK_PROBLEM, act=best, ambiguous=True,
+                                  **common)
+    return DecisionReport(problem=problem.name, status=NO_MANDATE,
+                          tolerance=tolerance, trace=trace)
 
 
 def all_pairs_nested(seq, problem) -> bool:

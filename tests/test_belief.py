@@ -28,6 +28,12 @@ def binary(g, ng, theta=0.0):
     return MassFunction(FRAME, masses)
 
 
+def _weights(rng, n, floor=0.05):
+    raw = [floor + rng.random() for _ in range(n)]
+    total = math.fsum(raw)
+    return [x / total for x in raw]
+
+
 def random_binary(rng, floor=0.05):
     # keeping every focal element off zero bounds conflict away from 1
     raw = [floor + rng.random() for _ in range(3)]
@@ -65,6 +71,10 @@ class TestMassFunction:
     def test_empty_focal_set_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             MassFunction(FRAME, {frozenset(): 0.5, frozenset({"G"}): 0.5})
+
+    def test_repeated_focal_set_rejected(self):
+        with pytest.raises(ValueError, match=r"^focal set \['G'\] appears twice$"):
+            MassFunction(FRAME, {"G": 0.5, frozenset({"G"}): 0.5})
 
     def test_focal_set_outside_frame_rejected(self):
         with pytest.raises(ValueError):
@@ -242,3 +252,18 @@ class TestDiscountThreshold:
         beliefs = [self.belief_at(r) for r in rates]
         for a, b in zip(beliefs, beliefs[1:]):
             assert b <= a + 1e-12
+
+    def test_belief_is_monotone_in_the_rate(self):
+        # discount_threshold bisects without probing the inside of [0, 1]
+        rng = random.Random(11)
+        frame = ("a", "b", "c")
+        subsets = [frozenset(s) for s in
+                   ({"a"}, {"b"}, {"c"}, {"a", "b"}, {"b", "c"}, set(frame))]
+        for _ in range(200):
+            m1, m2 = (MassFunction(frame, dict(zip(subsets, weights)))
+                      for weights in (_weights(rng, 6), _weights(rng, 6)))
+            event = rng.choice(subsets[:-1])
+            beliefs = [bel(dempster_combine(m1, discount(m2, k / 16.0)), event)
+                       for k in range(17)]
+            steps = [b - a for a, b in zip(beliefs, beliefs[1:])]
+            assert all(d <= 1e-12 for d in steps) or all(d >= -1e-12 for d in steps)

@@ -322,6 +322,24 @@ class TestDsThreshold:
         assert code == 1
         assert "--m1" in capsys.readouterr().err
 
+    def test_belief_on_the_break_even_point_mandates_nothing(self, capsys):
+        # an even second source leaves the pooled belief at 0.75 for every
+        # rate, where betting on G (10 or -30) breaks even with passing
+        code = main(["ds-threshold", "--m1", "0.75,0.25", "--m2", "0.5,0.5",
+                     "--target", "0.75"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "threshold discount rate: 0.0000",
+            "  above (r = 0.0010): belief 0.7500 no mandate",
+        ]
+
+    def test_non_number_mass_exits_one(self, capsys):
+        code = main(["ds-threshold", "--m1", "x,1", "--m2", "0.6,0.4",
+                     "--target", "0.5"])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: --m1: masses must be numbers, got 'x,1'\n"
+
     def test_nan_mass_exits_one(self, capsys):
         code = main(["ds-threshold", "--m1", "nan,1", "--m2", "0.6,0.4",
                      "--target", "0.5"])

@@ -111,10 +111,11 @@ class TestValidation:
             SampleCount(0, 0)
 
     def test_tail_helpers_validate_inputs(self):
-        with pytest.raises(ValueError):
-            binomial_cdf(3, 0, 0.5)
-        with pytest.raises(ValueError):
-            binomial_sf(3, 10, 1.5)
+        for tail in (binomial_cdf, binomial_sf):
+            with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+                tail(3, 0, 0.5)
+            with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\], got 1.5$"):
+                tail(3, 10, 1.5)
 
 
 class TestTailHelpers:

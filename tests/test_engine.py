@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credalbox import (
     Act,
@@ -14,6 +16,8 @@ from credalbox import (
     ParameterizedCredal,
     ProbInterval,
     RISK_PROBLEM,
+    VACUOUS,
+    DecisionReport,
     ToleranceSpec,
     WeightedCredal,
     explore,
@@ -21,7 +25,38 @@ from credalbox import (
     starr,
     tolerable_error,
 )
-from support import interval_close
+from support import interval_close, oracle_explore
+
+# a coarse grid, so that point boxes, tied bounds and infeasible boxes
+# are common
+GRID_INTERVALS = st.tuples(*[st.sampled_from([0.0, 0.25, 0.5, 1.0])] * 2).map(
+    lambda p: ProbInterval(*sorted(p)))
+GRID_DISTRIBUTIONS = {1: [(1.0,)], 2: [(0.5, 0.5), (0.25, 0.75), (1.0, 0.0)],
+                      3: [(0.25, 0.25, 0.5), (0.5, 0.5, 0.0)]}
+
+
+@st.composite
+def grid_acts(draw, name):
+    """An act of one to three outcomes, on grid utilities, with a
+    vacuous box or, one time in four, a point distribution."""
+    n = draw(st.integers(1, 3))
+    utils = draw(st.lists(st.sampled_from([-2.0, 0.0, 1.0, 3.0]),
+                          min_size=n, max_size=n))
+    if draw(st.integers(0, 3)):
+        probs = [VACUOUS] * n
+    else:
+        probs = [ProbInterval(p, p)
+                 for p in draw(st.sampled_from(GRID_DISTRIBUTIONS[n]))]
+    return Act(name, tuple(Outcome(f"o{i}", u, p)
+                           for i, (u, p) in enumerate(zip(utils, probs))))
+
+
+def outcome(run):
+    """The report, or the error's type and text."""
+    try:
+        return run()
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def jerry_problem():
@@ -168,6 +203,46 @@ class TestExplore:
         with pytest.raises(InfeasibleLevelError, match="level 1 .error 0.1."):
             explore(jerry_problem(), seq)
 
+    def test_partial_infeasible_box_message_in_full(self):
+        # the box names G alone; not-G keeps its declared [0, 0.5]
+        problem = DecisionProblem("half", (
+            Act("a1", (Outcome("G", 10.0),
+                       Outcome("not-G", -30.0, ProbInterval(0.0, 0.5)))),
+            Act("a2", (Outcome("pass", 0.0),)),
+        ))
+        seq = CredalSequence((
+            CredalLevel(0, 0.0, {}),
+            CredalLevel(1, 0.1, {"a1": {"G": ProbInterval(0.0, 0.3)}}),
+        ))
+        with pytest.raises(InfeasibleLevelError) as exc_info:
+            explore(problem, seq)
+        assert str(exc_info.value) == (
+            "level 1 (error 0.1): act 'a1': outcome upper bounds sum to 0.8, below 1")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_oracle(self, data):
+        problem = DecisionProblem("p", tuple(
+            data.draw(grid_acts(f"a{i}")) for i in range(data.draw(st.integers(2, 4)))))
+        levels = []
+        # level 0 keeps the declared boxes, as a vacuous first level does
+        for j in range(data.draw(st.integers(1, 4))):
+            boxes = {}
+            for act in problem.acts:
+                if j and data.draw(st.booleans()):
+                    labels = data.draw(st.lists(st.sampled_from(act.labels()),
+                                                unique=True))
+                    boxes[act.name] = {label: data.draw(GRID_INTERVALS)
+                                       for label in labels}
+            levels.append(CredalLevel(j, j / 8.0, boxes))
+        seq = CredalSequence(tuple(levels))
+        spec = data.draw(st.sampled_from(
+            [None, ToleranceSpec.explicit(0.2), ToleranceSpec.odds_derived()]))
+        want = outcome(lambda: oracle_explore(problem, seq, spec))
+        # again on the same problem, whose acts now hold their intervals
+        for _ in range(2):
+            assert outcome(lambda: explore(problem, seq, spec)) == want
+
     def test_exploration_is_repeatable(self):
         a = explore(jerry_problem(), narrowing_sequence(),
                     ToleranceSpec.explicit(0.5))
@@ -175,6 +250,10 @@ class TestExplore:
                     ToleranceSpec.explicit(0.5))
         assert a == b
         assert a.to_dict() == b.to_dict()
+
+    def test_unknown_status_rejected(self):
+        with pytest.raises(ValueError, match="^unknown report status 'maybe'$"):
+            DecisionReport(problem="p", status="maybe", tolerance=1.0)
 
     def test_to_dict_shape(self):
         report = explore(jerry_problem(), narrowing_sequence(),

@@ -14,6 +14,7 @@ from credalbox import (
     eu_all,
     eu_interval,
 )
+from credalbox import expectation
 from support import feasible_acts, interval_close, vertex_eu_bounds
 
 
@@ -125,6 +126,24 @@ class TestEuInterval:
         assert got.lo == got.hi
         assert abs(got.lo - want) <= 1e-9
 
+    def test_bounds_crossed_by_rounding_meet_at_their_midpoint(self):
+        # adjacent utilities on a box 1e-9 wide: the products of the two
+        # greedy passes round apart and put the lower bound above the upper
+        low_u, high_u = 975.124463581091, 975.1244635810912
+        a = act("near", ("x", low_u, 0.5704480321913985, 0.5704480331913985),
+                ("y", high_u, 0.4295519678086013, 0.4295519688086013))
+        got = eu_interval(a)
+        assert got.lo == got.hi
+        assert low_u <= got.lo <= high_u
+
+    def test_computed_once_per_act(self, monkeypatch):
+        first = eu_interval(BERRY_99)
+        monkeypatch.setattr(expectation, "_allocate", None)
+        assert eu_interval(BERRY_99) is first
+        with pytest.raises(TypeError):
+            # an equal act is another instance, and is computed afresh
+            eu_interval(act("a1", ("G", 10.0, 0.75, 1.0), ("not-G", -30.0, 0.0, 0.25)))
+
 
 class TestEuAll:
     def test_berry_problem_at_sharper_level(self):
@@ -166,6 +185,12 @@ class TestActValidation:
     def test_empty_outcomes_rejected(self):
         with pytest.raises(ValueError):
             Act("bare", ())
+
+    def test_empty_names_rejected(self):
+        with pytest.raises(ValueError, match="^outcome label must be non-empty$"):
+            Outcome("", 1.0)
+        with pytest.raises(ValueError, match="^act name must be non-empty$"):
+            Act("", (Outcome("x", 1.0),))
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="twice|repeats"):

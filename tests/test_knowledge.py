@@ -15,9 +15,11 @@ from credalbox import (
     DecisionProblem,
     FeasibilityError,
     InconsistentBodyError,
+    LevelSpec,
     NoUniqueReferenceClassError,
     Outcome,
     ProbInterval,
+    ProblemDocument,
     ReferenceClassTable,
     Statement,
     accept_next_most_probable,
@@ -29,10 +31,11 @@ from credalbox import (
     is_nested,
     level_from_body,
     loads,
+    parse_document,
     sequence_bytes,
     sequence_from_bodies,
 )
-from credalbox import knowledge
+from credalbox import knowledge, problem_io
 from support import (
     all_pairs_nested,
     chain_document,
@@ -580,6 +583,18 @@ EXTRAS = st.fixed_dictionaries({}, optional={
     "bet": st.dictionaries(st.sampled_from("EF"), INTERVALS, max_size=2),
     "tri": st.dictionaries(st.sampled_from("EGF"), INTERVALS, max_size=2),
 })
+# two more acts that no statement reaches: only assertions box them
+LEVELS_PROBLEM = DecisionProblem("p", RESOLUTION_PROBLEM.acts + (
+    Act("side", (Outcome("H", 3.0), Outcome("I", -1.0))),
+    Act("sure", (Outcome("S", 1.0),)),
+))
+LEVEL_EXTRAS = st.fixed_dictionaries({}, optional={
+    "bet": st.dictionaries(st.sampled_from("EF"), INTERVALS, max_size=2),
+    "tri": st.dictionaries(st.sampled_from("EGF"), INTERVALS, max_size=2),
+    "side": st.dictionaries(st.sampled_from("HI"), INTERVALS, max_size=1),
+    "sure": st.dictionaries(st.just("S"), st.sampled_from(
+        [ProbInterval(1.0, 1.0), ProbInterval(0.5, 1.0), ProbInterval(0.0, 0.5)])),
+})
 
 
 @st.composite
@@ -676,6 +691,56 @@ class TestIncrementalResolution:
             assert resolved(lambda: level_from_body(
                 body, problem, refs, extra, resolver=resolver)) == \
                 resolved(lambda: oracle_level(body, problem, refs, extra))
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpora(), st.data())
+    def test_levels_form_matches_the_oracle(self, corpus, data):
+        refs, statements = corpus
+        try:
+            bodies = drawn_bodies(data, statements)
+        except InconsistentBodyError:
+            return
+        specs = []
+        for body in bodies:
+            extra = data.draw(LEVEL_EXTRAS)
+            if data.draw(st.integers(0, 15)) == 0:
+                extra = {**extra, data.draw(st.sampled_from(["zz", "sure"])): {
+                    "zz": ProbInterval(0.0, 1.0)}}
+            specs.append(LevelSpec(body.error, body.statements, extra))
+        doc = ProblemDocument(LEVELS_PROBLEM, level_specs=specs, refs=refs)
+        assert resolved(doc.build_sequence) == resolved(lambda: CredalSequence(tuple(
+            oracle_level(body, LEVELS_PROBLEM, refs, spec.overrides)
+            for body, spec in zip(bodies, specs))))
+
+    def test_label_index_built_once_per_levels_document(self, monkeypatch):
+        calls = {"index": 0, "level_from_body": 0}
+        act_index = knowledge._act_index
+        level_from_body = problem_io.level_from_body
+
+        def counted_index(problem):
+            calls["index"] += 1
+            return act_index(problem)
+
+        def counted_level_from_body(*args, **kwargs):
+            calls["level_from_body"] += 1
+            return level_from_body(*args, **kwargs)
+
+        monkeypatch.setattr(knowledge, "_act_index", counted_index)
+        monkeypatch.setattr(problem_io, "level_from_body", counted_level_from_body)
+        levels = [{"error": j / 10.0,
+                   "constraints": [{"kind": "event-interval", "event": "E",
+                                    "interval": [0.1 * j, 0.5 + 0.05 * j]}],
+                   "overrides": {"side": {"H": [0.2, 0.2 + 0.1 * j]}}}
+                  for j in range(5)]
+        doc = parse_document({
+            "problem": "p", "levels": levels,
+            "acts": [{"name": act.name, "outcomes": [
+                {"label": o.label, "utility": o.utility} for o in act.outcomes]}
+                for act in LEVELS_PROBLEM.acts]})
+        seq = doc.build_sequence()
+        assert len(seq.levels) == 5
+        assert sorted(seq.levels[4].assignments) == ["bet", "side", "tri"]
+        assert calls == {"index": 1, "level_from_body": 5}
 
     def test_later_specific_class_replaces_the_answer(self):
         # the narrower frequency of a more specific class replaces the

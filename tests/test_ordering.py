@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from credalbox import (
     min_regret,
     worst_case_regrets,
 )
-from support import int_intervals, pairwise_maximal_set
+from support import int_intervals, pairwise_maximal_set, pairwise_worst_case_regrets
 
 WIDE = {"a1": Interval(-16.8, 10.0), "a2": Interval(-5.5, 0.0)}
 SHARP = {"a1": Interval(0.0, 10.0), "a2": Interval(-3.0, -1.5)}
@@ -107,6 +109,20 @@ class TestMinRegret:
     def test_argmin_invariant_under_translation(self, eu, c):
         shifted = {k: Interval(v.lo + c, v.hi + c) for k, v in eu.items()}
         assert min_regret(shifted) == min_regret(eu)
+
+    @given(st.lists(
+        st.tuples(st.sampled_from((-2.0, -0.0, 0.0, 1.0, 3.0)),
+                  st.sampled_from((-0.0, 0.0, 1.0, 3.0, 4.0))),
+        min_size=1, max_size=7))
+    def test_matches_pairwise_definition(self, pairs):
+        # few distinct endpoints: tied and repeated upper bounds, one act
+        # alone, and zeros of either sign
+        eu = {f"a{i}": Interval(min(pair), max(pair)) for i, pair in enumerate(pairs)}
+        got = worst_case_regrets(eu)
+        want = pairwise_worst_case_regrets(eu)
+        assert list(got) == list(want)
+        assert [(v, math.copysign(1.0, v)) for v in got.values()] == \
+            [(v, math.copysign(1.0, v)) for v in want.values()]
 
 
 class TestHurwicz:

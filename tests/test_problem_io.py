@@ -13,6 +13,7 @@ from credalbox import (
     ProbInterval,
     ProblemDocument,
     ProblemFormatError,
+    Statement,
     ToleranceSpec,
     document_to_dict,
     dumps,
@@ -54,6 +55,17 @@ def doc_with_utility(value):
     data = doc_with()
     data["acts"][0]["outcomes"][0]["utility"] = value
     return data
+
+
+def doc_with_act(pos, **fields):
+    data = doc_with()
+    data["acts"][pos].update(fields)
+    return data
+
+
+def statements_doc(statement):
+    return doc_with(statements=[statement],
+                    acceptance={"rule": "next-most-probable"})
 
 
 def threshold_doc(error_levels):
@@ -383,6 +395,93 @@ class TestValidationErrors:
             "error-levels-fall", "zero-error-level"])
     def test_bad_value_named_at_path(self, data, path):
         assert error_path(data).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("data,message", [
+        (doc_with(levels={}), "$.levels: expected an array, got dict"),
+        (doc_with(levels=[{"error": -0.5}]),
+         "$.levels[0].error: value -0.5 is below 0.0"),
+        (doc_with(tolerance={"mode": "explicit", "max_error": 1.5}),
+         "$.tolerance.max_error: value 1.5 is above 1.0"),
+        (doc_with_act(0, name=""), "$.acts[0].name: expected a non-empty string"),
+        (statements_doc({"id": 5, "kind": "condition", "event": "G"}),
+         "$.statements[0].id: expected a non-empty string"),
+        (statements_doc({"kind": "condition", "event": "G", "value": 1}),
+         "$.statements[0].value: expected true or false"),
+        (statements_doc({"kind": "bogus"}),
+         "$.statements[0]: unknown statement kind 'bogus'"),
+        (statements_doc({"kind": "membership", "item": "x"}),
+         "$.statements[0]: statement 's0' of kind 'membership' needs 'cls'"),
+        (doc_with(reference_classes={"specificity": [["a"]]}),
+         "$.reference_classes.specificity[0]: expected [more_specific, less_specific]"),
+        (doc_with(reference_classes={"specificity": [["a", 3]]}),
+         "$.reference_classes.specificity[0][1]: expected a non-empty string"),
+        (doc_with(reference_classes={"entries": [
+            {"class": "c", "event": "G", "interval": [0.1, "x"]}]}),
+         "$.reference_classes.entries[0].interval[1]: expected a number, got str"),
+        (doc_with_act(0, outcomes=[{"label": "G", "utility": 1.0, "x": 0}]),
+         "$.acts[0].outcomes[0]: unknown key 'x'"),
+        (doc_with_act(0, outcomes=[[]]),
+         "$.acts[0].outcomes[0]: expected an object, got list"),
+        (doc_with_act(0, outcomes=[{"label": "G"}]),
+         "$.acts[0].outcomes[0]: missing required key 'utility'"),
+        (doc_with_act(0, outcomes=[{"label": 7, "utility": 1.0}]),
+         "$.acts[0].outcomes[0].label: expected a non-empty string"),
+        (doc_with_utility(True),
+         "$.acts[0].outcomes[0].utility: expected a number, got bool"),
+        (doc_with_utility(10 ** 400),
+         "$.acts[0].outcomes[0].utility: expected a finite number, got inf"),
+        (doc_with_act(0, outcomes=[{"label": "G", "utility": 1.0,
+                                    "prob": [0.5, 0.2]}]),
+         "$.acts[0].outcomes[0].prob: lower endpoint 0.5 exceeds upper endpoint 0.2"),
+        (doc_with_act(0, outcomes=[{"label": "G", "utility": 1.0,
+                                    "prob": [0.5, None]}]),
+         "$.acts[0].outcomes[0].prob[1]: expected a number, got NoneType"),
+        (doc_with_act(0, outcomes=[{"label": "G", "utility": 1.0,
+                                    "prob": [0.1, 0.2, 0.3]}]),
+         "$.acts[0].outcomes[0].prob: expected [lo, hi], got 3 entries"),
+        (doc_with_act(1, outcomes=[]), "$.acts[1]: act 'a2' has no outcomes"),
+        (doc_with_act(1, name="a1"), "$.acts: problem 'tiny' repeats an act name"),
+        (doc_with(levels=[{"error": 0.0, "overrides": {"a1": []}}]),
+         "$.levels[0].overrides.a1: expected an object, got list"),
+        (doc_with(levels=[{"error": 0.0, "overrides": {"a1": {"G": [0.1, 2]}}}]),
+         "$.levels[0].overrides.a1.G: probability interval [0.1, 2.0] escapes [0, 1]"),
+        (doc_with(levels=[{"error": 0.0, "constraints": [
+            {"kind": "event-interval", "event": "G", "interval": [0.2, "x"]}]}]),
+         "$.levels[0].constraints[0].interval[1]: expected a number, got str"),
+        (doc_with(levels=[{"error": 0.0, "constraints": [
+            {"kind": "event-interval", "event": ""}]}]),
+         "$.levels[0].constraints[0].event: expected a non-empty string"),
+        (threshold_doc(["x"]),
+         "$.acceptance.error_levels[0]: expected a number, got str"),
+    ], ids=["levels-not-array", "error-below-range", "max-error-above-range",
+            "empty-act-name", "statement-id-not-string", "value-not-bool",
+            "unknown-statement-kind", "statement-misses-field",
+            "specificity-pair-shape", "specificity-class-not-string",
+            "entry-interval-number", "unknown-outcome-key", "outcome-not-object",
+            "outcome-misses-utility", "label-not-string", "bool-utility",
+            "huge-int-utility", "interval-lo-above-hi", "interval-endpoint-type",
+            "interval-shape", "act-refused", "problem-refused",
+            "override-box-not-object", "override-interval-range",
+            "constraint-interval-number", "constraint-event-empty",
+            "error-level-not-number"])
+    def test_failure_message_in_full(self, data, message):
+        assert error_path(data) == message
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"level_specs": (LevelSpec(0.0),), "rule": "threshold",
+          "error_levels": (0.1,)},
+         "document states both levels and statements; pick one"),
+        ({}, "statements need an acceptance rule"),
+        ({"rule": "by-feel"}, "unknown acceptance rule 'by-feel'"),
+        ({"rule": "threshold"}, "threshold acceptance needs error_levels"),
+    ], ids=["levels-and-statements", "no-rule", "unknown-rule",
+            "threshold-without-levels"])
+    def test_document_refuses_inconsistent_fields(self, fields, message):
+        problem = parse_document(MINIMAL).problem
+        statement = Statement.condition("s0", "G")
+        with pytest.raises(ProblemFormatError) as exc_info:
+            ProblemDocument(problem, statements=(statement,), **fields)
+        assert str(exc_info.value) == message
 
 
 class TestSequenceSerialization:
