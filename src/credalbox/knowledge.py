@@ -446,10 +446,10 @@ class _Resolver:
     """Resolves bodies of knowledge against one problem and base table,
     one body after another.
 
-    When a body holds every statement of the body resolved before it,
-    that body's table, event bounds and per-(item, event) most specific
-    classes carry forward, and only the (item, event) pairs, events and
-    acts that the new statements touch are recomputed.  Direct inference
+    When a body holds every statement of the body resolved before it, in
+    the same order, that body's table, event bounds and per-(item, event)
+    most specific classes carry forward, and only the (item, event) pairs,
+    events and acts that the new statements touch are recomputed.  Direct inference
     is not monotone, because a newly accepted, more specific class
     replaces the old answer, so a touched event is merged again from its
     parts instead of narrowing its old bound.  Any other body is
@@ -482,22 +482,28 @@ class _Resolver:
 
     def _added(self, body: BodyOfKnowledge) -> Sequence[Statement] | None:
         """The statements body adds to the body resolved before it, or
-        None when body must be resolved from empty."""
+        None when body must be resolved from empty, as when it drops or
+        reorders an old one: an event's first statement sets its zero signs."""
         if self.body is None:
             return None
         old, new = self.body.statements, body.statements
-        if len(new) >= len(old) and all(map(is_, old, new)):
-            return new[len(old):]
-        known = set(map(id, old))
-        if not known <= set(map(id, new)):
-            return None
-        added = [s for s in new if id(s) not in known]
-        # the bits of a repeated frequency come from whichever statement
-        # is first in body order, which the carried table cannot tell
-        if any(s.kind == "class-frequency"
-               and self.table.freq(s.cls, s.event) is not None for s in added):
-            return None
-        return added
+        # a common prefix, the usual case, is matched at C speed
+        skip = len(old) if len(new) >= len(old) and all(map(is_, old, new)) else 0
+        rest = iter(old[skip:])
+        pending = next(rest, None)
+        added = []
+        for s in new[skip:]:
+            if s is pending:
+                pending = next(rest, None)
+            # the bits of a repeated frequency come from whichever
+            # statement is first in body order, which the carried table
+            # cannot tell when s comes before an old statement
+            elif (pending is not None and s.kind == "class-frequency"
+                  and self.table.freq(s.cls, s.event) is not None):
+                return None
+            else:
+                added.append(s)
+        return None if pending is not None else added
 
     def _touched(self, added: Sequence[Statement]) -> dict[tuple[str, str], list[str]]:
         """(item, event) pairs that gain usable classes, with the classes."""

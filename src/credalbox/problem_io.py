@@ -22,6 +22,7 @@ from .knowledge import (
     BodyOfKnowledge,
     CredalLevel,
     CredalSequence,
+    InconsistentBodyError,
     ReferenceClassTable,
     Statement,
     _Resolver,
@@ -53,6 +54,26 @@ class _Invalid(Exception):
 
 def _fail(path: str, message: str) -> None:
     raise _Invalid(path, message)
+
+
+def _each(raw, path: str, parse) -> list:
+    """The array at path, each entry parsed by parse(entry, i, done), done
+    being the entries parsed before it; a failing entry's path gains [i]."""
+    done: list = []
+    for i, data in enumerate(_as_list(raw, path)):
+        try:
+            done.append(parse(data, i, done))
+        except _Invalid as exc:
+            raise exc.under(f"{path}[{i}]")
+    return done
+
+
+def _built(path: str, make, /, *args, **kwargs):
+    """make(*args, **kwargs), with the ValueError it raises failing at path."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def _as_mapping(value, path: str, allowed: set[str] | None = None) -> dict:
@@ -117,11 +138,10 @@ def _interval(value, path: str) -> ProbInterval:
     if len(pair) != 2:
         _fail(path, f"expected [lo, hi], got {len(pair)} entries")
     try:
-        return ProbInterval(_number(pair[0], "[0]"), _number(pair[1], "[1]"))
+        lo, hi = _number(pair[0], "[0]"), _number(pair[1], "[1]")
     except _Invalid as exc:
         raise exc.under(path)
-    except ValueError as exc:
-        _fail(path, str(exc))
+    return _built(path, ProbInterval, lo, hi)
 
 
 def _parse_statement(data, fallback_id: str) -> Statement:
@@ -145,22 +165,14 @@ def _parse_statement(data, fallback_id: str) -> Statement:
         kwargs["item"] = _string(obj["item"], ".item")
     if "class" in obj:
         kwargs["cls"] = _string(obj["class"], ".class")
-    try:
-        return Statement(id=sid, kind=kind, prob=prob, **kwargs)
-    except ValueError as exc:
-        _fail("", str(exc))
+    return _built("", Statement, id=sid, kind=kind, prob=prob, **kwargs)
 
 
 def _parse_statements(raw, path: str, id_prefix: str) -> tuple[Statement, ...]:
     """The array at path as statements; the i-th is named id_prefix + i
     when it has no id of its own."""
-    out = []
-    for i, data in enumerate(_as_list(raw, path)):
-        try:
-            out.append(_parse_statement(data, f"{id_prefix}{i}"))
-        except _Invalid as exc:
-            raise exc.under(f"{path}[{i}]")
-    return tuple(out)
+    return tuple(_each(raw, path, lambda data, i, _: _parse_statement(
+        data, f"{id_prefix}{i}")))
 
 
 def _statement_to_dict(s: Statement) -> dict:
@@ -169,7 +181,7 @@ def _statement_to_dict(s: Statement) -> dict:
         out["event"] = s.event
     if s.interval is not None:
         out["interval"] = [s.interval.lo, s.interval.hi]
-    if s.kind == "condition":
+    if s.kind == "condition" or s.value is False:
         out["value"] = s.value
     if s.item is not None:
         out["item"] = s.item
@@ -216,7 +228,7 @@ class ProblemDocument:
                     raise ProblemFormatError(_level_drop(i, error, previous))
         object.__setattr__(self, "statements", tuple(self.statements))
         object.__setattr__(self, "error_levels", tuple(self.error_levels))
-        if self.level_specs is not None and self.statements:
+        if self.level_specs is not None and (self.statements or self.rule is not None):
             raise ProblemFormatError(
                 "document states both levels and statements; pick one"
             )
@@ -232,12 +244,15 @@ class ProblemDocument:
         """Resolve the document's credal sequence against its problem."""
         if self.level_specs is not None:
             resolver = _Resolver(self.problem, self.refs)
-            return CredalSequence(tuple(
-                level_from_body(BodyOfKnowledge(index, spec.error, spec.statements),
-                                self.problem, self.refs, extra=spec.overrides,
-                                resolver=resolver)
-                for index, spec in enumerate(self.level_specs)
-            ))
+            levels = []
+            for index, spec in enumerate(self.level_specs):
+                try:
+                    body = BodyOfKnowledge(index, spec.error, spec.statements)
+                except InconsistentBodyError as exc:
+                    raise InconsistentBodyError(f"body {index}: {exc}") from exc
+                levels.append(level_from_body(body, self.problem, self.refs,
+                                              extra=spec.overrides, resolver=resolver))
+            return CredalSequence(tuple(levels))
         if self.statements:
             if self.rule == "threshold":
                 bodies = accept_threshold(self.statements, self.error_levels)
@@ -259,16 +274,8 @@ def _parse_root(data) -> ProblemDocument:
     root = _as_mapping(data, "", {"problem", "acts", "tolerance", "levels",
                                   "statements", "acceptance", "reference_classes"})
     name = _string(_get(root, "problem", ""), ".problem")
-    acts = []
-    for i, raw in enumerate(_as_list(_get(root, "acts", ""), ".acts")):
-        try:
-            acts.append(_parse_act(raw))
-        except _Invalid as exc:
-            raise exc.under(f".acts[{i}]")
-    try:
-        problem = DecisionProblem(name, tuple(acts))
-    except ValueError as exc:
-        _fail(".acts", str(exc))
+    acts = _each(_get(root, "acts", ""), ".acts", _parse_act)
+    problem = _built(".acts", DecisionProblem, name, tuple(acts))
 
     tolerance = ToleranceSpec.explicit(1.0)
     if "tolerance" in root:
@@ -281,13 +288,8 @@ def _parse_root(data) -> ProblemDocument:
         _fail("", "document states both levels and statements; pick one")
     level_specs = None
     if "levels" in root:
-        level_specs = []
-        for i, raw in enumerate(_as_list(root["levels"], ".levels")):
-            try:
-                previous = level_specs[-1].error if level_specs else None
-                level_specs.append(_parse_level(raw, i, previous, problem))
-            except _Invalid as exc:
-                raise exc.under(f".levels[{i}]")
+        level_specs = _each(root["levels"], ".levels",
+                            lambda raw, i, done: _parse_level(raw, i, done, problem))
         if not level_specs:
             _fail(".levels", _NO_LEVELS)
 
@@ -310,24 +312,20 @@ def _parse_root(data) -> ProblemDocument:
     )
 
 
-def _parse_act(raw) -> Act:
+def _parse_act(raw, *_) -> Act:
     obj = _as_mapping(raw, "", {"name", "outcomes"})
     name = _string(_get(obj, "name", ""), ".name")
-    outcomes = []
-    for j, raw_out in enumerate(_as_list(_get(obj, "outcomes", ""), ".outcomes")):
-        try:
-            out = _as_mapping(raw_out, "", {"label", "utility", "prob"})
-            outcomes.append(Outcome(
-                _string(_get(out, "label", ""), ".label"),
-                _number(_get(out, "utility", ""), ".utility"),
-                _interval(out["prob"], ".prob") if "prob" in out else VACUOUS,
-            ))
-        except _Invalid as exc:
-            raise exc.under(f".outcomes[{j}]")
-    try:
-        return Act(name, tuple(outcomes))
-    except ValueError as exc:
-        _fail("", str(exc))
+    outcomes = _each(_get(obj, "outcomes", ""), ".outcomes", _parse_outcome)
+    return _built("", Act, name, tuple(outcomes))
+
+
+def _parse_outcome(raw, *_) -> Outcome:
+    out = _as_mapping(raw, "", {"label", "utility", "prob"})
+    return Outcome(
+        _string(_get(out, "label", ""), ".label"),
+        _number(_get(out, "utility", ""), ".utility"),
+        _interval(out["prob"], ".prob") if "prob" in out else VACUOUS,
+    )
 
 
 def _parse_tolerance(raw) -> ToleranceSpec:
@@ -345,39 +343,34 @@ def _parse_tolerance(raw) -> ToleranceSpec:
 
 def _parse_refs(raw) -> ReferenceClassTable:
     obj = _as_mapping(raw, ".reference_classes", {"entries", "specificity"})
-    entries = []
-    for i, data in enumerate(_as_list(obj.get("entries", []),
-                                      ".reference_classes.entries")):
-        try:
-            entry = _as_mapping(data, "", {"class", "event", "interval"})
-            entries.append((_string(_get(entry, "class", ""), ".class"),
-                            _string(_get(entry, "event", ""), ".event"),
-                            _interval(_get(entry, "interval", ""), ".interval")))
-        except _Invalid as exc:
-            raise exc.under(f".reference_classes.entries[{i}]")
-    pairs = []
-    for i, data in enumerate(_as_list(obj.get("specificity", []),
-                                      ".reference_classes.specificity")):
-        try:
-            pair = _as_list(data, "")
-            if len(pair) != 2:
-                _fail("", "expected [more_specific, less_specific]")
-            pairs.append((_string(pair[0], "[0]"), _string(pair[1], "[1]")))
-        except _Invalid as exc:
-            raise exc.under(f".reference_classes.specificity[{i}]")
-    try:
-        return ReferenceClassTable(tuple(entries), frozenset(pairs))
-    except ValueError as exc:
-        _fail(".reference_classes", str(exc))
+    entries = _each(obj.get("entries", []), ".reference_classes.entries", _parse_entry)
+    pairs = _each(obj.get("specificity", []), ".reference_classes.specificity",
+                  _parse_pair)
+    return _built(".reference_classes", ReferenceClassTable, tuple(entries),
+                  frozenset(pairs))
 
 
-def _parse_level(raw, i: int, previous: float | None,
+def _parse_entry(data, *_) -> tuple[str, str, ProbInterval]:
+    entry = _as_mapping(data, "", {"class", "event", "interval"})
+    return (_string(_get(entry, "class", ""), ".class"),
+            _string(_get(entry, "event", ""), ".event"),
+            _interval(_get(entry, "interval", ""), ".interval"))
+
+
+def _parse_pair(data, *_) -> tuple[str, str]:
+    pair = _as_list(data, "")
+    if len(pair) != 2:
+        _fail("", "expected [more_specific, less_specific]")
+    return _string(pair[0], "[0]"), _string(pair[1], "[1]")
+
+
+def _parse_level(raw, i: int, done: list[LevelSpec],
                  problem: DecisionProblem) -> LevelSpec:
-    """The i-th level; previous is the error of the level before, if any."""
+    """The i-th level; done holds the levels before it."""
     obj = _as_mapping(raw, "", {"error", "constraints", "overrides"})
     error = _number(_get(obj, "error", ""), ".error", 0.0, 1.0)
-    if previous is not None and error < previous:
-        _fail(".error", _level_drop(i, error, previous))
+    if done and error < done[-1].error:
+        _fail(".error", _level_drop(i, error, done[-1].error))
     constraints = _parse_statements(obj.get("constraints", []), ".constraints",
                                     f"level{i}.c")
     overrides: dict[str, dict[str, ProbInterval]] = {}
@@ -414,18 +407,8 @@ def _parse_acceptance(raw) -> tuple[str, list[float]]:
     rule = _string(_get(obj, "rule", ".acceptance"), ".acceptance.rule")
     error_levels: list[float] = []
     if rule == "threshold":
-        raw_levels = _as_list(_get(obj, "error_levels", ".acceptance"),
-                              ".acceptance.error_levels")
-        for i, data in enumerate(raw_levels):
-            try:
-                eps = _number(data, "", 0.0, 1.0)
-                if eps == 0.0:
-                    _fail("", f"error level {eps!r} must lie in (0, 1]")
-                if error_levels and eps <= error_levels[-1]:
-                    _fail("", "error levels must be strictly increasing")
-            except _Invalid as exc:
-                raise exc.under(f".acceptance.error_levels[{i}]")
-            error_levels.append(eps)
+        error_levels = _each(_get(obj, "error_levels", ".acceptance"),
+                             ".acceptance.error_levels", _error_level)
         if not error_levels:
             _fail(".acceptance.error_levels",
                   "threshold acceptance needs at least one error level")
@@ -435,6 +418,15 @@ def _parse_acceptance(raw) -> tuple[str, list[float]]:
     else:
         _fail(".acceptance.rule", f"unknown acceptance rule {rule!r}")
     return rule, error_levels
+
+
+def _error_level(data, i: int, done: list[float]) -> float:
+    eps = _number(data, "", 0.0, 1.0)
+    if eps == 0.0:
+        _fail("", f"error level {eps!r} must lie in (0, 1]")
+    if done and eps <= done[-1]:
+        _fail("", "error levels must be strictly increasing")
+    return eps
 
 
 def document_to_dict(doc: ProblemDocument) -> dict:
@@ -475,7 +467,7 @@ def document_to_dict(doc: ProblemDocument) -> dict:
             }
             for spec in doc.level_specs
         ]
-    if doc.statements:
+    if doc.rule is not None:
         out["statements"] = [
             _statement_to_dict(s) for s in doc.statements
         ]
@@ -504,8 +496,8 @@ def loads(text: str) -> ProblemDocument:
     return parse_document(data)
 
 
-def dumps(doc: ProblemDocument, indent: int | None = 2) -> str:
-    return json.dumps(document_to_dict(doc), indent=indent)
+def dumps(doc: ProblemDocument) -> str:
+    return json.dumps(document_to_dict(doc), indent=2)
 
 
 def load_path(path) -> ProblemDocument:

@@ -822,6 +822,20 @@ class TestIncrementalResolution:
         seq = sequence_from_bodies(bodies, jerry_problem(), refs)
         assert math.copysign(1.0, seq.levels[1].assignments["a1"]["G"].lo) == -1.0
 
+    def test_reordered_old_statements_are_resolved_afresh(self):
+        # the second body holds every statement of the first, but lists
+        # the -0.0 bound first, so its merged bound keeps that sign
+        minus = Statement.event_interval("a", "G", ProbInterval(-0.0, 0.25))
+        plus = Statement.event_interval("b", "G", ProbInterval(0.0, 0.25))
+        member = Statement.membership("m", "i", "c")
+        bodies = [BodyOfKnowledge(0, 0.0, (plus, minus)),
+                  BodyOfKnowledge(1, 0.1, (minus, plus, member))]
+        seq = sequence_from_bodies(bodies, jerry_problem())
+        assert sequence_bytes(seq) == sequence_bytes(
+            oracle_sequence(bodies, jerry_problem()))
+        assert [math.copysign(1.0, lvl.assignments["a1"]["G"].lo)
+                for lvl in seq.levels] == [1.0, -1.0]
+
     def test_order_closed_once_per_document(self, monkeypatch):
         calls = {"close": 0, "with_entries": 0}
         reach_map = knowledge._reach_map

@@ -1,0 +1,136 @@
+"""Fuzzed problem files: mutated fixtures and small reference-class
+chains.  Every input either fails with a ProblemFormatError naming a $
+path, or parses to a document that matches the problem schema, survives
+dumps and loads unchanged, and builds and explores to a ValueError or to
+a report that matches the report schema."""
+
+import copy
+import json
+import math
+from pathlib import Path
+
+import jsonschema
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from credalbox import (
+    ProblemFormatError,
+    document_to_dict,
+    dumps,
+    explore,
+    loads,
+    parse_document,
+    sequence_bytes,
+)
+from credalbox.replicate import fixture_text
+from support import chain_document
+
+SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schema"
+# validators built once: jsonschema.validate checks the schema itself
+# on every call
+PROBLEM_VALIDATOR, REPORT_VALIDATOR = (
+    jsonschema.Draft202012Validator(json.loads(
+        (SCHEMA_DIR / f"{name}.schema.json").read_text(encoding="utf-8")))
+    for name in ("problem", "report"))
+
+SEEDS = [json.loads(fixture_text(name)) for name in (
+    "example_a", "example_b", "example_c_berry", "example_c_lottery", "example_d")
+] + [chain_document(n) for n in (1, 2, 3)]
+
+# values a key can be retyped to: NaN, huge, overflowing (1e400 reads
+# as inf) and signed-zero numbers, names the seeds use, and the other
+# JSON types; a number or a name is more often retyped to its own kind
+NUMBERS = [-0.0, 1e308, -1e308, 0.25, 1, 0.0, -1, math.nan, math.inf, -math.inf,
+           10 ** 400]
+NAMES = ["G", "a1", "s0", "c0", "x", "threshold", "condition", "membership"]
+ODD_VALUES = NUMBERS + NAMES + [True, False, None, "", [], {}, [0.0, 1.0]]
+# keys of the format, so a stray or copied key is often a known one
+KEYS = ["value", "id", "kind", "prob", "event", "interval", "item", "class",
+        "label", "utility", "error", "constraints", "overrides", "mode",
+        "max_error", "rule", "error_levels", "statements", "acceptance",
+        "levels", "entries", "specificity", "extra"]
+
+
+def containers(node):
+    """Every object and array inside node, node itself first."""
+    found = [node]
+    for child in (node.values() if isinstance(node, dict) else node):
+        if isinstance(child, (dict, list)):
+            found.extend(containers(child))
+    return found
+
+
+def mutate(data, doc) -> None:
+    """Apply one drawn mutation to doc in place."""
+    op = data.draw(st.sampled_from(["retype", "stray", "duplicate", "empty", "drop"]))
+    nodes = containers(doc)
+    if op == "empty":
+        arrays = [n for n in nodes if isinstance(n, list) and n]
+        if arrays:
+            data.draw(st.sampled_from(arrays)).clear()
+        return
+    if op == "stray":
+        # a stray value or id is put into a statement where there is one
+        objects = [n for n in nodes if isinstance(n, dict)]
+        target = data.draw(st.sampled_from(
+            [n for n in objects if "kind" in n] or objects))
+        key = data.draw(st.sampled_from(["value", "id"]))
+        target[key] = data.draw(st.sampled_from([False, "s0", True, "x", ""]))
+        return
+    slots = [(n, k) for n in nodes
+             for k in (list(n) if isinstance(n, dict) else range(len(n)))]
+    parent, key = data.draw(st.sampled_from(slots))
+    if op == "drop":
+        del parent[key]
+    elif op == "duplicate":
+        if isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[data.draw(st.sampled_from(KEYS))] = copy.deepcopy(parent[key])
+    else:
+        value = parent[key]
+        pool = ODD_VALUES
+        if isinstance(value, str):
+            pool = NAMES + pool
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            pool = NUMBERS + pool
+        parent[key] = copy.deepcopy(data.draw(st.sampled_from(pool)))
+
+
+def report_or_value_error(doc, seq) -> None:
+    try:
+        report = explore(doc.problem, seq, doc.tolerance)
+    except ValueError:
+        return
+    encoded = json.dumps(report.to_dict(), allow_nan=False)
+    REPORT_VALIDATOR.validate(json.loads(encoded))
+
+
+class TestFuzzedDocuments:
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(SEEDS), st.integers(1, 3), st.data())
+    def test_refused_at_a_path_or_round_trips(self, seed, mutations, data):
+        raw = copy.deepcopy(seed)
+        for _ in range(mutations):
+            mutate(data, raw)
+        try:
+            doc = parse_document(raw)
+        except ProblemFormatError as exc:
+            assert str(exc).startswith("$"), str(exc)
+            return
+        PROBLEM_VALIDATOR.validate(raw)
+        PROBLEM_VALIDATOR.validate(document_to_dict(doc))
+        again = loads(dumps(doc))
+        assert again == doc
+        try:
+            seq = doc.build_sequence()
+        except ValueError as exc:
+            try:
+                again.build_sequence()
+            except ValueError as again_exc:
+                assert str(again_exc) == str(exc)
+            else:
+                raise AssertionError(f"reloaded document builds; original: {exc}")
+            return
+        assert sequence_bytes(again.build_sequence()) == sequence_bytes(seq)
+        report_or_value_error(doc, seq)

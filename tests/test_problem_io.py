@@ -81,7 +81,8 @@ def error_path(data):
 
 
 # documents that exercise what no fixture holds: reference-class
-# entries and level overrides
+# entries, level overrides, a false value outside a condition and an
+# acceptance rule over no statements
 CYCLE_DOCS = {
     "reference-entries": doc_with(
         statements=[{"kind": "membership", "item": "i", "class": "soft"}],
@@ -95,6 +96,10 @@ CYCLE_DOCS = {
         {"error": 0.0},
         {"error": 0.1, "overrides": {"a1": {"G": [0.25, 0.5]}, "a2": {}}},
     ]),
+    "false-membership": statements_doc(
+        {"kind": "membership", "item": "x", "class": "c", "value": False}),
+    "empty-corpus": doc_with(
+        statements=[], acceptance={"rule": "threshold", "error_levels": [0.1]}),
 }
 
 
@@ -218,6 +223,21 @@ class TestParsing:
             doc.build_sequence()
         assert str(exc_info.value) == \
             "body 2: statements 's0', 's1' cannot all hold for event 'G'"
+
+    @pytest.mark.parametrize("constraints,message", [
+        ([{"kind": "event-interval", "event": "G", "interval": [0.0, 0.1]},
+          {"kind": "event-interval", "event": "G", "interval": [0.5, 0.6]}],
+         "body 1: statements 'level1.c0', 'level1.c1' cannot all hold for event 'G'"),
+        ([{"id": "x", "kind": "condition", "event": "G"},
+          {"id": "x", "kind": "condition", "event": "H"}],
+         "body 1: statement ids repeat within one body"),
+    ], ids=["conflict", "repeated-ids"])
+    def test_inconsistent_level_names_its_body(self, constraints, message):
+        doc = parse_document(doc_with(levels=[
+            {"error": 0.0}, {"error": 0.1, "constraints": constraints}]))
+        with pytest.raises(InconsistentBodyError) as exc_info:
+            doc.build_sequence()
+        assert str(exc_info.value) == message
 
     def test_level_overrides_parsed(self):
         data = doc_with(levels=[
@@ -471,16 +491,19 @@ class TestValidationErrors:
         ({"level_specs": (LevelSpec(0.0),), "rule": "threshold",
           "error_levels": (0.1,)},
          "document states both levels and statements; pick one"),
+        ({"level_specs": (LevelSpec(0.0),), "statements": (), "rule": "threshold",
+          "error_levels": (0.1,)},
+         "document states both levels and statements; pick one"),
         ({}, "statements need an acceptance rule"),
         ({"rule": "by-feel"}, "unknown acceptance rule 'by-feel'"),
         ({"rule": "threshold"}, "threshold acceptance needs error_levels"),
-    ], ids=["levels-and-statements", "no-rule", "unknown-rule",
+    ], ids=["levels-and-statements", "levels-and-rule", "no-rule", "unknown-rule",
             "threshold-without-levels"])
     def test_document_refuses_inconsistent_fields(self, fields, message):
         problem = parse_document(MINIMAL).problem
         statement = Statement.condition("s0", "G")
         with pytest.raises(ProblemFormatError) as exc_info:
-            ProblemDocument(problem, statements=(statement,), **fields)
+            ProblemDocument(problem, **{"statements": (statement,), **fields})
         assert str(exc_info.value) == message
 
 
