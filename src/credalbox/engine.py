@@ -11,7 +11,7 @@ from typing import Callable, Mapping, Sequence
 from .expectation import DecisionProblem, FeasibilityError, eu_all
 from .intervals import Interval
 from .knowledge import CredalLevel, CredalSequence, apply_level
-from .ordering import maximal_set
+from .ordering import maximal_set, maximin
 
 DECIDED = "decided"
 RISK_PROBLEM = "risk-problem"
@@ -173,10 +173,9 @@ def explore(problem: DecisionProblem, seq: CredalSequence,
         if degenerate:
             # ties are certain here: a unique point maximum would have
             # been a singleton maximal set already
-            best = max(eu, key=lambda name: eu[name].lo)
             return DecisionReport(
                 problem=problem.name, status=RISK_PROBLEM, tolerance=tolerance,
-                act=best, level_used=level.index, error_used=level.error,
+                act=maximin(eu), level_used=level.index, error_used=level.error,
                 ambiguous=True, trace=tuple(trace),
             )
     return DecisionReport(

@@ -261,10 +261,10 @@ class ReferenceClassTable:
     """Known class frequencies plus a specificity order between classes.
 
     entries maps (class, event) pairs to frequency intervals; specificity
-    lists (more_specific, less_specific) pairs and is closed under
-    transitivity here, once: tables made by with_entries share the
-    closed order and the map from each class to the classes it is more
-    specific than.
+    holds the (more_specific, less_specific) pairs as given, and equality
+    compares them as given.  The order is closed here, once, into the map
+    from each class to every class it is more specific than; tables made
+    by with_entries share that map.
     """
 
     entries: tuple[tuple[str, str, ProbInterval], ...] = ()
@@ -272,10 +272,8 @@ class ReferenceClassTable:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        reach = _reach_map(self.specificity)
-        object.__setattr__(self, "specificity", frozenset(
-            (a, b) for a, below in reach.items() for b in below))
-        object.__setattr__(self, "_reach", reach)
+        object.__setattr__(self, "specificity", frozenset(self.specificity))
+        object.__setattr__(self, "_reach", _reach_map(self.specificity))
         object.__setattr__(self, "_freqs", _add_freqs({}, self.entries))
 
     def freq(self, cls: str, event: str) -> ProbInterval | None:
@@ -287,8 +285,8 @@ class ReferenceClassTable:
     def with_entries(self, extra: Iterable[tuple[str, str, ProbInterval]]
                      ) -> ReferenceClassTable:
         """This table with the extra entries appended.  Only the new
-        entries are checked; the closed order is shared, and this table
-        never sees them."""
+        entries are checked; the order and its reach map are shared, and
+        this table never sees them."""
         extra = tuple(extra)
         table = copy.copy(self)
         object.__setattr__(table, "entries", self.entries + extra)
@@ -362,6 +360,13 @@ class CredalLevel:
         object.__setattr__(self, "assignments", frozen)
 
 
+_NO_LEVELS = "a credal sequence needs at least one level"
+
+
+def _level_drop(i: int, error: float, previous: float) -> str:
+    return f"level {i} error {error} drops below level {i - 1} error {previous}"
+
+
 @dataclass(frozen=True)
 class CredalSequence:
     """Credal levels indexed 0..n with non-decreasing errors."""
@@ -371,7 +376,7 @@ class CredalSequence:
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
-            raise ValueError("a credal sequence needs at least one level")
+            raise ValueError(_NO_LEVELS)
         for pos, level in enumerate(self.levels):
             if level.index != pos:
                 raise ValueError(
@@ -379,9 +384,7 @@ class CredalSequence:
                 )
             if pos > 0 and level.error < self.levels[pos - 1].error:
                 raise ValueError(
-                    f"level {pos} error {level.error} drops below level "
-                    f"{pos - 1} error {self.levels[pos - 1].error}"
-                )
+                    _level_drop(pos, level.error, self.levels[pos - 1].error))
 
 
 def _check_targets(problem: DecisionProblem,
@@ -460,7 +463,7 @@ class _Resolver:
     def __init__(self, problem: DecisionProblem, refs: ReferenceClassTable):
         self.problem = problem
         self.refs = refs
-        self._index: tuple[dict[str, list[int]], dict[str, int]] | None = None
+        self.by_label, self.by_name = _act_index(problem)
         self._start()
 
     def _start(self) -> None:
@@ -471,11 +474,10 @@ class _Resolver:
         for cls, event, _ in self.refs.entries:
             self.freq_events.setdefault(cls, set()).add(event)
         self.members: dict[str, set[str]] = {}
-        # (item, event) -> most specific usable classes, and their answer
+        # (item, event) -> most specific usable classes
         self.most: dict[tuple[str, str], frozenset[str]] = {}
-        self.answers: dict[tuple[str, str], ProbInterval] = {}
-        # event -> items with an answer for it, and its merged bound
-        self.answered: dict[str, set[str]] = {}
+        # event -> item -> its inferred answer, and the event's merged bound
+        self.answers: dict[str, dict[str, ProbInterval]] = {}
         self.bounds: dict[str, ProbInterval] = {}
         # act position -> its box at the last level, if any
         self.boxes: list[dict[str, ProbInterval] | None] = [None] * len(self.problem.acts)
@@ -537,11 +539,11 @@ class _Resolver:
             # the new classes only compete with the most specific old ones
             most = _most_specific([*self.most.get((item, event), ()), *classes], table)
             self.most[item, event] = most
-            self.answered.setdefault(event, set()).add(item)
+            answers = self.answers.setdefault(event, {})
             try:
-                self.answers[item, event] = direct_inference(item, event, most, table)
+                answers[item] = direct_inference(item, event, most, table)
             except NoUniqueReferenceClassError as exc:
-                self.answers.pop((item, event), None)
+                answers.pop(item, None)
                 errors.append(((item, event, 0), exc))
         changed = {event for _, event in touched}
         changed.update(s.event for s in added
@@ -550,9 +552,9 @@ class _Resolver:
             self.bounds.pop(event, None)
             if event in body._events:
                 self.bounds[event] = body._events[event]
-            for item in sorted(self.answered.get(event, ())):
-                iv = self.answers.get((item, event))
-                if iv is not None and not _meet(self.bounds, event, iv):
+            answers = self.answers.get(event, {})
+            for item in sorted(answers):
+                if not _meet(self.bounds, event, answers[item]):
                     errors.append(((item, event, 1), ConflictingConstraintError(
                         f"body {body.index}: direct inference for item {item!r} "
                         f"leaves no probability for event {event!r}"
@@ -565,11 +567,8 @@ class _Resolver:
     def _redo(self, events: Iterable[str], names: Iterable[str]) -> list[int]:
         """Positions, in act order, of the acts with an outcome labelled
         by one of the events or named in names."""
-        if self._index is None:
-            self._index = _act_index(self.problem)
-        by_label, by_name = self._index
-        redo = {pos for event in events for pos in by_label.get(event, ())}
-        redo.update(by_name[name] for name in names)
+        redo = {pos for event in events for pos in self.by_label.get(event, ())}
+        redo.update(self.by_name[name] for name in names)
         return sorted(redo)
 
     def level(self, body: BodyOfKnowledge,

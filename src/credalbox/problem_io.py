@@ -25,7 +25,9 @@ from .knowledge import (
     InconsistentBodyError,
     ReferenceClassTable,
     Statement,
+    _NO_LEVELS,
     _Resolver,
+    _level_drop,
     accept_next_most_probable,
     accept_threshold,
     level_from_body,
@@ -118,13 +120,6 @@ def _finite(value, path: str) -> float:
     if not math.isfinite(out):
         _fail(path, f"expected a finite number, got {out!r}")
     return out
-
-
-_NO_LEVELS = "a credal sequence needs at least one level"
-
-
-def _level_drop(i: int, error: float, previous: float) -> str:
-    return f"level {i} error {error} drops below level {i - 1} error {previous}"
 
 
 def _string(value, path: str) -> str:

@@ -14,10 +14,10 @@ explore oracle rebuilds every act and computes every expected utility
 afresh on every level, where the runtime computes each act's once.
 
 The resolution oracle resolves every body of knowledge on its own:
-it closes the specificity order again for each body, merges each
-event's statements again, and finds the most specific reference class
-pair by pair.  The runtime closes the order once and resolves nested
-bodies incrementally.
+it closes the specificity order by a fixed-point scan for each
+inference, merges each event's statements again, and finds the most
+specific reference class pair by pair.  The runtime closes the order
+once and resolves nested bodies incrementally.
 
 The binomial tail oracles sum the probability mass term by term from
 log-gamma binomial coefficients, O(n) work per tail, and check the
@@ -269,11 +269,13 @@ def fixed_point_closure(pairs) -> frozenset:
 
 def pairwise_direct_inference(item, event, classes, table) -> ProbInterval:
     """Oracle direct inference: a class is most specific when no other
-    accepted class is more specific, tested pair by pair."""
+    accepted class is more specific in the order closed afresh, tested
+    pair by pair."""
+    closed = fixed_point_closure(table.specificity)
     classes = sorted(classes)
     most_specific = [
         c for c in classes
-        if not any((d, c) in table.specificity for d in classes if d != c)
+        if not any((d, c) in closed for d in classes if d != c)
     ]
     answers = {table.freq(c, event) for c in most_specific}
     if len(answers) > 1:

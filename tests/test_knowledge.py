@@ -42,6 +42,7 @@ from support import (
     feasible_acts,
     fixed_point_closure,
     interval_close,
+    pairwise_direct_inference,
     prob_intervals,
     rebuild_every_act,
     oracle_level,
@@ -242,8 +243,12 @@ class TestReferenceClassTable:
         if any(a == b for a, b in want):
             with pytest.raises(ValueError, match="cyclic"):
                 ReferenceClassTable(specificity=pairs)
-        else:
-            assert ReferenceClassTable(specificity=pairs).specificity == want
+            return
+        table = ReferenceClassTable(specificity=pairs)
+        assert table.specificity == pairs
+        for a in "abcde":
+            for b in "abcde":
+                assert table.more_specific(a, b) == ((a, b) in want)
 
     def test_conflicting_duplicate_entries_rejected(self):
         with pytest.raises(ValueError, match="two different"):
@@ -289,6 +294,18 @@ class TestDirectInference:
     def test_most_specific_class_wins(self):
         got = direct_inference("this-berry", "G", {"berries", "soft-berries"}, REFS)
         assert got == ProbInterval(0.84, 0.88)
+
+    def test_skipped_middle_class_still_orders_its_ends(self):
+        # c2 -> c1 -> c0 with c1 not accepted: only the closed order
+        # says that c2 is more specific than c0
+        refs = ReferenceClassTable(entries=(
+            ("c0", "G", ProbInterval(0.1, 0.9)),
+            ("c2", "G", ProbInterval(0.4, 0.5)),
+        ), specificity=frozenset({("c2", "c1"), ("c1", "c0")}))
+        assert ("c2", "c0") not in refs.specificity
+        assert direct_inference("i", "G", {"c0", "c2"}, refs) == ProbInterval(0.4, 0.5)
+        assert pairwise_direct_inference("i", "G", {"c0", "c2"}, refs) == \
+            ProbInterval(0.4, 0.5)
 
     def test_order_independent(self):
         a = direct_inference("i", "G", ["berries", "soft-berries"], REFS)

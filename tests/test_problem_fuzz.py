@@ -1,8 +1,11 @@
 """Fuzzed problem files: mutated fixtures and small reference-class
-chains.  Every input either fails with a ProblemFormatError naming a $
-path, or parses to a document that matches the problem schema, survives
-dumps and loads unchanged, and builds and explores to a ValueError or to
-a report that matches the report schema."""
+chains.  Some mutations break the shape of a file; others keep it:
+reordering an array, renaming a class, act or label to one the file
+already uses, and adding a specificity pair the order implies.  Every
+input either fails with a ProblemFormatError naming a $ path, or parses
+to a document that matches the problem schema, survives dumps and loads
+unchanged, and builds and explores to a ValueError or to a report that
+matches the report schema."""
 
 import copy
 import json
@@ -23,7 +26,7 @@ from credalbox import (
     sequence_bytes,
 )
 from credalbox.replicate import fixture_text
-from support import chain_document
+from support import chain_document, fixed_point_closure
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schema"
 # validators built once: jsonschema.validate checks the schema itself
@@ -60,10 +63,56 @@ def containers(node):
     return found
 
 
+def specificity_pairs(doc) -> list:
+    """The specificity pairs of doc that are still two strings."""
+    refs = doc.get("reference_classes")
+    pairs = refs.get("specificity") if isinstance(refs, dict) else None
+    if not isinstance(pairs, list):
+        return []
+    return [p for p in pairs if isinstance(p, list) and len(p) == 2
+            and all(isinstance(c, str) for c in p)]
+
+
+def name_slots(doc) -> dict[str, list]:
+    """(parent, key) slots holding a class, an act name or an outcome
+    label, by what they name; a specificity pair's entries are classes."""
+    slots: dict[str, list] = {"class": [], "name": [], "label": []}
+    for n in containers(doc):
+        if isinstance(n, dict):
+            for key in slots.keys() & n.keys():
+                if isinstance(n[key], str):
+                    slots[key].append((n, key))
+    slots["class"] += [(pair, i) for pair in specificity_pairs(doc) for i in (0, 1)]
+    return slots
+
+
 def mutate(data, doc) -> None:
     """Apply one drawn mutation to doc in place."""
-    op = data.draw(st.sampled_from(["retype", "stray", "duplicate", "empty", "drop"]))
+    op = data.draw(st.sampled_from(["retype", "stray", "duplicate", "empty", "drop",
+                                    "reorder", "rename", "imply"]))
     nodes = containers(doc)
+    if op == "reorder":
+        arrays = [n for n in nodes if isinstance(n, list) and len(n) > 1]
+        if arrays:
+            target = data.draw(st.sampled_from(arrays))
+            target[:] = data.draw(st.permutations(target))
+        return
+    if op == "rename":
+        # to a name the document already uses for something of the same kind
+        named = name_slots(doc)
+        slots = [(kind, slot) for kind, found in named.items() for slot in found]
+        if slots:
+            kind, (parent, key) = data.draw(st.sampled_from(slots))
+            parent[key] = data.draw(st.sampled_from(
+                sorted({p[k] for p, k in named[kind]})))
+        return
+    if op == "imply":
+        given = {tuple(p) for p in specificity_pairs(doc)}
+        implied = sorted(fixed_point_closure(given) - given)
+        if implied:
+            doc["reference_classes"]["specificity"].append(
+                list(data.draw(st.sampled_from(implied))))
+        return
     if op == "empty":
         arrays = [n for n in nodes if isinstance(n, list) and n]
         if arrays:

@@ -123,6 +123,20 @@ class TestRoundTrip:
         assert sequence_bytes(doc.build_sequence()) == \
             sequence_bytes(doc.build_sequence())
 
+    def test_order_is_written_and_compared_as_given(self):
+        data = doc_with(reference_classes={
+            "specificity": [["c2", "c1"], ["c1", "c0"]]})
+        doc = parse_document(data)
+        assert document_to_dict(doc)["reference_classes"]["specificity"] == \
+            [["c1", "c0"], ["c2", "c1"]]
+        # the same closed order, listed with its implied pair
+        data["reference_classes"]["specificity"].append(["c2", "c0"])
+        implied = parse_document(data)
+        assert implied.refs.more_specific("c2", "c0")
+        assert doc.refs.more_specific("c2", "c0")
+        assert implied != doc
+        assert loads(dumps(implied)) == implied
+
     def test_level_constraint_keeps_id_and_prob(self):
         doc = parse_document(doc_with(levels=[
             {"error": 0.0, "constraints": [
@@ -157,12 +171,55 @@ class TestSchema:
         doc_with(levels=[]),
         threshold_doc([]),
         threshold_doc([0.0, 0.01]),
-    ], ids=["no-levels", "no-error-levels", "zero-error-level"])
+        doc_with(tolerance={"mode": "explicit"}),
+        doc_with(tolerance={"mode": "odds-derived", "max_error": 0.1}),
+        doc_with(statements=[{"kind": "condition", "event": "G"}],
+                 acceptance={"rule": "threshold"}),
+        doc_with(statements=[{"kind": "condition", "event": "G"}],
+                 acceptance={"rule": "next-most-probable", "error_levels": [0.1]}),
+        doc_with(levels=[{"error": 0.0, "constraints": [
+            {"kind": "condition", "event": "G", "prob": 0.9}]}]),
+    ], ids=["no-levels", "no-error-levels", "zero-error-level",
+            "explicit-without-max-error", "odds-derived-with-max-error",
+            "threshold-without-error-levels", "next-most-probable-with-error-levels",
+            "level-constraint-prob"])
     def test_schema_rejects_what_parsing_rejects(self, data):
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(
                 data, json.loads(PROBLEM_SCHEMA.read_text(encoding="utf-8")))
         error_path(data)
+
+    # the checks beyond the schema: JSON Schema cannot say that names or
+    # ids are distinct, that an order has no cycle, that an override
+    # names a declared act, or compare one number with another
+    @pytest.mark.parametrize("data, message", [
+        (doc_with_act(1, name="a1"), "$.acts: problem 'tiny' repeats an act name"),
+        (doc_with_act(0, outcomes=[{"label": "G", "utility": 1.0},
+                                   {"label": "G", "utility": 2.0}]),
+         "$.acts[0]: act 'a1' repeats an outcome label"),
+        (doc_with(reference_classes={"specificity": [["a", "b"], ["b", "a"]]}),
+         "$.reference_classes: specificity order is cyclic at class 'a'"),
+        (doc_with(levels=[{"error": 0.0, "overrides": {"zz": {}}}]),
+         "$.levels[0].overrides.zz: unknown act 'zz'"),
+        (doc_with(levels=[{"error": 0.5}, {"error": 0.1}]),
+         "$.levels[1].error: level 1 error 0.1 drops below level 0 error 0.5"),
+        (threshold_doc([0.1, 0.1]),
+         "$.acceptance.error_levels[1]: error levels must be strictly increasing"),
+        (doc_with_act(1, outcomes=[{"label": "pass", "utility": 0.0,
+                                    "prob": [0.8, 0.2]}]),
+         "$.acts[1].outcomes[0].prob: lower endpoint 0.8 exceeds upper endpoint 0.2"),
+        (doc_with(statements=[{"id": "s", "kind": "condition", "event": "G"},
+                              {"id": "s", "kind": "membership", "item": "x",
+                               "class": "c"}],
+                  acceptance={"rule": "next-most-probable"}),
+         "$.statements: statement ids repeat"),
+    ], ids=["repeated-act-name", "repeated-outcome-label", "cyclic-order",
+            "unknown-override-act", "falling-level-error",
+            "non-increasing-error-levels", "lo-above-hi", "repeated-statement-ids"])
+    def test_refusals_beyond_the_schema(self, data, message):
+        jsonschema.validate(
+            data, json.loads(PROBLEM_SCHEMA.read_text(encoding="utf-8")))
+        assert error_path(data) == message
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_serialized_form_matches_problem_schema(self, name):
