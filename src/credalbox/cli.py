@@ -7,7 +7,6 @@ Exit codes: 0 for success (including a decision or a bare risk problem),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -94,7 +93,7 @@ def _cmd_decide(args) -> int:
         spec = ToleranceSpec.odds_derived()
     report = explore(doc.problem, doc.build_sequence(), spec)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2, allow_nan=False))
+        print(report.to_json())
     else:
         _print_report(report)
     return 2 if report.status == NO_MANDATE else 0

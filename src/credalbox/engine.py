@@ -4,8 +4,10 @@ over weighted credal members and the share-of-parameter-range criterion."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Mapping, Sequence
 
 from .expectation import DecisionProblem, FeasibilityError, eu_all
@@ -88,6 +90,48 @@ class TraceRow:
         object.__setattr__(self, "maximal", tuple(self.maximal))
 
 
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_isfinite = math.isfinite
+
+
+def _json_scalar(x) -> str:
+    """x as json.dumps writes it inside an indent-2, allow_nan=False
+    document.  A finite float is its repr; a non-finite one raises json's
+    own ValueError.  A container raises TypeError, which hands the whole
+    report to json."""
+    kind = type(x)
+    if kind is float and _isfinite(x):
+        return _float_repr(x)
+    if kind is str:
+        return encode_basestring_ascii(x)
+    if kind is int:
+        return _int_repr(x)
+    if x is None or isinstance(x, (str, int, float)):
+        # bools, subclasses and non-finite floats
+        return json.dumps(x, indent=2, allow_nan=False)
+    raise TypeError(f"not a JSON scalar: {kind.__name__}")
+
+
+def _block(opening: str, entries: list[str], closing: str, indent: int) -> str:
+    """A JSON array or object whose entries, already written, sit one
+    step below a line indented by indent spaces."""
+    if not entries:
+        return opening + closing
+    pad = "\n" + " " * indent
+    return f"{opening}{pad}  " + f",{pad}  ".join(entries) + f"{pad}{closing}"
+
+
+class _Quoted(dict):
+    """Act name -> its JSON string, each name escaped once."""
+
+    def __missing__(self, name):
+        if not isinstance(name, str):
+            raise TypeError(f"act name is not a string: {type(name).__name__}")
+        text = self[name] = encode_basestring_ascii(name)
+        return text
+
+
 @dataclass(frozen=True)
 class DecisionReport:
     """Outcome of exploring a credal sequence.
@@ -133,6 +177,45 @@ class DecisionReport:
                 for row in self.trace
             ],
         }
+
+    def to_json(self) -> str:
+        """The report exactly as json.dumps(self.to_dict(), indent=2,
+        allow_nan=False) writes it, without building the dict.
+
+        A value of a type the report does not declare (a container, say)
+        is left to json, which then encodes the report through to_dict.
+        """
+        try:
+            return self._write_json()
+        except TypeError:
+            return json.dumps(self.to_dict(), indent=2, allow_nan=False)
+
+    def _write_json(self) -> str:
+        # written in document order, so the first non-finite float is the
+        # one json would refuse
+        head = (
+            f'{{\n  "problem": {_json_scalar(self.problem)},\n'
+            f'  "status": {_json_scalar(self.status)},\n'
+            f'  "tolerance": {_json_scalar(self.tolerance)},\n'
+            f'  "act": {_json_scalar(self.act)},\n'
+            f'  "level_used": {_json_scalar(self.level_used)},\n'
+            f'  "error_used": {_json_scalar(self.error_used)},\n'
+            f'  "ambiguous": {_json_scalar(self.ambiguous)},\n'
+            '  "trace": '
+        )
+        quoted = _Quoted()
+        rows = []
+        for row in self.trace:
+            start = (f'{{\n      "index": {_json_scalar(row.index)},\n'
+                     f'      "error": {_json_scalar(row.error)},\n      "eu": ')
+            eu = _block("{", [
+                f'{quoted[name]}: [\n          {_json_scalar(iv.lo)},\n'
+                f'          {_json_scalar(iv.hi)}\n        ]'
+                for name, iv in row.eu.items()
+            ], "}", 6)
+            maximal = _block("[", [quoted[name] for name in row.maximal], "]", 6)
+            rows.append(f'{start}{eu},\n      "maximal": {maximal}\n    }}')
+        return head + _block("[", rows, "]", 2) + "\n}"
 
 
 def explore(problem: DecisionProblem, seq: CredalSequence,

@@ -44,6 +44,9 @@ class ProbInterval(Interval):
     """A closed probability interval, constrained to [0, 1]."""
 
     def __post_init__(self):
+        # two floats in order pass at once; anything else meets every check
+        if type(self.lo) is float is type(self.hi) and 0.0 <= self.lo <= self.hi <= 1.0:
+            return
         super().__post_init__()
         if self.lo < 0.0 or self.hi > 1.0:
             raise ValueError(

@@ -101,6 +101,23 @@ class Statement:
                    event=event, interval=interval)
 
 
+_EVENT_KINDS = ("event-interval", "condition")
+
+
+def _event_bound(s: Statement) -> ProbInterval:
+    """The bounds an event-interval or condition statement puts on its event."""
+    if s.kind == "event-interval":
+        return s.interval
+    return CERTAIN if s.value else IMPOSSIBLE
+
+
+def _conflict(event: str, group: Iterable[Statement]) -> InconsistentBodyError:
+    culprits = ", ".join(repr(t.id) for t in group)
+    return InconsistentBodyError(
+        f"statements {culprits} cannot all hold for event {event!r}"
+    )
+
+
 def _merged_events(statements: Sequence[Statement]) -> dict[str, ProbInterval]:
     """Each event's bounds under the body's event-interval and condition
     statements, merged in body order; raises when statements repeat an id
@@ -110,18 +127,13 @@ def _merged_events(statements: Sequence[Statement]) -> dict[str, ProbInterval]:
         raise InconsistentBodyError("statement ids repeat within one body")
     by_event: dict[str, list[Statement]] = {}
     for s in statements:
-        if s.kind in ("event-interval", "condition"):
+        if s.kind in _EVENT_KINDS:
             by_event.setdefault(s.event, []).append(s)
     merged: dict[str, ProbInterval] = {}
     for event, group in by_event.items():
         for s in group:
-            iv = s.interval if s.kind == "event-interval" else (
-                CERTAIN if s.value else IMPOSSIBLE)
-            if not _meet(merged, event, iv):
-                culprits = ", ".join(repr(t.id) for t in group)
-                raise InconsistentBodyError(
-                    f"statements {culprits} cannot all hold for event {event!r}"
-                )
+            if not _meet(merged, event, _event_bound(s)):
+                raise _conflict(event, group)
     return merged
 
 
@@ -166,20 +178,44 @@ def accept_threshold(statements: Sequence[Statement],
     return bodies
 
 
+def _grown(parent: BodyOfKnowledge, index: int, error: float, s: Statement,
+           ids: set[str]) -> BodyOfKnowledge:
+    """BodyOfKnowledge(index, error, parent.statements + (s,)), checked and
+    merged from its parent: ids holds the parent's statement ids and gains
+    s's, and only s's event is merged, into a copy of the parent's bounds."""
+    if s.id in ids:
+        raise InconsistentBodyError("statement ids repeat within one body")
+    ids.add(s.id)
+    statements = parent.statements + (s,)
+    events = parent._events
+    if s.kind in _EVENT_KINDS:
+        events = dict(events)
+        if not _meet(events, s.event, _event_bound(s)):
+            raise _conflict(s.event, [t for t in statements
+                                      if t.kind in _EVENT_KINDS and t.event == s.event])
+    body = BodyOfKnowledge(index, error)
+    object.__setattr__(body, "statements", statements)
+    object.__setattr__(body, "_events", events)
+    return body
+
+
 def accept_next_most_probable(statements: Sequence[Statement]) -> list[BodyOfKnowledge]:
     """Bodies K_0..K_n grown one statement at a time, most probable first;
-    each body's error is the largest improbability accepted so far."""
+    each body's error is the largest improbability accepted so far.  Each
+    body is grown from the one before, so the corpus is checked and merged
+    once in all."""
     ordered = sorted(statements, key=lambda s: -s.prob)
-    bodies = [BodyOfKnowledge(0, 0.0, ())]
+    body = BodyOfKnowledge(0, 0.0, ())
+    bodies = [body]
     error = 0.0
-    accepted: list[Statement] = []
+    ids: set[str] = set()
     for j, s in enumerate(ordered, start=1):
-        accepted.append(s)
         error = max(error, 1.0 - s.prob)
         try:
-            bodies.append(BodyOfKnowledge(j, error, tuple(accepted)))
+            body = _grown(body, j, error, s, ids)
         except InconsistentBodyError as exc:
             raise InconsistentBodyError(f"body {j}: {exc}") from exc
+        bodies.append(body)
     return bodies
 
 
@@ -546,8 +582,7 @@ class _Resolver:
                 answers.pop(item, None)
                 errors.append(((item, event, 0), exc))
         changed = {event for _, event in touched}
-        changed.update(s.event for s in added
-                       if s.kind in ("event-interval", "condition"))
+        changed.update(s.event for s in added if s.kind in _EVENT_KINDS)
         for event in changed:
             self.bounds.pop(event, None)
             if event in body._events:

@@ -17,7 +17,12 @@ The resolution oracle resolves every body of knowledge on its own:
 it closes the specificity order by a fixed-point scan for each
 inference, merges each event's statements again, and finds the most
 specific reference class pair by pair.  The runtime closes the order
-once and resolves nested bodies incrementally.
+once and resolves nested bodies incrementally.  The acceptance oracle
+builds every next-most-probable body from scratch, where the runtime
+grows each from the one before.
+
+The interval-check oracle runs every endpoint check, where a
+ProbInterval of two floats in order passes with one comparison.
 
 The binomial tail oracles sum the probability mass term by term from
 log-gamma binomial coefficients, O(n) work per tail, and check the
@@ -39,12 +44,14 @@ from credalbox import (
     NO_MANDATE,
     RISK_PROBLEM,
     Act,
+    BodyOfKnowledge,
     ConflictingConstraintError,
     CredalLevel,
     CredalSequence,
     DecisionProblem,
     DecisionReport,
     FeasibilityError,
+    InconsistentBodyError,
     InfeasibleLevelError,
     NoUniqueReferenceClassError,
     Outcome,
@@ -368,6 +375,31 @@ def oracle_level(body, problem, refs=EMPTY_TABLE, extra=None) -> CredalLevel:
 def oracle_sequence(bodies, problem, refs=EMPTY_TABLE) -> CredalSequence:
     """Oracle for sequence_from_bodies: every body resolved on its own."""
     return CredalSequence(tuple(oracle_level(b, problem, refs) for b in bodies))
+
+
+def oracle_accept_next_most_probable(statements) -> list:
+    """Oracle for accept_next_most_probable: each body built from scratch."""
+    ordered = sorted(statements, key=lambda s: -s.prob)
+    bodies = [BodyOfKnowledge(0, 0.0, ())]
+    error = 0.0
+    for j in range(1, len(ordered) + 1):
+        error = max(error, 1.0 - ordered[j - 1].prob)
+        try:
+            bodies.append(BodyOfKnowledge(j, error, tuple(ordered[:j])))
+        except InconsistentBodyError as exc:
+            raise InconsistentBodyError(f"body {j}: {exc}") from exc
+    return bodies
+
+
+def full_interval_checks(lo, hi, prob: bool) -> None:
+    """Oracle for Interval (prob False) and ProbInterval (prob True)
+    construction: every endpoint check, in order."""
+    if math.isnan(lo) or math.isnan(hi):
+        raise ValueError("interval endpoints must not be NaN")
+    if lo > hi:
+        raise ValueError(f"lower endpoint {lo!r} exceeds upper endpoint {hi!r}")
+    if prob and (lo < 0.0 or hi > 1.0):
+        raise ValueError(f"probability interval [{lo!r}, {hi!r}] escapes [0, 1]")
 
 
 def chain_document(n: int) -> dict:

@@ -1,10 +1,20 @@
 import json
+import math
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from credalbox import explore, load_fixture, load_path
+from credalbox import (
+    NO_MANDATE,
+    DecisionReport,
+    ToleranceSpec,
+    TraceRow,
+    explore,
+    load_fixture,
+    load_path,
+)
+from credalbox import cli
 from credalbox.cli import main
 from credalbox.replicate import fixture_text
 from support import chain_document
@@ -90,6 +100,27 @@ class TestDecide:
         doc = load_fixture("example_c_berry")
         want = explore(doc.problem, doc.build_sequence(), doc.tolerance)
         assert got == want.to_dict()
+
+    @pytest.mark.parametrize("name", ["example_a", "example_b", "example_c_berry",
+                                      "example_c_lottery", "example_d"])
+    @pytest.mark.parametrize("flags", [[], ["--odds-derived"]])
+    def test_json_bytes_match_an_indented_dump(self, fixture_path, capsys, name, flags):
+        main(["decide", fixture_path(name), "--json", *flags])
+        doc = load_fixture(name)
+        spec = ToleranceSpec.odds_derived() if flags else doc.tolerance
+        want = explore(doc.problem, doc.build_sequence(), spec)
+        assert capsys.readouterr().out == json.dumps(
+            want.to_dict(), indent=2, allow_nan=False) + "\n"
+
+    def test_json_non_finite_value_exits_one(self, fixture_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "explore", lambda *args: DecisionReport(
+            "p", NO_MANDATE, 0.5, trace=(TraceRow(0, math.inf, {}, ()),)))
+        code = main(["decide", fixture_path("example_a"), "--json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: Out of range float values are not JSON "
+                                "compliant: inf\n")
 
     def test_json_validates_against_report_schema(self, fixture_path, capsys):
         main(["decide", fixture_path("example_b"), "--json"])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -18,7 +19,9 @@ from credalbox import (
     RISK_PROBLEM,
     VACUOUS,
     DecisionReport,
+    Interval,
     ToleranceSpec,
+    TraceRow,
     WeightedCredal,
     explore,
     higher_order_eu,
@@ -264,6 +267,111 @@ class TestExplore:
         assert doc["act"] == "a1"
         assert doc["trace"][2]["eu"]["a2"] == [-3.0, -1.5]
         assert doc["trace"][2]["maximal"] == ["a1"]
+
+
+def reference_json(report):
+    return json.dumps(report.to_dict(), indent=2, allow_nan=False)
+
+
+# names json must escape: quotes, backslashes, control characters,
+# non-ASCII, an astral character and a lone surrogate
+REPORT_NAMES = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "a\x00\x1f\x7f", "é", "\U0001d11e", "\ud800", "a1"]),
+)
+REPORT_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1.7976931348623157e308]),
+)
+TRACE_ROWS = st.builds(
+    TraceRow,
+    index=st.integers(0, 12),
+    error=REPORT_FLOATS,
+    eu=st.dictionaries(REPORT_NAMES, st.tuples(REPORT_FLOATS, REPORT_FLOATS).map(
+        lambda p: Interval(*sorted(p))), max_size=4),
+    maximal=st.lists(REPORT_NAMES, max_size=3),
+)
+REPORTS = st.builds(
+    DecisionReport,
+    problem=REPORT_NAMES,
+    status=st.sampled_from([DECIDED, RISK_PROBLEM, NO_MANDATE]),
+    tolerance=st.one_of(REPORT_FLOATS, st.integers(0, 1)),
+    act=st.none() | REPORT_NAMES,
+    level_used=st.none() | st.integers(0, 12),
+    error_used=st.none() | REPORT_FLOATS,
+    ambiguous=st.booleans(),
+    trace=st.lists(TRACE_ROWS, max_size=4),
+)
+
+
+class TestToJson:
+    @settings(max_examples=300, deadline=None)
+    @given(REPORTS)
+    def test_writes_what_json_writes(self, report):
+        assert report.to_json() == reference_json(report)
+
+    def test_empty_trace_and_empty_rows(self):
+        for trace in ((), (TraceRow(0, 0.0, {}, ()),),
+                      (TraceRow(0, 0.0, {"a": Interval(0.0, 1.0)}, ()),)):
+            report = DecisionReport("p", NO_MANDATE, 0.5, trace=trace)
+            assert report.to_json() == reference_json(report)
+
+    def test_int_tolerance(self):
+        report = explore(jerry_problem(), narrowing_sequence(),
+                         ToleranceSpec.explicit(1))
+        assert report.tolerance == 1 and type(report.tolerance) is int
+        assert '\n  "tolerance": 1,\n' in report.to_json()
+        assert report.to_json() == reference_json(report)
+
+    def test_ambiguous_risk_problem(self):
+        report = DecisionReport("p", RISK_PROBLEM, 0.5, act="a", level_used=0,
+                                error_used=-0.0, ambiguous=True, trace=(
+                                    TraceRow(0, -0.0, {"a": Interval(1.0, 1.0),
+                                                       "b": Interval(1.0, 1.0)},
+                                             ("a", "b")),))
+        assert report.to_json() == reference_json(report)
+
+    @pytest.mark.parametrize("fields", [
+        {"tolerance": math.nan},
+        {"error_used": math.inf},
+        {"trace": (TraceRow(0, -math.inf, {}, ()),)},
+        {"trace": (TraceRow(0, 0.0, {"a": Interval(-math.inf, 0.0)}, ()),)},
+        {"trace": (TraceRow(0, 0.0, {"a": Interval(0.0, math.inf)}, ()),)},
+        # json refuses the first in document order
+        {"tolerance": math.inf, "trace": (TraceRow(0, math.nan, {}, ()),)},
+        {"trace": (TraceRow(0, math.inf, {"a": Interval(-math.inf, 0.0)}, ()),)},
+    ])
+    def test_non_finite_float_raises_as_json_does(self, fields):
+        report = DecisionReport(**{"problem": "p", "status": NO_MANDATE,
+                                   "tolerance": 0.5, **fields})
+        got = outcome(report.to_json)
+        assert got == outcome(lambda: reference_json(report))
+        assert got[0] is ValueError
+
+    class _Float(float):
+        def __repr__(self):
+            return "not a float repr"
+
+    @pytest.mark.parametrize("fields", [
+        {"tolerance": True},
+        {"tolerance": _Float(0.5)},
+        {"problem": ["a", 1]},
+        {"trace": (TraceRow(0, 0.0, {1: Interval(0.0, 1.0)}, ()),)},
+        {"trace": (TraceRow(0, 0.0, {}, (2, None)),)},
+        {"trace": (TraceRow(True, 0, {"a": Interval(0, 1)}, ("a",)),)},
+    ])
+    def test_undeclared_types_are_written_as_json_writes_them(self, fields):
+        report = DecisionReport(**{"problem": "p", "status": NO_MANDATE,
+                                   "tolerance": 0.5, **fields})
+        assert report.to_json() == reference_json(report)
+
+    def test_unencodable_value_raises_as_json_does(self):
+        report = DecisionReport("p", NO_MANDATE, 0.5, act=object())
+        with pytest.raises(TypeError) as want:
+            reference_json(report)
+        with pytest.raises(TypeError) as got:
+            report.to_json()
+        assert str(got.value) == str(want.value)
 
 
 class TestHigherOrderEu:

@@ -1,3 +1,7 @@
+import math
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +17,33 @@ from credalbox import (
     intersect,
     scale_add,
 )
-from support import interval_close, prob_intervals, utility_intervals
+from support import full_interval_checks, interval_close, prob_intervals, utility_intervals
+
+
+class _Float(float):
+    pass
+
+
+# floats of every kind, and numbers and non-numbers that are not floats:
+# ints too big for a float, a Decimal NaN that refuses to be compared,
+# strings that compare with each other, and a float subclass
+ENDPOINTS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, 0.5, 1.0, 5e-324, math.nan, math.inf, -math.inf]),
+    st.integers(-2, 2),
+    st.sampled_from([10 ** 400, -10 ** 400, True, False, Fraction(1, 3),
+                     Decimal("0.5"), Decimal("NaN"), "0.5", "1", None, [0.5],
+                     _Float(0.5)]),
+)
+
+
+def outcome(make):
+    """None when make() returns, else the type and text of what it raised."""
+    try:
+        make()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
 
 
 class TestConstruction:
@@ -32,6 +62,27 @@ class TestConstruction:
             ProbInterval(-0.1, 0.5)
         with pytest.raises(ValueError):
             ProbInterval(0.5, 1.1)
+
+    @given(ENDPOINTS, ENDPOINTS)
+    def test_interval_raises_as_the_full_checks(self, lo, hi):
+        assert outcome(lambda: Interval(lo, hi)) == outcome(
+            lambda: full_interval_checks(lo, hi, prob=False))
+
+    @given(ENDPOINTS, ENDPOINTS)
+    def test_prob_interval_raises_as_the_full_checks(self, lo, hi):
+        assert outcome(lambda: ProbInterval(lo, hi)) == outcome(
+            lambda: full_interval_checks(lo, hi, prob=True))
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        (math.nan, 0.5, "interval endpoints must not be NaN"),
+        (0.5, 0.25, "lower endpoint 0.5 exceeds upper endpoint 0.25"),
+        (-0.5, 0.25, "probability interval [-0.5, 0.25] escapes [0, 1]"),
+        (0.5, math.inf, "probability interval [0.5, inf] escapes [0, 1]"),
+    ])
+    def test_prob_interval_messages(self, lo, hi, message):
+        with pytest.raises(ValueError) as caught:
+            ProbInterval(lo, hi)
+        assert str(caught.value) == message
 
     def test_width_and_midpoint(self):
         iv = Interval(-16.8, 10.0)

@@ -42,6 +42,7 @@ from support import (
     feasible_acts,
     fixed_point_closure,
     interval_close,
+    oracle_accept_next_most_probable,
     pairwise_direct_inference,
     prob_intervals,
     rebuild_every_act,
@@ -215,6 +216,75 @@ class TestAcceptNextMostProbable:
         ]
         bodies = accept_next_most_probable(statements)
         assert [s.id for s in bodies[2].statements] == ["first", "second"]
+
+
+# small pools, so that ids repeat, statements on one event conflict, and
+# -0.0 and 0.0 meet; credences tie, so declaration order matters
+GRID_PROBS = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0])
+IDS = st.integers(0, 40).map(lambda k: f"s{k}")
+CORPUS_STATEMENT = st.one_of(
+    st.builds(Statement.event_interval, IDS,
+              st.sampled_from("EF"),
+              st.tuples(GRID_PROBS, GRID_PROBS).map(
+                  lambda p: ProbInterval(*sorted(p))),
+              st.sampled_from([1.0, 0.99, 0.9])),
+    st.builds(Statement.condition, IDS,
+              st.sampled_from("EF"), st.booleans(),
+              st.sampled_from([1.0, 0.99, 0.9])),
+    st.builds(Statement.membership, IDS,
+              st.just("x"), st.sampled_from(["c0", "c1"]),
+              st.sampled_from([1.0, 0.99, 0.9])),
+)
+
+
+def event_bits(events):
+    """Each event's bounds by repr, so that -0.0 and 0.0 differ."""
+    return [(event, repr(iv.lo), repr(iv.hi)) for event, iv in events.items()]
+
+
+class TestGrownBodies:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(CORPUS_STATEMENT, max_size=10))
+    def test_equal_to_bodies_built_from_scratch(self, statements):
+        try:
+            want = oracle_accept_next_most_probable(statements)
+        except InconsistentBodyError as exc:
+            with pytest.raises(InconsistentBodyError) as caught:
+                accept_next_most_probable(statements)
+            assert str(caught.value) == str(exc)
+            return
+        got = accept_next_most_probable(statements)
+        assert got == want
+        for body in got:
+            assert event_bits(body._events) == event_bits(
+                knowledge._merged_events(body.statements))
+
+    def test_conflict_names_every_statement_on_the_event(self):
+        statements = [
+            Statement.event_interval("a", "G", ProbInterval(0.0, 0.6), prob=1.0),
+            Statement.condition("b", "H", prob=0.99),
+            Statement.event_interval("c", "G", ProbInterval(0.4, 1.0), prob=0.98),
+            Statement.event_interval("d", "G", ProbInterval(0.7, 1.0), prob=0.97),
+        ]
+        with pytest.raises(InconsistentBodyError) as caught:
+            accept_next_most_probable(statements)
+        assert str(caught.value) == (
+            "body 4: statements 'a', 'c', 'd' cannot all hold for event 'G'")
+
+    def test_repeated_id_names_its_body(self):
+        statements = [Statement.condition("a", "G"),
+                      Statement.condition("a", "H", prob=0.9)]
+        with pytest.raises(InconsistentBodyError) as caught:
+            accept_next_most_probable(statements)
+        assert str(caught.value) == "body 2: statement ids repeat within one body"
+
+    def test_negative_zero_keeps_the_first_bits(self):
+        statements = [
+            Statement.event_interval("a", "G", ProbInterval(-0.0, 0.5)),
+            Statement.event_interval("b", "G", ProbInterval(0.0, 0.5), prob=0.9),
+        ]
+        bodies = accept_next_most_probable(statements)
+        assert repr(bodies[2]._events["G"].lo) == "-0.0"
 
 
 class TestReferenceClassTable:

@@ -5,7 +5,8 @@ already uses, and adding a specificity pair the order implies.  Every
 input either fails with a ProblemFormatError naming a $ path, or parses
 to a document that matches the problem schema, survives dumps and loads
 unchanged, and builds and explores to a ValueError or to a report that
-matches the report schema."""
+matches the report schema and that to_json writes as an indent-2
+json.dumps does."""
 
 import copy
 import json
@@ -146,11 +147,21 @@ def mutate(data, doc) -> None:
         parent[key] = copy.deepcopy(data.draw(st.sampled_from(pool)))
 
 
+def written(write):
+    """The text write() returns, or the ValueError it raises."""
+    try:
+        return write()
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
 def report_or_value_error(doc, seq) -> None:
     try:
         report = explore(doc.problem, seq, doc.tolerance)
     except ValueError:
         return
+    assert written(report.to_json) == written(
+        lambda: json.dumps(report.to_dict(), indent=2, allow_nan=False))
     encoded = json.dumps(report.to_dict(), allow_nan=False)
     REPORT_VALIDATOR.validate(json.loads(encoded))
 
