@@ -15,7 +15,6 @@ from .confidence import SampleCount, clopper_pearson
 from .engine import DECIDED, NO_MANDATE, RISK_PROBLEM, ToleranceSpec, explore
 from .expectation import eu_all
 from .intervals import Interval
-from .knowledge import apply_level
 from .ordering import (
     hurwicz,
     leximin,
@@ -109,8 +108,7 @@ def _cmd_compare(args) -> int:
             f"levels 0..{len(seq.levels) - 1}"
         )
     level = seq.levels[index]
-    effective = apply_level(doc.problem, level)
-    eu = eu_all(effective)
+    eu = eu_all(doc.problem, level.assignments, f"level {level.index} assigns to")
     surviving = maximal_set(eu)
     print(f"problem: {doc.problem.name}")
     print(f"level: {level.index} (error {level.error:.6g})")
@@ -132,7 +130,8 @@ def _cmd_compare(args) -> int:
         [f"hurwicz({alpha:g})", hur,
          f"score {alpha * sub[hur].hi + (1 - alpha) * sub[hur].lo:.6g}"],
         ["midpoint", ranking[0], "ranking " + " > ".join(ranking)],
-        ["leximin", leximin(effective, surviving.names), "worst outcomes first"],
+        # a level never changes a utility, and leximin reads nothing else
+        ["leximin", leximin(doc.problem, surviving.names), "worst outcomes first"],
     ]
     _print_table(["criterion", "choice", "detail"], rows)
     return 0

@@ -11,7 +11,9 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Mapping, Sequence
 
 from .expectation import DecisionProblem, FeasibilityError, eu_all
-from .intervals import Interval
+from .intervals import Interval, ProbInterval
+# explore no longer calls apply_level; it stays an attribute of this
+# module, where perfbench/tracing.py binds its knowledge.apply_level span
 from .knowledge import CredalLevel, CredalSequence, apply_level
 from .ordering import maximal_set, maximin
 
@@ -218,15 +220,29 @@ class DecisionReport:
         return head + _block("[", rows, "]", 2) + "\n}"
 
 
+def _all_points(problem: DecisionProblem,
+                boxes: Mapping[str, Mapping[str, ProbInterval]]) -> bool:
+    """True when every outcome's interval on the level is a point."""
+    for act in problem.acts:
+        box = boxes.get(act.name) or {}
+        for o in act.outcomes:
+            p = box.get(o.label, o.prob)
+            if p.lo != p.hi:
+                return False
+    return True
+
+
 def explore(problem: DecisionProblem, seq: CredalSequence,
             spec: ToleranceSpec | None = None) -> DecisionReport:
     """Walk the sequence from level 0 while error stays below tolerance.
 
-    Stops with a decision at the first level whose maximal set is a
-    single act.  A level whose boxes have all collapsed to points with
-    the top acts still tied is reported as a bare risk problem: the
-    first best act is named and flagged ambiguous.  Running out of
-    tolerable levels yields no mandate.
+    Each level's expected utilities come straight from its boxes, by
+    eu_all(problem, level.assignments); no act is rebuilt.  Stops with a
+    decision at the first level whose maximal set is a single act.  A
+    level whose boxes have all collapsed to points with the top acts
+    still tied is reported as a bare risk problem: the first best act is
+    named and flagged ambiguous.  Running out of tolerable levels yields
+    no mandate.
     """
     spec = spec if spec is not None else ToleranceSpec.explicit(1.0)
     tolerance = tolerable_error(problem, spec)
@@ -235,8 +251,8 @@ def explore(problem: DecisionProblem, seq: CredalSequence,
         if level.error >= tolerance:
             break
         try:
-            effective = apply_level(problem, level)
-            eu = eu_all(effective)
+            eu = eu_all(problem, level.assignments,
+                        f"level {level.index} assigns to")
         except FeasibilityError as exc:
             raise InfeasibleLevelError(
                 f"level {level.index} (error {level.error:g}): {exc}"
@@ -249,11 +265,7 @@ def explore(problem: DecisionProblem, seq: CredalSequence,
                 act=surviving.names[0], level_used=level.index,
                 error_used=level.error, trace=tuple(trace),
             )
-        degenerate = all(
-            o.prob.lo == o.prob.hi
-            for act in effective.acts for o in act.outcomes
-        )
-        if degenerate:
+        if _all_points(problem, level.assignments):
             # ties are certain here: a unique point maximum would have
             # been a singleton maximal set already
             return DecisionReport(

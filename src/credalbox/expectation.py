@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
+from typing import Mapping
 
 from .intervals import VACUOUS, Interval, ProbInterval
 
@@ -110,6 +112,22 @@ def _check_feasible(name: str, lows: list[float], highs: list[float]) -> None:
         )
 
 
+def _check_targets(problem: DecisionProblem,
+                   boxes: Mapping[str, Mapping[str, ProbInterval]],
+                   where: str) -> None:
+    """Raise unless every act and outcome named in boxes exists."""
+    for act_name, box in boxes.items():
+        try:
+            labels = problem.act(act_name).labels()
+        except KeyError:
+            raise ValueError(f"{where} unknown act {act_name!r}") from None
+        for label in box:
+            if label not in labels:
+                raise ValueError(
+                    f"{where} unknown outcome {label!r} of act {act_name!r}"
+                )
+
+
 def _allocate(lows: list[float], highs: list[float], utils: list[float],
               order: list[int]) -> float:
     p = list(lows)
@@ -122,7 +140,37 @@ def _allocate(lows: list[float], highs: list[float], utils: list[float],
         p[i] += add
         residual -= add
     # summed in outcome order so both passes agree exactly on point boxes
-    return math.fsum(p[i] * utils[i] for i in range(len(p)))
+    return math.fsum(map(mul, p, utils))
+
+
+def _orders(act: Act) -> tuple[list[float], list[int], list[int]]:
+    """The act's utilities and its ascending and descending allocation
+    orders.  Computed once per act instance and kept on it: no level
+    changes a utility, so every box the act is evaluated on shares them.
+    """
+    cached = act.__dict__.get("_orders")
+    if cached is None:
+        utils = [o.utility for o in act.outcomes]
+        n = len(utils)
+        cached = (utils, sorted(range(n), key=lambda i: (utils[i], i)),
+                  sorted(range(n), key=lambda i: (-utils[i], i)))
+        object.__setattr__(act, "_orders", cached)
+    return cached
+
+
+def _bounds(act: Act, lows: list[float], highs: list[float]) -> Interval:
+    """The act's expected-utility interval over the box lows..highs."""
+    utils, ascending, descending = _orders(act)
+    try:
+        lo = _allocate(lows, highs, utils, ascending)
+        hi = _allocate(lows, highs, utils, descending)
+    except OverflowError:
+        raise ValueError(
+            f"act {act.name!r}: expected utility overflows the float range"
+        ) from None
+    if lo > hi:  # guard against stray rounding on near-degenerate boxes
+        lo = hi = (lo + hi) / 2.0
+    return Interval(lo, hi)
 
 
 def eu_interval(act: Act) -> Interval:
@@ -133,28 +181,41 @@ def eu_interval(act: Act) -> Interval:
     levels share is evaluated once.
     """
     cached = act.__dict__.get("_eu")
-    if cached is not None:
-        return cached
-    lows = [o.prob.lo for o in act.outcomes]
-    highs = [o.prob.hi for o in act.outcomes]
-    utils = [o.utility for o in act.outcomes]
-    n = len(utils)
-    ascending = sorted(range(n), key=lambda i: (utils[i], i))
-    descending = sorted(range(n), key=lambda i: (-utils[i], i))
-    try:
-        lo = _allocate(lows, highs, utils, ascending)
-        hi = _allocate(lows, highs, utils, descending)
-    except OverflowError:
-        raise ValueError(
-            f"act {act.name!r}: expected utility overflows the float range"
-        ) from None
-    if lo > hi:  # guard against stray rounding on near-degenerate boxes
-        lo = hi = (lo + hi) / 2.0
-    iv = Interval(lo, hi)
-    object.__setattr__(act, "_eu", iv)
-    return iv
+    if cached is None:
+        cached = _bounds(act, [o.prob.lo for o in act.outcomes],
+                         [o.prob.hi for o in act.outcomes])
+        object.__setattr__(act, "_eu", cached)
+    return cached
 
 
-def eu_all(problem: DecisionProblem) -> dict[str, Interval]:
-    """Expected-utility interval for every act, keyed by act name."""
-    return {a.name: eu_interval(a) for a in problem.acts}
+def eu_all(problem: DecisionProblem,
+           assignments: Mapping[str, Mapping[str, ProbInterval]] | None = None,
+           where: str = "assignment to") -> dict[str, Interval]:
+    """Expected-utility interval for every act, keyed by act name.
+
+    assignments (act name -> outcome label -> interval) replaces the
+    declared bounds of the outcomes it names, as a credal level does, and
+    the result is bit-identical to eu_all(apply_level(problem, level)),
+    without building a single act.  Unknown names raise first, their
+    message led by where; then every boxed act's feasibility is checked,
+    in act order, before any expected utility is computed.  Acts with no
+    box, or an empty one, keep the interval computed on their own bounds.
+    """
+    if not assignments:
+        return {act.name: eu_interval(act) for act in problem.acts}
+    _check_targets(problem, assignments, where)
+    boxed = []
+    for act in problem.acts:
+        box = assignments.get(act.name)
+        if box:
+            probs = [box.get(o.label, o.prob) for o in act.outcomes]
+            lows = [p.lo for p in probs]
+            highs = [p.hi for p in probs]
+            _check_feasible(act.name, lows, highs)
+            boxed.append((lows, highs))
+        else:
+            boxed.append(None)
+    return {
+        act.name: eu_interval(act) if box is None else _bounds(act, *box)
+        for act, box in zip(problem.acts, boxed)
+    }

@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 from operator import is_
 from typing import Iterable, Mapping, Sequence
 
-from .expectation import Act, DecisionProblem, FeasibilityError, Outcome, _check_feasible
+from .expectation import (
+    Act,
+    DecisionProblem,
+    FeasibilityError,
+    Outcome,
+    _check_feasible,
+    _check_targets,
+)
 from .intervals import CERTAIN, IMPOSSIBLE, ProbInterval, intersect
 
 
@@ -423,22 +430,6 @@ class CredalSequence:
                     _level_drop(pos, level.error, self.levels[pos - 1].error))
 
 
-def _check_targets(problem: DecisionProblem,
-                   boxes: Mapping[str, Mapping[str, ProbInterval]],
-                   where: str) -> None:
-    """Raise unless every act and outcome named in boxes exists."""
-    for act_name, box in boxes.items():
-        try:
-            labels = problem.act(act_name).labels()
-        except KeyError:
-            raise ValueError(f"{where} unknown act {act_name!r}") from None
-        for label in box:
-            if label not in labels:
-                raise ValueError(
-                    f"{where} unknown outcome {label!r} of act {act_name!r}"
-                )
-
-
 def apply_level(problem: DecisionProblem, level: CredalLevel) -> DecisionProblem:
     """The problem with outcome bounds replaced by the level's assignments.
 
@@ -446,7 +437,9 @@ def apply_level(problem: DecisionProblem, level: CredalLevel) -> DecisionProblem
     the declared one.  Acts the level leaves alone, and the outcomes a
     box does not name, are passed through as they are, so whatever was
     computed on them carries over.  Unknown act or outcome names are an
-    error.
+    error.  explore and compare do not build this problem: they evaluate
+    the level in place with eu_all(problem, level.assignments), which
+    gives the same intervals bit for bit.
     """
     boxes = level.assignments
     _check_targets(problem, boxes, f"level {level.index} assigns to")

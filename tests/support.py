@@ -11,7 +11,10 @@ code.
 The apply_level oracle rebuilds every act, where the runtime passes
 acts with no box and outcomes a box does not name through.  The
 explore oracle rebuilds every act and computes every expected utility
-afresh on every level, where the runtime computes each act's once.
+afresh on every level.  The runtime has one evaluation path for a
+level, eu_all(problem, level.assignments): it builds no act, reads each
+boxed act's bounds from its box and its allocation orders from the act,
+and computes an act with no box once.
 
 The resolution oracle resolves every body of knowledge on its own:
 it closes the specificity order by a fixed-point scan for each
@@ -203,8 +206,18 @@ def pairwise_worst_case_regrets(eu):
 
 
 def rebuild_every_act(problem, level):
-    """Oracle for apply_level: every act and outcome built afresh, with
-    the level's interval where it has one and the declared one otherwise."""
+    """Oracle for apply_level, and for eu_all over a level's boxes: every
+    act and outcome built afresh, with the level's interval where it has
+    one and the declared one otherwise.  Unknown names raise as
+    apply_level raises them."""
+    where = f"level {level.index} assigns to"
+    labels = {act.name: act.labels() for act in problem.acts}
+    for name, box in level.assignments.items():
+        if name not in labels:
+            raise ValueError(f"{where} unknown act {name!r}")
+        for label in box:
+            if label not in labels[name]:
+                raise ValueError(f"{where} unknown outcome {label!r} of act {name!r}")
     return DecisionProblem(problem.name, tuple(
         Act(act.name, tuple(
             Outcome(o.label, o.utility,

@@ -6,16 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credalbox import (
+    RISK_PROBLEM,
+    VACUOUS,
     Act,
+    CredalLevel,
+    CredalSequence,
     DecisionProblem,
     FeasibilityError,
+    InfeasibleLevelError,
     Outcome,
     ProbInterval,
     eu_all,
     eu_interval,
+    explore,
 )
 from credalbox import expectation
-from support import feasible_acts, interval_close, vertex_eu_bounds
+from support import (
+    feasible_acts,
+    interval_close,
+    oracle_explore,
+    rebuild_every_act,
+    vertex_eu_bounds,
+)
 
 
 def act(name, *outs):
@@ -179,6 +191,190 @@ class TestEuAll:
             act("m", ("x", 0.0, 0.0, 1.0)),
         ))
         assert list(eu_all(problem)) == ["z", "a", "m"]
+
+
+TOP = 1.7976931348623157e308
+# a coarse grid, so that point boxes, -0.0 and infeasible boxes are
+# common; lower bounds of 0.5000000004 on two outcomes pass the
+# feasibility slack and push an expected utility over TOP past the
+# largest float
+LEVEL_ENDPOINTS = [-0.0, 0.0, 0.25, 0.5, 0.5000000004, 1.0]
+LEVEL_INTERVALS = st.one_of(
+    st.tuples(*[st.sampled_from(LEVEL_ENDPOINTS)] * 2).map(
+        lambda p: ProbInterval(*sorted(p))),
+    st.just(ProbInterval(0.5000000004, 0.6)))
+LEVEL_UTILITIES = st.sampled_from([-2.0, -0.0, 0.0, 1.0, 3.0, TOP])
+POINT_DISTRIBUTIONS = {1: [(1.0,)], 2: [(0.5, 0.5), (1.0, -0.0)],
+                       3: [(0.25, 0.25, 0.5)]}
+
+
+@st.composite
+def level_problems(draw):
+    """A problem of one to three acts and a hand-built level 0 over it.
+
+    Each act is vacuous or a point distribution, and now and then has
+    every utility at TOP.  The level gives each
+    act no box, an empty one, or intervals on some of its labels, and
+    now and then names an act or a label the problem does not have.
+    """
+    acts = []
+    for i in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 3))
+        utils = draw(st.one_of(st.lists(LEVEL_UTILITIES, min_size=n, max_size=n),
+                               st.just([TOP] * n)))
+        probs = ([VACUOUS] * n if draw(st.booleans()) else
+                 [ProbInterval(p, p)
+                  for p in draw(st.sampled_from(POINT_DISTRIBUTIONS[n]))])
+        acts.append(Act(f"a{i}", tuple(
+            Outcome(f"o{j}", u, pr) for j, (u, pr) in enumerate(zip(utils, probs)))))
+    boxes = {}
+    for a in acts:
+        kind = draw(st.sampled_from(["none", "empty", "some"]))
+        if kind == "empty":
+            boxes[a.name] = {}
+        elif kind == "some":
+            labels = draw(st.lists(st.sampled_from(a.labels()), unique=True))
+            boxes[a.name] = {label: draw(LEVEL_INTERVALS) for label in labels}
+    stray = draw(st.sampled_from(["none"] * 8 + ["act", "label"]))
+    if stray == "act":
+        boxes["zz"] = {}
+    elif stray == "label" and boxes:
+        boxes[draw(st.sampled_from(sorted(boxes)))]["zz"] = VACUOUS
+    return DecisionProblem("p", tuple(acts)), CredalLevel(0, 0.0, boxes)
+
+
+def outcome(run):
+    """run's result, or the error's type and text."""
+    try:
+        return run()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def evaluated(run):
+    """Every act's interval as the reprs of its endpoints, in key order,
+    or the error's type and text."""
+    return outcome(lambda: [(name, repr(iv.lo), repr(iv.hi))
+                            for name, iv in run().items()])
+
+
+def assert_same_as_rebuilding(problem, level):
+    """eu_all on the level's boxes agrees with eu_all on every act rebuilt,
+    and explore with the oracle, endpoint for endpoint and error for
+    error.  Returns the rebuilt side's result."""
+    want = evaluated(lambda: eu_all(rebuild_every_act(problem, level)))
+    where = f"level {level.index} assigns to"
+    # twice: the second time the acts with no box hold their intervals
+    for _ in range(2):
+        assert evaluated(lambda: eu_all(problem, level.assignments, where)) == want
+    seq = CredalSequence((level,))
+    assert (outcome(lambda: explore(problem, seq))
+            == outcome(lambda: oracle_explore(problem, seq)))
+    return want
+
+
+BERRIES = DecisionProblem("berries", (
+    act("a1", ("G", 10.0, 0.0, 1.0), ("not-G", -30.0, 0.0, 1.0)),
+    act("a2", ("H", -10.0, 0.0, 1.0), ("not-H", 0.0, 0.0, 1.0)),
+))
+HUGE = act("huge", ("G", TOP, 0.0, 1.0), ("not-G", TOP, 0.0, 1.0))
+OVER = {"G": ProbInterval(0.5000000004, 0.6), "not-G": ProbInterval(0.5000000004, 0.6)}
+LOW_SUM = {"G": ProbInterval(0.7, 0.8), "not-G": ProbInterval(0.7, 0.8)}
+HIGH_SUM = {"G": ProbInterval(0.0, 0.3), "not-G": ProbInterval(0.0, 0.5)}
+
+
+class TestEuAllOnLevel:
+    """eu_all(problem, assignments) against eu_all(rebuild_every_act(...))."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(level_problems())
+    def test_matches_rebuilding_every_act(self, drawn):
+        assert_same_as_rebuilding(*drawn)
+
+    def test_box_naming_some_outcomes(self):
+        level = CredalLevel(0, 0.0, {"a1": {"G": ProbInterval(0.75, 1.0)}})
+        got = assert_same_as_rebuilding(BERRIES, level)
+        assert got[0] == ("a1", "0.0", "10.0")
+
+    def test_empty_box_keeps_the_declared_interval(self):
+        level = CredalLevel(0, 0.0, {"a1": {}})
+        assert_same_as_rebuilding(BERRIES, level)
+        got = eu_all(BERRIES, level.assignments)
+        assert got["a1"] is eu_interval(BERRIES.acts[0])
+
+    @pytest.mark.parametrize("boxes, text", [
+        ({"zz": {}}, "level 0 assigns to unknown act 'zz'"),
+        ({"a1": {"zz": VACUOUS}}, "level 0 assigns to unknown outcome 'zz' of act 'a1'"),
+        # names are checked before any box's feasibility
+        ({"a1": LOW_SUM, "a2": {"zz": VACUOUS}},
+         "level 0 assigns to unknown outcome 'zz' of act 'a2'"),
+    ], ids=["act", "label", "after-infeasible"])
+    def test_unknown_names(self, boxes, text):
+        level = CredalLevel(0, 0.0, boxes)
+        assert assert_same_as_rebuilding(BERRIES, level) == (ValueError, text)
+
+    def test_api_names_the_assignment(self):
+        with pytest.raises(ValueError, match="^assignment to unknown act 'zz'$"):
+            eu_all(BERRIES, {"zz": {}})
+
+    @pytest.mark.parametrize("boxes, text", [
+        ({"a1": LOW_SUM}, "act 'a1': outcome lower bounds sum to 1.4, above 1"),
+        ({"a1": HIGH_SUM}, "act 'a1': outcome upper bounds sum to 0.8, below 1"),
+        # a2 comes first in the mapping, a1 first in act order
+        ({"a2": {"H": ProbInterval(0.0, 0.3), "not-H": ProbInterval(0.0, 0.5)},
+          "a1": LOW_SUM},
+         "act 'a1': outcome lower bounds sum to 1.4, above 1"),
+    ], ids=["lower-sum", "upper-sum", "first-of-two"])
+    def test_infeasible_box(self, boxes, text):
+        level = CredalLevel(0, 0.0, boxes)
+        assert assert_same_as_rebuilding(BERRIES, level) == (FeasibilityError, text)
+        with pytest.raises(InfeasibleLevelError) as exc_info:
+            explore(BERRIES, CredalSequence((level,)))
+        assert str(exc_info.value) == f"level 0 (error 0): {text}"
+
+    def test_overflow_names_the_act(self):
+        problem = DecisionProblem("p", (HUGE, BERRIES.acts[0]))
+        level = CredalLevel(0, 0.0, {"huge": OVER})
+        assert assert_same_as_rebuilding(problem, level) == (
+            ValueError, "act 'huge': expected utility overflows the float range")
+
+    def test_infeasible_act_after_an_overflowing_one_wins(self):
+        problem = DecisionProblem("p", (HUGE, BERRIES.acts[0]))
+        level = CredalLevel(0, 0.0, {"huge": OVER, "a1": LOW_SUM})
+        assert assert_same_as_rebuilding(problem, level) == (
+            FeasibilityError, "act 'a1': outcome lower bounds sum to 1.4, above 1")
+
+    def test_negative_zero_endpoints(self):
+        problem = DecisionProblem("p", (act("z", ("x", 1.0, 0.0, 1.0),
+                                             ("y", -0.0, 0.0, 1.0)),))
+        level = CredalLevel(0, 0.0, {"z": {"x": ProbInterval(-0.0, -0.0),
+                                           "y": ProbInterval(1.0, 1.0)}})
+        # both products are -0.0; fsum of them is +0.0 on either path
+        assert assert_same_as_rebuilding(problem, level) == [("z", "0.0", "0.0")]
+
+    def test_all_point_boxes_are_a_risk_problem(self):
+        problem = DecisionProblem("coin", (
+            act("a1", ("win", 1.0, 0.0, 1.0), ("lose", 0.0, 0.0, 1.0)),
+            act("a2", ("flat", 0.5, 0.0, 1.0)),
+        ))
+        level = CredalLevel(0, 0.0, {
+            "a1": {"win": ProbInterval(0.5, 0.5), "lose": ProbInterval(0.5, 0.5)},
+            "a2": {"flat": ProbInterval(1.0, 1.0)},
+        })
+        assert_same_as_rebuilding(problem, level)
+        report = explore(problem, CredalSequence((level,)))
+        assert report.status == RISK_PROBLEM
+        assert report.act == "a1" and report.ambiguous
+
+    def test_one_open_outcome_is_no_risk_problem(self):
+        # a2's declared box stays vacuous, so the tie is not a risk problem
+        problem = DecisionProblem("coin", (
+            act("a1", ("win", 1.0, 0.5, 0.5), ("lose", 0.0, 0.5, 0.5)),
+            act("a2", ("flat", 0.5, 0.0, 1.0), ("other", 0.5, 0.0, 1.0)),
+        ))
+        level = CredalLevel(0, 0.0, {"a2": {"flat": ProbInterval(1.0, 1.0)}})
+        assert_same_as_rebuilding(problem, level)
+        assert explore(problem, CredalSequence((level,))).status != RISK_PROBLEM
 
 
 class TestActValidation:

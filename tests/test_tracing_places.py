@@ -1,0 +1,87 @@
+"""The places perfbench/tracing.py rebinds must exist in the package.
+
+The tracer times each layer by replacing a module attribute (or a class
+method) with a wrapper, and looks every one up in its owner's __dict__.
+A renamed or removed attribute would stop a traced benchmark run at
+install; these tests stop the suite instead.
+"""
+
+from __future__ import annotations
+
+import importlib
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+from credalbox import (
+    Act,
+    CredalLevel,
+    CredalSequence,
+    DecisionProblem,
+    Outcome,
+    ProbInterval,
+    engine,
+)
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def tracing_tables():
+    """SPANS and COUNTED from perfbench/tracing.py, read without writing
+    a bytecode file next to it."""
+    module = types.ModuleType("perfbench_tracing")
+    # dataclasses look the defining module up in sys.modules
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"),
+             module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module.SPANS, module.COUNTED
+
+
+def places():
+    out = []
+    for table in tracing_tables():
+        for name, bound in table.items():
+            out += [(name, place) for place in bound]
+    return out
+
+
+@pytest.mark.parametrize("name, place", places(),
+                         ids=[".".join(p) for _, p in places()])
+def test_place_exists(name, place):
+    owner = importlib.import_module(place[0])
+    if len(place) == 3:
+        owner = owner.__dict__[place[1]]
+    assert place[-1] in owner.__dict__, f"{name}: {'.'.join(place)} is gone"
+
+
+def test_explore_looks_its_layers_up_on_the_engine_module(monkeypatch):
+    # the tracer's spans only see what explore reaches through engine's
+    # own attributes
+    calls = []
+
+    def counted(attr):
+        original = getattr(engine, attr)
+
+        def wrapper(*args, **kwargs):
+            calls.append(attr)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(engine, attr, wrapper)
+
+    counted("eu_all")
+    counted("maximal_set")
+    seq = CredalSequence((CredalLevel(0, 0.0, {}), CredalLevel(1, 0.1, {
+        "a1": {"G": ProbInterval(0.75, 1.0), "not-G": ProbInterval(0.0, 0.25)},
+        "a2": {"H": ProbInterval(0.15, 0.3), "not-H": ProbInterval(0.7, 0.85)},
+    })))
+    problem = DecisionProblem("berries", (
+        Act("a1", (Outcome("G", 10.0), Outcome("not-G", -30.0))),
+        Act("a2", (Outcome("H", -10.0), Outcome("not-H", 0.0))),
+    ))
+    report = engine.explore(problem, seq)
+    assert report.status == engine.DECIDED
+    assert calls == ["eu_all", "maximal_set"] * 2
