@@ -7,6 +7,7 @@ Exit codes: 0 for success (including a decision or a bare risk problem),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -185,7 +186,11 @@ def _cmd_ds_threshold(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command line parser, built once per process: in-process callers
+    of main pay for the subcommand tree once.  Parsing keeps no state on
+    it, and usage errors go to sys.stderr as it is when they happen."""
     parser = _Parser(prog="credalbox",
                      description="Decide problems stated with interval "
                                  "probabilities over error-indexed credal levels.")

@@ -206,15 +206,24 @@ class DecisionReport:
             '  "trace": '
         )
         quoted = _Quoted()
+        # (act name, id of its interval) -> the entry as written: an act
+        # the levels leave unboxed brings back the same interval object
+        # row after row.  The report holds every interval until this
+        # returns, so no id is reused meanwhile.
+        written: dict = {}
         rows = []
         for row in self.trace:
             start = (f'{{\n      "index": {_json_scalar(row.index)},\n'
                      f'      "error": {_json_scalar(row.error)},\n      "eu": ')
-            eu = _block("{", [
-                f'{quoted[name]}: [\n          {_json_scalar(iv.lo)},\n'
-                f'          {_json_scalar(iv.hi)}\n        ]'
-                for name, iv in row.eu.items()
-            ], "}", 6)
+            entries = []
+            for name, iv in row.eu.items():
+                text = written.get((name, id(iv)))
+                if text is None:
+                    text = written[name, id(iv)] = (
+                        f'{quoted[name]}: [\n          {_json_scalar(iv.lo)},\n'
+                        f'          {_json_scalar(iv.hi)}\n        ]')
+                entries.append(text)
+            eu = _block("{", entries, "}", 6)
             maximal = _block("[", [quoted[name] for name in row.maximal], "]", 6)
             rows.append(f'{start}{eu},\n      "maximal": {maximal}\n    }}')
         return head + _block("[", rows, "]", 2) + "\n}"

@@ -6,9 +6,12 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
-    """A closed real interval [lo, hi]."""
+    """A closed real interval [lo, hi].
+
+    Slotted: an instance holds its two endpoints and no __dict__.
+    """
 
     lo: float
     hi: float
@@ -39,7 +42,7 @@ class Interval:
         return f"[{self.lo:g}, {self.hi:g}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbInterval(Interval):
     """A closed probability interval, constrained to [0, 1]."""
 
@@ -47,7 +50,9 @@ class ProbInterval(Interval):
         # two floats in order pass at once; anything else meets every check
         if type(self.lo) is float is type(self.hi) and 0.0 <= self.lo <= self.hi <= 1.0:
             return
-        super().__post_init__()
+        # slots=True rebuilds the class, which leaves zero-argument
+        # super() pointing at the class it replaced
+        Interval.__post_init__(self)
         if self.lo < 0.0 or self.hi > 1.0:
             raise ValueError(
                 f"probability interval [{self.lo!r}, {self.hi!r}] escapes [0, 1]"

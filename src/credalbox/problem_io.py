@@ -129,6 +129,11 @@ def _string(value, path: str) -> str:
 
 
 def _interval(value, path: str) -> ProbInterval:
+    # two ordered floats in [0, 1], the usual value, pass in one check;
+    # anything else (ints, NaN, a reversed pair) meets every check below
+    if (type(value) is list and len(value) == 2 and type(value[0]) is float
+            is type(value[1]) and 0.0 <= value[0] <= value[1] <= 1.0):
+        return ProbInterval(value[0], value[1])
     pair = _as_list(value, path)
     if len(pair) != 2:
         _fail(path, f"expected [lo, hi], got {len(pair)} entries")
@@ -314,8 +319,19 @@ def _parse_act(raw, *_) -> Act:
     return _built("", Act, name, tuple(outcomes))
 
 
+_OUTCOME_KEYS = frozenset({"label", "utility", "prob"})
+
+
 def _parse_outcome(raw, *_) -> Outcome:
-    out = _as_mapping(raw, "", {"label", "utility", "prob"})
+    # a non-empty str label and a finite float utility, the usual outcome,
+    # pass in one check; anything else meets every check below
+    if (type(raw) is dict and raw.keys() <= _OUTCOME_KEYS
+            and type(label := raw.get("label")) is str and label
+            and type(utility := raw.get("utility")) is float
+            and -math.inf < utility < math.inf):
+        return Outcome(label, utility,
+                       _interval(raw["prob"], ".prob") if "prob" in raw else VACUOUS)
+    out = _as_mapping(raw, "", _OUTCOME_KEYS)
     return Outcome(
         _string(_get(out, "label", ""), ".label"),
         _number(_get(out, "utility", ""), ".utility"),
@@ -388,6 +404,12 @@ def _parse_box(raw, act_name: str, problem: DecisionProblem) -> dict[str, ProbIn
         _fail("", f"unknown act {act_name!r}")
     box = {}
     for label, raw_iv in _as_mapping(raw, "").items():
+        # a known label with two ordered floats in [0, 1] passes in one check
+        if (label in labels and type(raw_iv) is list and len(raw_iv) == 2
+                and type(raw_iv[0]) is float is type(raw_iv[1])
+                and 0.0 <= raw_iv[0] <= raw_iv[1] <= 1.0):
+            box[label] = ProbInterval(raw_iv[0], raw_iv[1])
+            continue
         try:
             if label not in labels:
                 _fail("", f"unknown outcome {label!r} of act {act_name!r}")

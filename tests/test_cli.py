@@ -1,5 +1,7 @@
+import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -394,3 +396,40 @@ class TestParserBasics:
             main(["--version"])
         assert exc_info.value.code == 0
         assert capsys.readouterr().out.startswith("credalbox ")
+
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+
+        class Counting(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        cli._build_parser.cache_clear()
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        try:
+            assert main(["cp", "0", "10", "0.95"]) == 0
+            first = list(built)
+            assert main(["cp", "4", "4", "0.99"]) == 0
+        finally:
+            # the next caller builds a plain parser again
+            cli._build_parser.cache_clear()
+        # the root parser and one per subcommand, all in the first call
+        assert first[0] == "credalbox" and len(first) == 6
+        assert built == first
+        assert capsys.readouterr().out.splitlines() == ["[0.0000, 0.3085]",
+                                                        "[0.2659, 1.0000]"]
+
+    def test_usage_error_after_a_run_goes_to_the_current_stderr(
+            self, monkeypatch, capsys):
+        assert main(["cp", "0", "10", "0.95"]) == 0
+        capsys.readouterr()
+        err = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", err)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["cp", "3"])
+        assert exc_info.value.code == 1
+        lines = err.getvalue().splitlines()
+        assert lines[0].startswith("usage: credalbox cp ")
+        assert lines[-1].startswith("credalbox cp: error: ")
+        assert capsys.readouterr().err == ""

@@ -283,12 +283,22 @@ REPORT_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 5e-324, 1e16, 1.7976931348623157e308]),
 )
+# intervals every report draws from, as an unboxed act brings back its
+# one cached interval level after level: one object that turns up in
+# several rows, objects of equal value that differ in the sign of a zero,
+# and a non-finite interval that two rows may share
+SHARED_INTERVALS = (Interval(0.25, 0.5), Interval(0.0, 0.0), Interval(-0.0, -0.0),
+                    Interval(-0.0, 0.5), Interval(0.0, 0.5), Interval(0.0, math.inf))
 TRACE_ROWS = st.builds(
     TraceRow,
     index=st.integers(0, 12),
     error=REPORT_FLOATS,
-    eu=st.dictionaries(REPORT_NAMES, st.tuples(REPORT_FLOATS, REPORT_FLOATS).map(
-        lambda p: Interval(*sorted(p))), max_size=4),
+    # a few names recur, so that one act meets a shared interval in
+    # several rows
+    eu=st.dictionaries(
+        st.sampled_from(["a1", "a2"]) | REPORT_NAMES,
+        st.sampled_from(SHARED_INTERVALS) | st.tuples(REPORT_FLOATS, REPORT_FLOATS).map(
+            lambda p: Interval(*sorted(p))), max_size=4),
     maximal=st.lists(REPORT_NAMES, max_size=3),
 )
 REPORTS = st.builds(
@@ -308,7 +318,29 @@ class TestToJson:
     @settings(max_examples=300, deadline=None)
     @given(REPORTS)
     def test_writes_what_json_writes(self, report):
-        assert report.to_json() == reference_json(report)
+        assert outcome(report.to_json) == outcome(lambda: reference_json(report))
+
+    def test_shared_intervals_are_written_per_object(self):
+        shared = Interval(0.25, 0.5)
+        # equal in value, written differently
+        zero, negative_zero = Interval(0.0, 0.0), Interval(-0.0, -0.0)
+        report = DecisionReport("p", NO_MANDATE, 0.5, trace=(
+            TraceRow(0, 0.0, {"a": shared, "b": zero, "c": shared}, ("a",)),
+            TraceRow(1, 0.1, {"a": shared, "b": negative_zero, "c": zero}, ("b",)),
+            TraceRow(2, 0.2, {"a": shared, "b": zero}, ()),
+        ))
+        text = report.to_json()
+        assert text == reference_json(report)
+        # only row 1 writes b's negative zeros
+        assert text.count("-0.0") == 2
+
+    def test_shared_non_finite_interval_raises_as_json_does(self):
+        bad = Interval(0.0, math.inf)
+        report = DecisionReport("p", NO_MANDATE, 0.5, trace=(
+            TraceRow(0, 0.0, {"a": bad}, ()), TraceRow(1, 0.1, {"a": bad}, ())))
+        got = outcome(report.to_json)
+        assert got == outcome(lambda: reference_json(report))
+        assert got[0] is ValueError
 
     def test_empty_trace_and_empty_rows(self):
         for trace in ((), (TraceRow(0, 0.0, {}, ()),),

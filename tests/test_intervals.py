@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -84,6 +87,16 @@ class TestConstruction:
             ProbInterval(lo, hi)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("lo, hi, message", [
+        (math.nan, 0.5, "interval endpoints must not be NaN"),
+        (0.5, math.nan, "interval endpoints must not be NaN"),
+        (2.0, 1.0, "lower endpoint 2.0 exceeds upper endpoint 1.0"),
+    ])
+    def test_interval_messages(self, lo, hi, message):
+        with pytest.raises(ValueError) as caught:
+            Interval(lo, hi)
+        assert str(caught.value) == message
+
     def test_width_and_midpoint(self):
         iv = Interval(-16.8, 10.0)
         assert iv.width == pytest.approx(26.8)
@@ -103,6 +116,50 @@ class TestConstruction:
         assert VACUOUS == ProbInterval(0.0, 1.0)
         assert CERTAIN == ProbInterval(1.0, 1.0)
         assert IMPOSSIBLE == ProbInterval(0.0, 0.0)
+
+
+class TestSlots:
+    """Both interval classes are slotted frozen dataclasses; slots keep
+    every behaviour the plain dataclasses had."""
+
+    @pytest.mark.parametrize("make", [Interval, ProbInterval])
+    def test_no_instance_dict(self, make):
+        iv = make(0.25, 0.5)
+        assert not hasattr(iv, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            iv.lo = 0.0
+
+    @pytest.mark.parametrize("make", [Interval, ProbInterval])
+    def test_equality_and_hash(self, make):
+        assert make(0.25, 0.5) == make(0.25, 0.5)
+        assert make(0.25, 0.5) != make(0.25, 0.75)
+        assert hash(make(0.0, 0.5)) == hash(make(-0.0, 0.5))
+        assert len({make(0.25, 0.5), make(0.25, 0.5), make(0.5, 0.5)}) == 2
+        # a ProbInterval is not equal to an Interval of the same endpoints
+        assert Interval(0.25, 0.5) != ProbInterval(0.25, 0.5)
+
+    def test_repr(self):
+        assert repr(Interval(-1.5, 2.0)) == "Interval(lo=-1.5, hi=2.0)"
+        assert repr(ProbInterval(-0.0, 0.5)) == "ProbInterval(lo=-0.0, hi=0.5)"
+
+    @pytest.mark.parametrize("iv", [Interval(-1.5, 2.0), ProbInterval(-0.0, 0.5),
+                                    VACUOUS])
+    def test_copy_and_pickle(self, iv):
+        for again in (copy.copy(iv), copy.deepcopy(iv),
+                      pickle.loads(pickle.dumps(iv))):
+            assert type(again) is type(iv) and again == iv
+            assert math.copysign(1.0, again.lo) == math.copysign(1.0, iv.lo)
+
+    def test_replace_runs_the_checks(self):
+        got = dataclasses.replace(ProbInterval(0.25, 0.5), hi=0.75)
+        assert type(got) is ProbInterval and got == ProbInterval(0.25, 0.75)
+        assert dataclasses.replace(Interval(-1.0, 1.0), lo=-2.0) == Interval(-2.0, 1.0)
+        with pytest.raises(ValueError) as caught:
+            dataclasses.replace(ProbInterval(0.25, 0.5), hi=1.5)
+        assert str(caught.value) == "probability interval [0.25, 1.5] escapes [0, 1]"
+        with pytest.raises(ValueError) as caught:
+            dataclasses.replace(Interval(0.25, 0.5), lo=0.75)
+        assert str(caught.value) == "lower endpoint 0.75 exceeds upper endpoint 0.5"
 
 
 class TestScaleAdd:

@@ -80,6 +80,48 @@ def error_path(data):
     return str(exc_info.value)
 
 
+# the four places a document states a probability interval: a function
+# that puts a value there, and the path of that value
+INTERVAL_PLACES = {
+    "outcome-prob": (lambda value: doc_with_act(0, outcomes=[
+        {"label": "G", "utility": 10.0, "prob": value},
+        {"label": "not-G", "utility": -30.0}]), "$.acts[0].outcomes[0].prob"),
+    "override": (lambda value: doc_with(levels=[
+        {"error": 0.0, "overrides": {"a1": {"G": value}}}]),
+        "$.levels[0].overrides.a1.G"),
+    "statement": (lambda value: statements_doc(
+        {"kind": "event-interval", "event": "G", "interval": value}),
+        "$.statements[0].interval"),
+    "reference-entry": (lambda value: doc_with(reference_classes={
+        "entries": [{"class": "c", "event": "G", "interval": value}]}),
+        "$.reference_classes.entries[0].interval"),
+}
+
+# values at the edge of the one-check parse of [lo, hi] that it accepts
+# or leaves to the full checks, as JSON text; each must parse as those
+# checks parse it
+ACCEPTED_INTERVALS = {"int-endpoints": "[0, 1]", "signed-zeros": "[-0.0, 0.0]",
+                      "unit": "[0.0, 1.0]", "certain": "[1.0, 1.0]"}
+REFUSED_INTERVALS = {
+    "bool-endpoint": ("[true, 1.0]", "[0]: expected a number, got bool"),
+    "reversed": ("[0.5, 0.4]", ": lower endpoint 0.5 exceeds upper endpoint 0.4"),
+    "nan-endpoint": ("[NaN, 0.5]", "[0]: expected a finite number, got nan"),
+    "overflowing-endpoint": ("[0.5, 1e309]", "[1]: expected a finite number, got inf"),
+    "above-one": ("[0.0, 1.0000000000000002]",
+                  ": probability interval [0.0, 1.0000000000000002] escapes [0, 1]"),
+    "below-zero": ("[-5e-324, 0.5]",
+                   ": probability interval [-5e-324, 0.5] escapes [0, 1]"),
+    "one-entry": ("[0.5]", ": expected [lo, hi], got 1 entries"),
+    "three-entries": ("[0.1, 0.2, 0.3]", ": expected [lo, hi], got 3 entries"),
+    "not-a-list": ('{"lo": 0.1, "hi": 0.2}', ": expected an array, got dict"),
+}
+
+# (id, document, full message) for each refused value in each place
+REFUSED_CASES = [(f"{place}-{name}", put(json.loads(text)), path + message)
+                 for place, (put, path) in INTERVAL_PLACES.items()
+                 for name, (text, message) in REFUSED_INTERVALS.items()]
+
+
 # documents that exercise what no fixture holds: reference-class
 # entries, level overrides, a false value outside a condition and an
 # acceptance rule over no statements
@@ -100,6 +142,10 @@ CYCLE_DOCS = {
         {"kind": "membership", "item": "x", "class": "c", "value": False}),
     "empty-corpus": doc_with(
         statements=[], acceptance={"rule": "threshold", "error_levels": [0.1]}),
+    "int-utility": doc_with_utility(10),
+    **{f"{place}-{name}": put(json.loads(text))
+       for place, (put, _) in INTERVAL_PLACES.items()
+       for name, text in ACCEPTED_INTERVALS.items()},
 }
 
 
@@ -153,6 +199,23 @@ class TestRoundTrip:
         assert again.statements == doc.statements
         assert again.error_levels == doc.error_levels
         assert again.refs == doc.refs
+
+    @pytest.mark.parametrize("place", INTERVAL_PLACES)
+    def test_edge_intervals_parse_as_floats(self, place):
+        put, _ = INTERVAL_PLACES[place]
+        as_ints = parse_document(put([0, 1]))
+        assert as_ints == parse_document(put([0.0, 1.0]))
+        assert dumps(as_ints) == dumps(parse_document(put([0.0, 1.0])))
+        # a -0.0 endpoint keeps its sign through dumps and back
+        assert "-0.0" not in dumps(parse_document(put([0.0, 0.5])))
+        signed = dumps(parse_document(put([-0.0, 0.5])))
+        assert "-0.0" in signed
+        assert dumps(loads(signed)) == signed
+
+    def test_int_utility_parses_as_a_float(self):
+        doc = parse_document(doc_with_utility(10))
+        utility = doc.problem.acts[0].outcomes[0].utility
+        assert utility == 10.0 and type(utility) is float
 
     def test_load_path_matches_fixture_loader(self, tmp_path):
         text = fixture_text("example_a")
@@ -530,7 +593,10 @@ class TestValidationErrors:
          "$.levels[0].constraints[0].event: expected a non-empty string"),
         (threshold_doc(["x"]),
          "$.acceptance.error_levels[0]: expected a number, got str"),
-    ], ids=["levels-not-array", "error-below-range", "max-error-above-range",
+        (doc_with_act(0, outcomes=[{"label": "", "utility": 1.0}]),
+         "$.acts[0].outcomes[0].label: expected a non-empty string"),
+    ] + [(data, message) for _, data, message in REFUSED_CASES],
+       ids=["levels-not-array", "error-below-range", "max-error-above-range",
             "empty-act-name", "statement-id-not-string", "value-not-bool",
             "unknown-statement-kind", "statement-misses-field",
             "specificity-pair-shape", "specificity-class-not-string",
@@ -540,7 +606,8 @@ class TestValidationErrors:
             "interval-shape", "act-refused", "problem-refused",
             "override-box-not-object", "override-interval-range",
             "constraint-interval-number", "constraint-event-empty",
-            "error-level-not-number"])
+            "error-level-not-number", "empty-label"]
+       + [case_id for case_id, _, _ in REFUSED_CASES])
     def test_failure_message_in_full(self, data, message):
         assert error_path(data) == message
 
