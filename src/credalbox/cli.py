@@ -17,6 +17,7 @@ from .engine import DECIDED, NO_MANDATE, RISK_PROBLEM, ToleranceSpec, explore
 from .expectation import eu_all
 from .intervals import Interval
 from .ordering import (
+    _hurwicz_score,
     hurwicz,
     leximin,
     maximal_set,
@@ -111,12 +112,6 @@ def _cmd_compare(args) -> int:
     level = seq.levels[index]
     eu = eu_all(doc.problem, level.assignments, f"level {level.index} assigns to")
     surviving = maximal_set(eu)
-    print(f"problem: {doc.problem.name}")
-    print(f"level: {level.index} (error {level.error:.6g})")
-    print("expected utilities:")
-    for name in eu:
-        print(f"  {name}: {_fmt(eu[name])}")
-    print()
     sub = {name: eu[name] for name in surviving.names}
     floor = maximin(sub)
     least = min_regret(sub)
@@ -129,11 +124,18 @@ def _cmd_compare(args) -> int:
         ["min-regret", least,
          f"worst-case regret {worst_case_regrets(sub)[least]:.6g}"],
         [f"hurwicz({alpha:g})", hur,
-         f"score {alpha * sub[hur].hi + (1 - alpha) * sub[hur].lo:.6g}"],
+         f"score {_hurwicz_score(sub[hur], alpha):.6g}"],
         ["midpoint", ranking[0], "ranking " + " > ".join(ranking)],
         # a level never changes a utility, and leximin reads nothing else
         ["leximin", leximin(doc.problem, surviving.names), "worst outcomes first"],
     ]
+    # rows first: a criterion that refuses its input leaves stdout empty
+    print(f"problem: {doc.problem.name}")
+    print(f"level: {level.index} (error {level.error:.6g})")
+    print("expected utilities:")
+    for name in eu:
+        print(f"  {name}: {_fmt(eu[name])}")
+    print()
     _print_table(["criterion", "choice", "detail"], rows)
     return 0
 

@@ -6,15 +6,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Mapping, Sequence
 
-from .expectation import DecisionProblem, FeasibilityError, eu_all
+from .expectation import DecisionProblem, FeasibilityError, _box_bounds, eu_all
 from .intervals import Interval, ProbInterval
-# explore no longer calls apply_level; it stays an attribute of this
-# module, where perfbench/tracing.py binds its knowledge.apply_level span
-from .knowledge import CredalLevel, CredalSequence, apply_level
+# not called here: perfbench/tracing.py binds its apply_level span on it
+from .knowledge import CredalSequence, apply_level
 from .ordering import maximal_set, maximin
 
 DECIDED = "decided"
@@ -106,7 +105,7 @@ def _json_scalar(x) -> str:
     if kind is float and _isfinite(x):
         return _float_repr(x)
     if kind is str:
-        return encode_basestring_ascii(x)
+        return _quote(x)
     if kind is int:
         return _int_repr(x)
     if x is None or isinstance(x, (str, int, float)):
@@ -122,16 +121,6 @@ def _block(opening: str, entries: list[str], closing: str, indent: int) -> str:
         return opening + closing
     pad = "\n" + " " * indent
     return f"{opening}{pad}  " + f",{pad}  ".join(entries) + f"{pad}{closing}"
-
-
-class _Quoted(dict):
-    """Act name -> its JSON string, each name escaped once."""
-
-    def __missing__(self, name):
-        if not isinstance(name, str):
-            raise TypeError(f"act name is not a string: {type(name).__name__}")
-        text = self[name] = encode_basestring_ascii(name)
-        return text
 
 
 @dataclass(frozen=True)
@@ -205,7 +194,6 @@ class DecisionReport:
             f'  "ambiguous": {_json_scalar(self.ambiguous)},\n'
             '  "trace": '
         )
-        quoted = _Quoted()
         # (act name, id of its interval) -> the entry as written: an act
         # the levels leave unboxed brings back the same interval object
         # row after row.  The report holds every interval until this
@@ -220,11 +208,11 @@ class DecisionReport:
                 text = written.get((name, id(iv)))
                 if text is None:
                     text = written[name, id(iv)] = (
-                        f'{quoted[name]}: [\n          {_json_scalar(iv.lo)},\n'
+                        f'{_quote(name)}: [\n          {_json_scalar(iv.lo)},\n'
                         f'          {_json_scalar(iv.hi)}\n        ]')
                 entries.append(text)
             eu = _block("{", entries, "}", 6)
-            maximal = _block("[", [quoted[name] for name in row.maximal], "]", 6)
+            maximal = _block("[", list(map(_quote, row.maximal)), "]", 6)
             rows.append(f'{start}{eu},\n      "maximal": {maximal}\n    }}')
         return head + _block("[", rows, "]", 2) + "\n}"
 
@@ -233,11 +221,9 @@ def _all_points(problem: DecisionProblem,
                 boxes: Mapping[str, Mapping[str, ProbInterval]]) -> bool:
     """True when every outcome's interval on the level is a point."""
     for act in problem.acts:
-        box = boxes.get(act.name) or {}
-        for o in act.outcomes:
-            p = box.get(o.label, o.prob)
-            if p.lo != p.hi:
-                return False
+        lows, highs = _box_bounds(act, boxes.get(act.name) or {})
+        if lows != highs:
+            return False
     return True
 
 

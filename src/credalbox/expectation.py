@@ -58,8 +58,7 @@ class Act:
         labels = tuple(o.label for o in self.outcomes)
         if len(set(labels)) != len(labels):
             raise ValueError(f"act {self.name!r} repeats an outcome label")
-        _check_feasible(self.name, [o.prob.lo for o in self.outcomes],
-                        [o.prob.hi for o in self.outcomes])
+        _check_feasible(self.name, *_box_bounds(self, {}))
         object.__setattr__(self, "_labels", labels)
 
     def labels(self) -> tuple[str, ...]:
@@ -97,6 +96,17 @@ class DecisionProblem:
     @property
     def act_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.acts)
+
+
+def _box_bounds(act: Act, box: Mapping[str, ProbInterval]) -> tuple[list, list]:
+    """The act's outcome bounds (lows, highs) under box, whose intervals
+    replace the declared bounds of the outcomes it names."""
+    lows, highs = [], []
+    for o in act.outcomes:
+        p = box.get(o.label, o.prob)
+        lows.append(p.lo)
+        highs.append(p.hi)
+    return lows, highs
 
 
 def _check_feasible(name: str, lows: list[float], highs: list[float]) -> None:
@@ -182,10 +192,24 @@ def eu_interval(act: Act) -> Interval:
     """
     cached = act.__dict__.get("_eu")
     if cached is None:
-        cached = _bounds(act, [o.prob.lo for o in act.outcomes],
-                         [o.prob.hi for o in act.outcomes])
+        cached = _bounds(act, *_box_bounds(act, {}))
         object.__setattr__(act, "_eu", cached)
     return cached
+
+
+def _level_bounds(problem: DecisionProblem,
+                  boxes: Mapping[str, Mapping[str, ProbInterval]],
+                  where: str) -> list[tuple[list[float], list[float]] | None]:
+    """Each act's bounds under its box, in act order; None for an act with
+    no box or an empty one.  Unknown names raise first, their message led
+    by where; then the first infeasible boxed act, in act order."""
+    _check_targets(problem, boxes, where)
+    out = [_box_bounds(act, box) if (box := boxes.get(act.name)) else None
+           for act in problem.acts]
+    for act, bounds in zip(problem.acts, out):
+        if bounds:
+            _check_feasible(act.name, *bounds)
+    return out
 
 
 def eu_all(problem: DecisionProblem,
@@ -196,26 +220,12 @@ def eu_all(problem: DecisionProblem,
     assignments (act name -> outcome label -> interval) replaces the
     declared bounds of the outcomes it names, as a credal level does, and
     the result is bit-identical to eu_all(apply_level(problem, level)),
-    without building a single act.  Unknown names raise first, their
-    message led by where; then every boxed act's feasibility is checked,
-    in act order, before any expected utility is computed.  Acts with no
-    box, or an empty one, keep the interval computed on their own bounds.
+    without building a single act.  _level_bounds checks the level before
+    any expected utility is computed.  Acts with no box, or an empty one,
+    keep the interval computed on their own bounds.
     """
-    if not assignments:
-        return {act.name: eu_interval(act) for act in problem.acts}
-    _check_targets(problem, assignments, where)
-    boxed = []
-    for act in problem.acts:
-        box = assignments.get(act.name)
-        if box:
-            probs = [box.get(o.label, o.prob) for o in act.outcomes]
-            lows = [p.lo for p in probs]
-            highs = [p.hi for p in probs]
-            _check_feasible(act.name, lows, highs)
-            boxed.append((lows, highs))
-        else:
-            boxed.append(None)
     return {
-        act.name: eu_interval(act) if box is None else _bounds(act, *box)
-        for act, box in zip(problem.acts, boxed)
+        act.name: eu_interval(act) if bounds is None else _bounds(act, *bounds)
+        for act, bounds in zip(problem.acts,
+                               _level_bounds(problem, assignments or {}, where))
     }

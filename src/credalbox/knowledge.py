@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from operator import is_
+from itertools import pairwise
+from operator import gt, is_, lt
 from typing import Iterable, Mapping, Sequence
 
 from .expectation import (
@@ -25,8 +26,10 @@ from .expectation import (
     DecisionProblem,
     FeasibilityError,
     Outcome,
+    _box_bounds,
     _check_feasible,
     _check_targets,
+    _level_bounds,
 )
 from .intervals import CERTAIN, IMPOSSIBLE, ProbInterval, intersect
 
@@ -437,9 +440,8 @@ def apply_level(problem: DecisionProblem, level: CredalLevel) -> DecisionProblem
     the declared one.  Acts the level leaves alone, and the outcomes a
     box does not name, are passed through as they are, so whatever was
     computed on them carries over.  Unknown act or outcome names are an
-    error.  explore and compare do not build this problem: they evaluate
-    the level in place with eu_all(problem, level.assignments), which
-    gives the same intervals bit for bit.
+    error.  The package never builds this problem: eu_all and is_nested
+    read the same bounds in place, bit for bit.
     """
     boxes = level.assignments
     _check_targets(problem, boxes, f"level {level.index} assigns to")
@@ -637,10 +639,8 @@ class _Resolver:
                         f"statement-derived bounds"
                     )
             if over:
-                box_lo = [over.get(o.label, o.prob).lo for o in act.outcomes]
-                box_hi = [over.get(o.label, o.prob).hi for o in act.outcomes]
                 try:
-                    _check_feasible(act.name, box_lo, box_hi)
+                    _check_feasible(act.name, *_box_bounds(act, over))
                 except FeasibilityError as exc:
                     raise FeasibilityError(f"body {body.index}: {exc}") from exc
             self.boxes[pos] = over
@@ -683,13 +683,15 @@ def sequence_from_bodies(bodies: Sequence[BodyOfKnowledge],
 def is_nested(seq: CredalSequence, problem: DecisionProblem) -> bool:
     """True when every later level's boxes sit inside every earlier one's.
 
-    Containment is transitive, so comparing neighbouring levels suffices.
+    Every level is checked first, as apply_level checks it; containment
+    is transitive, so comparing neighbouring levels suffices.
     """
-    resolved = [apply_level(problem, level) for level in seq.levels]
-    for earlier, later in zip(resolved, resolved[1:]):
-        for act_early, act_late in zip(earlier.acts, later.acts):
-            for o_early, o_late in zip(act_early.outcomes, act_late.outcomes):
-                if (o_late.prob.lo < o_early.prob.lo
-                        or o_late.prob.hi > o_early.prob.hi):
-                    return False
+    resolved = [_level_bounds(problem, lvl.assignments, f"level {lvl.index} assigns to")
+                for lvl in seq.levels]
+    for act, *levels in zip(problem.acts, *resolved):
+        own = _box_bounds(act, {})
+        for (lo_early, hi_early), (lo_late, hi_late) in pairwise(
+                bounds or own for bounds in levels):
+            if any(map(lt, lo_late, lo_early)) or any(map(gt, hi_late, hi_early)):
+                return False
     return True

@@ -74,12 +74,16 @@ def min_regret(eu: Mapping[str, Interval]) -> str:
     return min(regrets, key=lambda name: regrets[name])
 
 
+def _hurwicz_score(iv: Interval, alpha: float) -> float:
+    return alpha * iv.hi + (1.0 - alpha) * iv.lo
+
+
 def hurwicz(eu: Mapping[str, Interval], alpha: float) -> str:
     """Act maximizing alpha*hi + (1-alpha)*lo; ties go to the first act."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"hurwicz alpha must lie in [0, 1], got {alpha!r}")
     _require(eu)
-    return max(eu, key=lambda name: alpha * eu[name].hi + (1.0 - alpha) * eu[name].lo)
+    return max(eu, key=lambda name: _hurwicz_score(eu[name], alpha))
 
 
 def midpoint_rank(eu: Mapping[str, Interval]) -> list[str]:

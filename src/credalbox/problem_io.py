@@ -280,9 +280,6 @@ def _parse_root(data) -> ProblemDocument:
     tolerance = ToleranceSpec.explicit(1.0)
     if "tolerance" in root:
         tolerance = _parse_tolerance(root["tolerance"])
-    refs = EMPTY_TABLE
-    if "reference_classes" in root:
-        refs = _parse_refs(root["reference_classes"])
 
     if "levels" in root and ("statements" in root or "acceptance" in root):
         _fail("", "document states both levels and statements; pick one")
@@ -304,6 +301,10 @@ def _parse_root(data) -> ProblemDocument:
         if len(set(ids)) != len(ids):
             _fail(".statements", "statement ids repeat")
         rule, error_levels = _parse_acceptance(root["acceptance"])
+
+    refs = EMPTY_TABLE
+    if "reference_classes" in root:
+        refs = _parse_refs(root["reference_classes"])
 
     return ProblemDocument(
         problem=problem, tolerance=tolerance, level_specs=level_specs,
@@ -384,15 +385,15 @@ def _parse_level(raw, i: int, done: list[LevelSpec],
         _fail(".error", _level_drop(i, error, done[-1].error))
     constraints = _parse_statements(obj.get("constraints", []), ".constraints",
                                     f"level{i}.c")
+    for c in constraints:
+        if c.prob != 1.0:
+            _fail(".constraints", "level constraints are assertions; prob must stay 1")
     overrides: dict[str, dict[str, ProbInterval]] = {}
     for act_name, raw_box in _as_mapping(obj.get("overrides", {}), ".overrides").items():
         try:
             overrides[act_name] = _parse_box(raw_box, act_name, problem)
         except _Invalid as exc:
             raise exc.under(f".overrides.{act_name}")
-    for c in constraints:
-        if c.prob != 1.0:
-            _fail(".constraints", "level constraints are assertions; prob must stay 1")
     return LevelSpec(error, constraints, overrides)
 
 
@@ -404,12 +405,6 @@ def _parse_box(raw, act_name: str, problem: DecisionProblem) -> dict[str, ProbIn
         _fail("", f"unknown act {act_name!r}")
     box = {}
     for label, raw_iv in _as_mapping(raw, "").items():
-        # a known label with two ordered floats in [0, 1] passes in one check
-        if (label in labels and type(raw_iv) is list and len(raw_iv) == 2
-                and type(raw_iv[0]) is float is type(raw_iv[1])
-                and 0.0 <= raw_iv[0] <= raw_iv[1] <= 1.0):
-            box[label] = ProbInterval(raw_iv[0], raw_iv[1])
-            continue
         try:
             if label not in labels:
                 _fail("", f"unknown outcome {label!r} of act {act_name!r}")

@@ -7,7 +7,9 @@ coordinate at a bound and solving for the free one visits every vertex.
 
 The maximal-set, regret, nesting and closure oracles compute straight
 from their definitions, pair by pair, and check the one-pass runtime
-code.
+code; the nesting oracle compares every pair of levels that apply_level
+rebuilt, where is_nested reads each level's bounds without building an
+act and compares neighbours.
 The apply_level oracle rebuilds every act, where the runtime passes
 acts with no box and outcomes a box does not name through.  The
 explore oracle rebuilds every act and computes every expected utility
@@ -72,6 +74,14 @@ from credalbox.expectation import _check_feasible
 from credalbox.knowledge import EMPTY_TABLE
 
 TOL = 1e-9
+
+
+def outcome(run):
+    """run's result, or the ValueError's type and text."""
+    try:
+        return run()
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def close(got: float, want: float, tol: float = TOL) -> bool:

@@ -281,6 +281,17 @@ class TestCompare:
                            if line.startswith("hurwicz(0)"))
         assert hurwicz_row.split()[1] == maximin_row.split()[1]
 
+    @pytest.mark.parametrize("alpha, shown", [("2", "2.0"), ("nan", "nan"),
+                                              ("-0.5", "-0.5")])
+    def test_refused_alpha_prints_nothing(self, fixture_path, capsys, alpha, shown):
+        code = main(["compare", fixture_path("example_a"), "--level", "1",
+                     "--alpha", alpha])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: hurwicz alpha must lie in [0, 1], got {shown}\n")
+
     def test_out_of_range_level(self, fixture_path, capsys):
         code = main(["compare", fixture_path("example_a"), "--level", "7"])
         err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from credalbox import (
     starr,
     tolerable_error,
 )
-from support import interval_close, oracle_explore
+from support import interval_close, oracle_explore, outcome
 
 # a coarse grid, so that point boxes, tied bounds and infeasible boxes
 # are common
@@ -52,14 +53,6 @@ def grid_acts(draw, name):
                  for p in draw(st.sampled_from(GRID_DISTRIBUTIONS[n]))]
     return Act(name, tuple(Outcome(f"o{i}", u, p)
                            for i, (u, p) in enumerate(zip(utils, probs))))
-
-
-def outcome(run):
-    """The report, or the error's type and text."""
-    try:
-        return run()
-    except ValueError as exc:
-        return type(exc), str(exc)
 
 
 def jerry_problem():
@@ -341,6 +334,21 @@ class TestToJson:
         got = outcome(report.to_json)
         assert got == outcome(lambda: reference_json(report))
         assert got[0] is ValueError
+
+    def test_non_str_act_name_falls_back_to_json(self):
+        # json writes an int key as a string and refuses a tuple key
+        iv = Interval(0.0, 1.0)
+        for eu, maximal in (({1: iv, "a": iv}, ("a",)), ({"a": iv}, (1,)),
+                            ({("a",): iv}, ())):
+            report = DecisionReport("p", NO_MANDATE, 0.5, trace=(
+                TraceRow(0, 0.0, eu, maximal), TraceRow(1, 0.1, eu, maximal)))
+            try:
+                want = reference_json(report)
+            except TypeError as exc:
+                with pytest.raises(TypeError, match=re.escape(str(exc))):
+                    report.to_json()
+            else:
+                assert report.to_json() == want
 
     def test_empty_trace_and_empty_rows(self):
         for trace in ((), (TraceRow(0, 0.0, {}, ()),),

@@ -25,6 +25,7 @@ from support import (
     feasible_acts,
     interval_close,
     oracle_explore,
+    outcome,
     rebuild_every_act,
     vertex_eu_bounds,
 )
@@ -241,14 +242,6 @@ def level_problems(draw):
     elif stray == "label" and boxes:
         boxes[draw(st.sampled_from(sorted(boxes)))]["zz"] = VACUOUS
     return DecisionProblem("p", tuple(acts)), CredalLevel(0, 0.0, boxes)
-
-
-def outcome(run):
-    """run's result, or the error's type and text."""
-    try:
-        return run()
-    except ValueError as exc:
-        return type(exc), str(exc)
 
 
 def evaluated(run):

@@ -48,6 +48,7 @@ from support import (
     rebuild_every_act,
     oracle_level,
     oracle_sequence,
+    outcome,
 )
 
 
@@ -614,6 +615,38 @@ class TestLevelFromBody:
         assert level.assignments["b"]["G"] == ProbInterval(0.2, 0.3)
 
 
+NESTING_PROBLEM = DecisionProblem("p", (
+    Act("a1", (Outcome("G", 10.0), Outcome("not-G", -30.0))),
+    Act("a2", (Outcome("H", -10.0), Outcome("not-H", 0.0),
+               Outcome("I", 1.0, ProbInterval(0.0, 0.5)))),
+    Act("a3", (Outcome("J", 2.0),)),
+))
+
+
+def _grid_boxes(labels):
+    # a coarse grid makes shared endpoints and infeasible boxes common
+    grid = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+        lambda p: ProbInterval(min(p) / 4.0, max(p) / 4.0))
+    return st.dictionaries(st.sampled_from(labels), grid, max_size=len(labels))
+
+
+@st.composite
+def nesting_boxes(draw):
+    """One hand-built level's boxes; about one level in ten names an act
+    the problem does not declare ("zz") or an outcome no act has ("Q")."""
+    boxes = draw(st.fixed_dictionaries({}, optional={
+        "a1": _grid_boxes(("G", "not-G")),
+        "a2": _grid_boxes(("H", "not-H", "I")),
+        "a3": _grid_boxes(("J",)),
+    }))
+    fault = draw(st.integers(0, 19))
+    if fault == 0:
+        boxes["zz"] = {}
+    elif fault == 1:
+        boxes.setdefault("a1", {})["Q"] = ProbInterval(0.0, 1.0)
+    return boxes
+
+
 class TestSequencesAndNesting:
     def seq_of_g_bounds(self, *bounds):
         problem = jerry_problem()
@@ -651,6 +684,33 @@ class TestSequencesAndNesting:
         # between two tighter ones lets a violation skip a level
         problem, seq = self.seq_of_g_bounds(*bounds)
         assert is_nested(seq, problem) == all_pairs_nested(seq, problem)
+
+    @given(st.lists(nesting_boxes(), min_size=1, max_size=4))
+    def test_matches_all_pairs_check_on_any_level(self, boxes):
+        # hand-built levels may name an unknown act or outcome or leave an
+        # act infeasible; is_nested must then raise as apply_level does
+        seq = CredalSequence(tuple(CredalLevel(i, i / 10.0, box)
+                                   for i, box in enumerate(boxes)))
+        assert (outcome(lambda: is_nested(seq, NESTING_PROBLEM))
+                == outcome(lambda: all_pairs_nested(seq, NESTING_PROBLEM)))
+
+    def test_builds_no_act(self, monkeypatch):
+        built = []
+        for cls in (Act, Outcome, DecisionProblem):
+            check = cls.__post_init__
+
+            def counted(self, check=check):
+                built.append(type(self).__name__)
+                check(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        problem, seq = self.seq_of_g_bounds((None, None), (0.3, 0.9), (0.4, 0.7))
+        built.clear()
+        assert is_nested(seq, problem)
+        assert built == []
+        # the counter sees what apply_level builds
+        apply_level(problem, seq.levels[1])
+        assert "Act" in built
+
 
 
 # a coarse grid of endpoints, with both signs of zero, so that equal

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -78,6 +79,54 @@ def error_path(data):
     with pytest.raises(ProblemFormatError) as exc_info:
         parse_document(data)
     return str(exc_info.value)
+
+
+
+def _set(*path_and_value):
+    """A fault that puts the value at the path in a document."""
+    *path, key, value = path_and_value
+
+    def put(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+    return put
+
+
+# one fault per key of each sequence form, in the order dumps writes the
+# keys (problem, acts, tolerance, levels, statements, acceptance,
+# reference_classes) and, within a level, error, constraints, overrides
+_COMMON_FAULTS = [
+    ("problem", _set("problem", "")),
+    ("acts", _set("acts", 0, "outcomes", 0, "prob", [0.8, 0.2])),
+    ("tolerance", _set("tolerance", "max_error", 2.0)),
+]
+_REFS_FAULT = ("reference_classes",
+               _set("reference_classes", "entries", 0, "interval", [0.5, 0.4]))
+_REFS = {"entries": [{"class": "c", "event": "G", "interval": [0.1, 0.2]}]}
+TWO_FAULT_FORMS = [
+    (doc_with(tolerance={"mode": "explicit", "max_error": 0.5},
+              levels=[{"error": 0.0,
+                       "constraints": [{"kind": "condition", "event": "G"}],
+                       "overrides": {"a1": {"G": [0.2, 0.4]}}}],
+              reference_classes=_REFS),
+     _COMMON_FAULTS + [
+         ("level-error", _set("levels", 0, "error", 2.0)),
+         ("level-constraints", _set("levels", 0, "constraints", 0, "prob", 0.9)),
+         ("level-overrides", _set("levels", 0, "overrides", "a1", "G", [0.5, 0.4])),
+         _REFS_FAULT]),
+    (doc_with(tolerance={"mode": "explicit", "max_error": 0.5},
+              statements=[{"kind": "condition", "event": "G"}],
+              acceptance={"rule": "threshold", "error_levels": [0.1]},
+              reference_classes=_REFS),
+     _COMMON_FAULTS + [
+         ("statements", _set("statements", 0, "prob", 2.0)),
+         ("acceptance", _set("acceptance", "error_levels", [0.2, 0.1])),
+         _REFS_FAULT]),
+]
+TWO_FAULT_CASES = [(base, first, second)
+                   for base, faults in TWO_FAULT_FORMS
+                   for first, second in itertools.combinations(faults, 2)]
 
 
 # the four places a document states a probability interval: a function
@@ -378,6 +427,22 @@ class TestParsing:
 
 
 class TestValidationErrors:
+    @pytest.mark.parametrize(
+        "base, first, second", TWO_FAULT_CASES,
+        ids=[f"{first[0]}+{second[0]}" for _, first, second in TWO_FAULT_CASES])
+    def test_two_faults_name_the_first_written(self, base, first, second):
+        # of two faults, the one named is the one dumps writes first
+        alone = {}
+        for name, put in (first, second):
+            doc = json.loads(json.dumps(base))
+            put(doc)
+            alone[name] = error_path(doc)
+        assert alone[first[0]] != alone[second[0]]
+        doc = json.loads(json.dumps(base))
+        first[1](doc)
+        second[1](doc)
+        assert error_path(doc) == alone[first[0]]
+
     def test_unknown_root_key(self):
         assert "unknown key 'extra'" in error_path(doc_with(extra=1))
 
