@@ -13,7 +13,7 @@ from typing import Callable, Mapping, Sequence
 from .expectation import DecisionProblem, FeasibilityError, _box_bounds, eu_all
 from .intervals import Interval, ProbInterval
 # not called here: perfbench/tracing.py binds its apply_level span on it
-from .knowledge import CredalSequence, apply_level
+from .knowledge import CredalSequence, _checked_bounds, apply_level
 from .ordering import maximal_set, maximin
 
 DECIDED = "decided"
@@ -232,12 +232,13 @@ def explore(problem: DecisionProblem, seq: CredalSequence,
     """Walk the sequence from level 0 while error stays below tolerance.
 
     Each level's expected utilities come straight from its boxes, by
-    eu_all(problem, level.assignments); no act is rebuilt.  Stops with a
-    decision at the first level whose maximal set is a single act.  A
-    level whose boxes have all collapsed to points with the top acts
-    still tied is reported as a bare risk problem: the first best act is
-    named and flagged ambiguous.  Running out of tolerable levels yields
-    no mandate.
+    eu_all(problem, level.assignments); no act is rebuilt, and a level
+    that resolution built against this problem is not checked again.
+    Stops with a decision at the first level whose maximal set is a
+    single act.  A level whose boxes have all collapsed to points with
+    the top acts still tied is reported as a bare risk problem: the first
+    best act is named and flagged ambiguous.  Running out of tolerable
+    levels yields no mandate.
     """
     spec = spec if spec is not None else ToleranceSpec.explicit(1.0)
     tolerance = tolerable_error(problem, spec)
@@ -247,7 +248,8 @@ def explore(problem: DecisionProblem, seq: CredalSequence,
             break
         try:
             eu = eu_all(problem, level.assignments,
-                        f"level {level.index} assigns to")
+                        f"level {level.index} assigns to",
+                        _checked=_checked_bounds(level, problem))
         except FeasibilityError as exc:
             raise InfeasibleLevelError(
                 f"level {level.index} (error {level.error:g}): {exc}"

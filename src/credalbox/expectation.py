@@ -17,10 +17,14 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import Mapping
 
-from .intervals import VACUOUS, Interval, ProbInterval
+from .intervals import VACUOUS, Interval, ProbInterval, _unchecked
 
 #: slack used when checking that a probability box admits a distribution
 FEASIBILITY_TOL = 1e-9
+
+
+#: an act's outcome bounds, lows and highs in outcome order
+_Bounds = tuple[tuple[float, ...], tuple[float, ...]]
 
 
 class FeasibilityError(ValueError):
@@ -42,6 +46,18 @@ class Outcome:
             raise ValueError(f"outcome {self.label!r} has non-finite utility")
 
 
+def _unchecked_outcome(label: str, utility: float, prob: ProbInterval) -> Outcome:
+    """Outcome(label, utility, prob) for a non-empty str label and a
+    finite float utility the caller has already checked; __post_init__
+    does not run again."""
+    o = object.__new__(Outcome)
+    fields = o.__dict__
+    fields["label"] = label
+    fields["utility"] = utility
+    fields["prob"] = prob
+    return o
+
+
 @dataclass(frozen=True)
 class Act:
     """A named act with its outcome partition."""
@@ -58,8 +74,11 @@ class Act:
         labels = tuple(o.label for o in self.outcomes)
         if len(set(labels)) != len(labels):
             raise ValueError(f"act {self.name!r} repeats an outcome label")
-        _check_feasible(self.name, *_box_bounds(self, {}))
+        # the declared bounds, kept for every later evaluation to read
+        declared = _box_bounds(self, {})
+        _check_feasible(self.name, *declared)
         object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_declared", declared)
 
     def labels(self) -> tuple[str, ...]:
         return self._labels
@@ -98,18 +117,21 @@ class DecisionProblem:
         return tuple(a.name for a in self.acts)
 
 
-def _box_bounds(act: Act, box: Mapping[str, ProbInterval]) -> tuple[list, list]:
+def _box_bounds(act: Act, box: Mapping[str, ProbInterval]) -> _Bounds:
     """The act's outcome bounds (lows, highs) under box, whose intervals
-    replace the declared bounds of the outcomes it names."""
+    replace the declared bounds of the outcomes it names.  Tuples, which
+    outlive the call (acts and resolved levels keep them): the garbage
+    collector stops tracking a tuple of floats, but never a list."""
     lows, highs = [], []
     for o in act.outcomes:
         p = box.get(o.label, o.prob)
         lows.append(p.lo)
         highs.append(p.hi)
-    return lows, highs
+    return tuple(lows), tuple(highs)
 
 
-def _check_feasible(name: str, lows: list[float], highs: list[float]) -> None:
+def _check_feasible(name: str, lows: tuple[float, ...],
+                    highs: tuple[float, ...]) -> None:
     lo_sum = math.fsum(lows)
     hi_sum = math.fsum(highs)
     if lo_sum > 1.0 + FEASIBILITY_TOL:
@@ -138,10 +160,11 @@ def _check_targets(problem: DecisionProblem,
                 )
 
 
-def _allocate(lows: list[float], highs: list[float], utils: list[float],
-              order: list[int]) -> float:
+def _allocate(lows: tuple[float, ...], highs: tuple[float, ...],
+              utils: list[float], order: list[int], residual: float) -> float:
+    """The expected utility after pouring residual, the mass the lower
+    bounds leave, into the outcomes in order."""
     p = list(lows)
-    residual = 1.0 - math.fsum(lows)
     for i in order:
         if residual <= 0.0:
             break
@@ -168,19 +191,22 @@ def _orders(act: Act) -> tuple[list[float], list[int], list[int]]:
     return cached
 
 
-def _bounds(act: Act, lows: list[float], highs: list[float]) -> Interval:
+def _bounds(act: Act, lows: tuple[float, ...], highs: tuple[float, ...]) -> Interval:
     """The act's expected-utility interval over the box lows..highs."""
     utils, ascending, descending = _orders(act)
+    residual = 1.0 - math.fsum(lows)
     try:
-        lo = _allocate(lows, highs, utils, ascending)
-        hi = _allocate(lows, highs, utils, descending)
+        lo = _allocate(lows, highs, utils, ascending, residual)
+        hi = _allocate(lows, highs, utils, descending, residual)
     except OverflowError:
         raise ValueError(
             f"act {act.name!r}: expected utility overflows the float range"
         ) from None
     if lo > hi:  # guard against stray rounding on near-degenerate boxes
         lo = hi = (lo + hi) / 2.0
-    return Interval(lo, hi)
+    # finite utilities weighted by probabilities of at most 1 give no NaN,
+    # and the guard orders the endpoints: Interval's checks would pass
+    return _unchecked(Interval, lo, hi)
 
 
 def eu_interval(act: Act) -> Interval:
@@ -192,14 +218,14 @@ def eu_interval(act: Act) -> Interval:
     """
     cached = act.__dict__.get("_eu")
     if cached is None:
-        cached = _bounds(act, *_box_bounds(act, {}))
+        cached = _bounds(act, *act._declared)
         object.__setattr__(act, "_eu", cached)
     return cached
 
 
 def _level_bounds(problem: DecisionProblem,
                   boxes: Mapping[str, Mapping[str, ProbInterval]],
-                  where: str) -> list[tuple[list[float], list[float]] | None]:
+                  where: str) -> list[_Bounds | None]:
     """Each act's bounds under its box, in act order; None for an act with
     no box or an empty one.  Unknown names raise first, their message led
     by where; then the first infeasible boxed act, in act order."""
@@ -214,18 +240,22 @@ def _level_bounds(problem: DecisionProblem,
 
 def eu_all(problem: DecisionProblem,
            assignments: Mapping[str, Mapping[str, ProbInterval]] | None = None,
-           where: str = "assignment to") -> dict[str, Interval]:
+           where: str = "assignment to", *,
+           _checked: list[_Bounds | None] | None = None) -> dict[str, Interval]:
     """Expected-utility interval for every act, keyed by act name.
 
     assignments (act name -> outcome label -> interval) replaces the
     declared bounds of the outcomes it names, as a credal level does, and
     the result is bit-identical to eu_all(apply_level(problem, level)),
     without building a single act.  _level_bounds checks the level before
-    any expected utility is computed.  Acts with no box, or an empty one,
-    keep the interval computed on their own bounds.
+    any expected utility is computed, unless _checked holds what it would
+    return, already checked: the bounds a level built by resolution
+    carries.  Acts with no box, or an empty one, keep the interval
+    computed on their own bounds.
     """
+    if _checked is None:
+        _checked = _level_bounds(problem, assignments or {}, where)
     return {
         act.name: eu_interval(act) if bounds is None else _bounds(act, *bounds)
-        for act, bounds in zip(problem.acts,
-                               _level_bounds(problem, assignments or {}, where))
+        for act, bounds in zip(problem.acts, _checked)
     }

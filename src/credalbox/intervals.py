@@ -63,6 +63,21 @@ class ProbInterval(Interval):
         return ProbInterval(1.0 - self.hi, 1.0 - self.lo)
 
 
+_new = object.__new__
+_set_lo = Interval.__dict__["lo"].__set__
+_set_hi = Interval.__dict__["hi"].__set__
+
+
+def _unchecked(cls: type[Interval], lo: float, hi: float) -> Interval:
+    """cls(lo, hi) for endpoints the caller has already found valid for
+    cls, stored through the slots without running __post_init__.  It
+    equals, hashes and prints as cls(lo, hi) does, zero signs included."""
+    iv = _new(cls)
+    _set_lo(iv, lo)
+    _set_hi(iv, hi)
+    return iv
+
+
 #: the vacuous probability interval, committing to nothing
 VACUOUS = ProbInterval(0.0, 1.0)
 CERTAIN = ProbInterval(1.0, 1.0)

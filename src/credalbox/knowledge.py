@@ -26,6 +26,7 @@ from .expectation import (
     DecisionProblem,
     FeasibilityError,
     Outcome,
+    _Bounds,
     _box_bounds,
     _check_feasible,
     _check_targets,
@@ -390,7 +391,10 @@ class CredalLevel:
     """Per-act probability assignments at one error level.
 
     assignments maps act name -> outcome label -> interval; outcomes not
-    mentioned keep the bounds declared on the problem itself.
+    mentioned keep the bounds declared on the problem itself.  The boxes
+    are copied here and are read-only after construction: a level built
+    by resolution also carries the bounds its boxes were checked to,
+    which a box changed in place would leave stale.
     """
 
     index: int
@@ -404,6 +408,18 @@ class CredalLevel:
             raise ValueError(f"level error must lie in [0, 1], got {self.error!r}")
         frozen = {act: dict(boxes) for act, boxes in self.assignments.items()}
         object.__setattr__(self, "assignments", frozen)
+
+
+def _checked_bounds(level: CredalLevel,
+                    problem: DecisionProblem) -> list[_Bounds | None] | None:
+    """Each act's bounds under level's boxes, as _level_bounds gives them,
+    when resolution built level against this very problem object and
+    checked them there; None for any other level or problem.  The record
+    is no field, so equality, repr and sequence_bytes never see it."""
+    checked = level.__dict__.get("_checked")
+    if checked is not None and checked[0] is problem:
+        return checked[1]
+    return None
 
 
 _NO_LEVELS = "a credal sequence needs at least one level"
@@ -510,8 +526,10 @@ class _Resolver:
         # event -> item -> its inferred answer, and the event's merged bound
         self.answers: dict[str, dict[str, ProbInterval]] = {}
         self.bounds: dict[str, ProbInterval] = {}
-        # act position -> its box at the last level, if any
+        # act position -> its box at the last level, if any, and the
+        # bounds that box was checked to (None for no box or an empty one)
         self.boxes: list[dict[str, ProbInterval] | None] = [None] * len(self.problem.acts)
+        self.checked: list[_Bounds | None] = [None] * len(self.boxes)
 
     def _added(self, body: BodyOfKnowledge) -> Sequence[Statement] | None:
         """The statements body adds to the body resolved before it, or
@@ -631,23 +649,33 @@ class _Resolver:
                             f"body {body.index}: constraints on {first.label!r} "
                             f"and {second.label!r} of act {act.name!r} conflict"
                         )
-            for label, iv in extra.get(act.name, {}).items():
-                if not _meet(over, label, iv):
-                    raise ConflictingConstraintError(
-                        f"body {body.index}: asserted interval for outcome "
-                        f"{label!r} of act {act.name!r} conflicts with the "
-                        f"statement-derived bounds"
-                    )
+            asserted = extra.get(act.name, {})
+            if not over:
+                # no statement bounds the act: the assertions are its box
+                over = dict(asserted)
+            else:
+                for label, iv in asserted.items():
+                    if not _meet(over, label, iv):
+                        raise ConflictingConstraintError(
+                            f"body {body.index}: asserted interval for outcome "
+                            f"{label!r} of act {act.name!r} conflicts with the "
+                            f"statement-derived bounds"
+                        )
+            bounds = None
             if over:
+                bounds = _box_bounds(act, over)
                 try:
-                    _check_feasible(act.name, *_box_bounds(act, over))
+                    _check_feasible(act.name, *bounds)
                 except FeasibilityError as exc:
                     raise FeasibilityError(f"body {body.index}: {exc}") from exc
             self.boxes[pos] = over
+            self.checked[pos] = bounds
         # the boxes now hold extra, which the next body must not inherit
         self.body = None if extra else body
-        return CredalLevel(index=body.index, error=body.error, assignments={
+        level = CredalLevel(index=body.index, error=body.error, assignments={
             act.name: box for act, box in zip(acts, self.boxes) if box})
+        object.__setattr__(level, "_checked", (self.problem, list(self.checked)))
+        return level
 
 
 def level_from_body(body: BodyOfKnowledge, problem: DecisionProblem,
@@ -689,7 +717,7 @@ def is_nested(seq: CredalSequence, problem: DecisionProblem) -> bool:
     resolved = [_level_bounds(problem, lvl.assignments, f"level {lvl.index} assigns to")
                 for lvl in seq.levels]
     for act, *levels in zip(problem.acts, *resolved):
-        own = _box_bounds(act, {})
+        own = act._declared
         for (lo_early, hi_early), (lo_late, hi_late) in pairwise(
                 bounds or own for bounds in levels):
             if any(map(lt, lo_late, lo_early)) or any(map(gt, hi_late, hi_early)):

@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping
 
 from .engine import ToleranceSpec
-from .expectation import Act, DecisionProblem, Outcome
-from .intervals import VACUOUS, ProbInterval
+from .expectation import Act, DecisionProblem, Outcome, _unchecked_outcome
+from .intervals import VACUOUS, ProbInterval, _unchecked
 from .knowledge import (
     EMPTY_TABLE,
     BodyOfKnowledge,
@@ -58,15 +59,25 @@ def _fail(path: str, message: str) -> None:
     raise _Invalid(path, message)
 
 
-def _each(raw, path: str, parse) -> list:
+def _each(raw, path: str, parse, key=None) -> list:
     """The array at path, each entry parsed by parse(entry, i, done), done
-    being the entries parsed before it; a failing entry's path gains [i]."""
+    being the entries parsed before it; a failing entry's path gains [i].
+    With key given, the list ends at the first entry whose key(entry) an
+    earlier entry has, so that the constructor the caller hands it to
+    refuses the repeat before a later entry can fail."""
     done: list = []
+    seen = set()
     for i, data in enumerate(_as_list(raw, path)):
         try:
-            done.append(parse(data, i, done))
+            entry = parse(data, i, done)
         except _Invalid as exc:
             raise exc.under(f"{path}[{i}]")
+        done.append(entry)
+        if key is not None:
+            k = key(entry)
+            if k in seen:
+                break
+            seen.add(k)
     return done
 
 
@@ -129,11 +140,12 @@ def _string(value, path: str) -> str:
 
 
 def _interval(value, path: str) -> ProbInterval:
-    # two ordered floats in [0, 1], the usual value, pass in one check;
-    # anything else (ints, NaN, a reversed pair) meets every check below
+    # two ordered floats in [0, 1], the usual value, pass in one check,
+    # which is all ProbInterval's would do; anything else (ints, NaN, a
+    # reversed pair) meets every check below
     if (type(value) is list and len(value) == 2 and type(value[0]) is float
             is type(value[1]) and 0.0 <= value[0] <= value[1] <= 1.0):
-        return ProbInterval(value[0], value[1])
+        return _unchecked(ProbInterval, value[0], value[1])
     pair = _as_list(value, path)
     if len(pair) != 2:
         _fail(path, f"expected [lo, hi], got {len(pair)} entries")
@@ -173,6 +185,11 @@ def _parse_statements(raw, path: str, id_prefix: str) -> tuple[Statement, ...]:
     when it has no id of its own."""
     return tuple(_each(raw, path, lambda data, i, _: _parse_statement(
         data, f"{id_prefix}{i}")))
+
+
+def _unique_ids(statements: tuple[Statement, ...], path: str) -> None:
+    if len({s.id for s in statements}) != len(statements):
+        _fail(path, "statement ids repeat")
 
 
 def _statement_to_dict(s: Statement) -> dict:
@@ -274,7 +291,7 @@ def _parse_root(data) -> ProblemDocument:
     root = _as_mapping(data, "", {"problem", "acts", "tolerance", "levels",
                                   "statements", "acceptance", "reference_classes"})
     name = _string(_get(root, "problem", ""), ".problem")
-    acts = _each(_get(root, "acts", ""), ".acts", _parse_act)
+    acts = _each(_get(root, "acts", ""), ".acts", _parse_act, attrgetter("name"))
     problem = _built(".acts", DecisionProblem, name, tuple(acts))
 
     tolerance = ToleranceSpec.explicit(1.0)
@@ -297,9 +314,7 @@ def _parse_root(data) -> ProblemDocument:
         if "statements" not in root or "acceptance" not in root:
             _fail("", "statements and acceptance must appear together")
         statements = _parse_statements(root["statements"], ".statements", "s")
-        ids = [s.id for s in statements]
-        if len(set(ids)) != len(ids):
-            _fail(".statements", "statement ids repeat")
+        _unique_ids(statements, ".statements")
         rule, error_levels = _parse_acceptance(root["acceptance"])
 
     refs = EMPTY_TABLE
@@ -316,7 +331,8 @@ def _parse_root(data) -> ProblemDocument:
 def _parse_act(raw, *_) -> Act:
     obj = _as_mapping(raw, "", {"name", "outcomes"})
     name = _string(_get(obj, "name", ""), ".name")
-    outcomes = _each(_get(obj, "outcomes", ""), ".outcomes", _parse_outcome)
+    outcomes = _each(_get(obj, "outcomes", ""), ".outcomes", _parse_outcome,
+                     attrgetter("label"))
     return _built("", Act, name, tuple(outcomes))
 
 
@@ -325,13 +341,15 @@ _OUTCOME_KEYS = frozenset({"label", "utility", "prob"})
 
 def _parse_outcome(raw, *_) -> Outcome:
     # a non-empty str label and a finite float utility, the usual outcome,
-    # pass in one check; anything else meets every check below
+    # pass in one check, which is all Outcome's would do; anything else
+    # meets every check below
     if (type(raw) is dict and raw.keys() <= _OUTCOME_KEYS
             and type(label := raw.get("label")) is str and label
             and type(utility := raw.get("utility")) is float
             and -math.inf < utility < math.inf):
-        return Outcome(label, utility,
-                       _interval(raw["prob"], ".prob") if "prob" in raw else VACUOUS)
+        return _unchecked_outcome(
+            label, utility,
+            _interval(raw["prob"], ".prob") if "prob" in raw else VACUOUS)
     out = _as_mapping(raw, "", _OUTCOME_KEYS)
     return Outcome(
         _string(_get(out, "label", ""), ".label"),
@@ -388,13 +406,18 @@ def _parse_level(raw, i: int, done: list[LevelSpec],
     for c in constraints:
         if c.prob != 1.0:
             _fail(".constraints", "level constraints are assertions; prob must stay 1")
+    _unique_ids(constraints, ".constraints")
     overrides: dict[str, dict[str, ProbInterval]] = {}
     for act_name, raw_box in _as_mapping(obj.get("overrides", {}), ".overrides").items():
         try:
             overrides[act_name] = _parse_box(raw_box, act_name, problem)
         except _Invalid as exc:
             raise exc.under(f".overrides.{act_name}")
-    return LevelSpec(error, constraints, overrides)
+    # LevelSpec(error, constraints, overrides) without copying the boxes,
+    # which were built here and are held nowhere else
+    spec = object.__new__(LevelSpec)
+    spec.__dict__.update(error=error, statements=constraints, overrides=overrides)
+    return spec
 
 
 def _parse_box(raw, act_name: str, problem: DecisionProblem) -> dict[str, ProbInterval]:

@@ -5,12 +5,15 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from credalbox import (
     CredalLevel,
     CredalSequence,
     InconsistentBodyError,
     LevelSpec,
+    Outcome,
     ProbInterval,
     ProblemDocument,
     ProblemFormatError,
@@ -325,9 +328,14 @@ class TestSchema:
                                "class": "c"}],
                   acceptance={"rule": "next-most-probable"}),
          "$.statements: statement ids repeat"),
+        (doc_with(levels=[{"error": 0.0}, {"error": 0.1, "constraints": [
+            {"id": "x", "kind": "condition", "event": "G"},
+            {"id": "x", "kind": "condition", "event": "H", "value": False}]}]),
+         "$.levels[1].constraints: statement ids repeat"),
     ], ids=["repeated-act-name", "repeated-outcome-label", "cyclic-order",
             "unknown-override-act", "falling-level-error",
-            "non-increasing-error-levels", "lo-above-hi", "repeated-statement-ids"])
+            "non-increasing-error-levels", "lo-above-hi", "repeated-statement-ids",
+            "repeated-constraint-ids"])
     def test_refusals_beyond_the_schema(self, data, message):
         jsonschema.validate(
             data, json.loads(PROBLEM_SCHEMA.read_text(encoding="utf-8")))
@@ -394,19 +402,29 @@ class TestParsing:
             "body 2: statements 's0', 's1' cannot all hold for event 'G'"
 
     @pytest.mark.parametrize("constraints,message", [
-        ([{"kind": "event-interval", "event": "G", "interval": [0.0, 0.1]},
-          {"kind": "event-interval", "event": "G", "interval": [0.5, 0.6]}],
+        ((Statement.event_interval("level1.c0", "G", ProbInterval(0.0, 0.1)),
+          Statement.event_interval("level1.c1", "G", ProbInterval(0.5, 0.6))),
          "body 1: statements 'level1.c0', 'level1.c1' cannot all hold for event 'G'"),
-        ([{"id": "x", "kind": "condition", "event": "G"},
-          {"id": "x", "kind": "condition", "event": "H"}],
+        # the parser refuses repeated ids at $.levels[1].constraints; a
+        # document built through the API meets them in build_sequence
+        ((Statement.condition("x", "G"), Statement.condition("x", "H")),
          "body 1: statement ids repeat within one body"),
     ], ids=["conflict", "repeated-ids"])
     def test_inconsistent_level_names_its_body(self, constraints, message):
-        doc = parse_document(doc_with(levels=[
-            {"error": 0.0}, {"error": 0.1, "constraints": constraints}]))
+        doc = ProblemDocument(parse_document(MINIMAL).problem, level_specs=(
+            LevelSpec(0.0), LevelSpec(0.1, constraints)))
         with pytest.raises(InconsistentBodyError) as exc_info:
             doc.build_sequence()
         assert str(exc_info.value) == message
+
+    def test_parsed_conflict_names_its_body(self):
+        doc = parse_document(doc_with(levels=[{"error": 0.0}, {"error": 0.1, "constraints": [
+            {"kind": "event-interval", "event": "G", "interval": [0.0, 0.1]},
+            {"kind": "event-interval", "event": "G", "interval": [0.5, 0.6]}]}]))
+        with pytest.raises(InconsistentBodyError) as exc_info:
+            doc.build_sequence()
+        assert str(exc_info.value) == (
+            "body 1: statements 'level1.c0', 'level1.c1' cannot all hold for event 'G'")
 
     def test_level_overrides_parsed(self):
         data = doc_with(levels=[
@@ -424,6 +442,43 @@ class TestParsing:
         )
         doc = parse_document(data)
         assert doc.statements[0].id == "s0"
+
+
+class TestParsedValues:
+    """Values the parser builds on its one-check paths are the values
+    their constructors build."""
+
+    @given(st.tuples(*[st.one_of(st.sampled_from([-0.0, 0.0, 1.0]),
+                                 st.floats(0.0, 1.0))] * 2).map(sorted))
+    def test_intervals(self, pair):
+        doc = parse_document(doc_with(levels=[
+            {"error": 0.0, "overrides": {"a1": {"G": pair}}}]))
+        got = doc.level_specs[0].overrides["a1"]["G"]
+        want = ProbInterval(*pair)
+        assert type(got) is ProbInterval
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert [math.copysign(1.0, x) for x in (got.lo, got.hi)] == \
+            [math.copysign(1.0, x) for x in pair]
+
+    def test_outcomes(self):
+        got = parse_document(MINIMAL).problem.act("a1").outcomes
+        want = (Outcome("G", 10.0), Outcome("not-G", -30.0))
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+    def test_hand_built_level_spec_copies_its_boxes(self):
+        box = {"G": ProbInterval(0.5, 0.9)}
+        overrides = {"a1": box}
+        spec = LevelSpec(0.0, (), overrides)
+        assert spec.overrides == overrides
+        assert spec.overrides is not overrides and spec.overrides["a1"] is not box
+        box["not-G"] = ProbInterval(0.1, 0.5)
+        assert spec.overrides == {"a1": {"G": ProbInterval(0.5, 0.9)}}
+
+    def test_parsed_level_spec_keeps_the_boxes_it_built(self):
+        spec = parse_document(doc_with(levels=[
+            {"error": 0.0, "overrides": {"a1": {"G": [0.5, 0.9]}}}])).level_specs[0]
+        assert spec == LevelSpec(0.0, (), {"a1": {"G": ProbInterval(0.5, 0.9)}})
+        assert type(spec.statements) is tuple and type(spec.overrides["a1"]) is dict
 
 
 class TestValidationErrors:
@@ -514,6 +569,28 @@ class TestValidationErrors:
             acceptance={"rule": "next-most-probable", "error_levels": [0.1]},
         )
         assert "takes no error_levels" in error_path(data)
+
+    @pytest.mark.parametrize("acts, message", [
+        ([{"name": "a1", "outcomes": [{"label": "G", "utility": 1.0}]},
+          {"name": "a1", "outcomes": [{"label": "G", "utility": 1.0}]},
+          {"name": "a2", "outcomes": [{"label": "G", "utility": 1.0,
+                                       "prob": [0.5, 0.4]}]}],
+         "$.acts: problem 'tiny' repeats an act name"),
+        ([{"name": "a1", "outcomes": [
+            {"label": "G", "utility": 1.0}, {"label": "G", "utility": 2.0},
+            {"label": "H", "utility": 3.0, "prob": [0.5, 0.4]}]}],
+         "$.acts[0]: act 'a1' repeats an outcome label"),
+    ], ids=["act-name", "outcome-label"])
+    def test_repeat_is_named_before_a_later_entry_fails(self, acts, message):
+        # the repeating entry comes before the faulty one, as dumps writes them
+        assert error_path(doc_with(acts=acts)) == message
+
+    def test_repeated_level_constraint_ids(self):
+        data = doc_with(levels=[{"error": 0.0, "constraints": [
+            {"kind": "condition", "event": "G"},
+            {"id": "level0.c0", "kind": "condition", "event": "not-G",
+             "value": False}]}])
+        assert error_path(data) == "$.levels[0].constraints: statement ids repeat"
 
     def test_repeated_statement_ids(self):
         data = doc_with(

@@ -44,6 +44,8 @@ SEMANTIC_REFUSALS = {
     "an interval has lo > hi":
         r"\$\S*: lower endpoint .+ exceeds upper endpoint .+",
     "statement ids repeat": r"\$\.statements: statement ids repeat",
+    "a level's constraint ids repeat":
+        r"\$\.levels\[\d+\]\.constraints: statement ids repeat",
 }
 
 NAMES = st.sampled_from(["a1", "a2", "a3"])
@@ -171,6 +173,8 @@ def test_every_listed_refusal_is_reachable():
         "statement ids repeat": {
             "statements": [{"kind": "condition", "event": "G", "id": "x"}] * 2,
             "acceptance": {"rule": "next-most-probable"}},
+        "a level's constraint ids repeat": {"levels": [{"error": 0, "constraints": [
+            {"kind": "condition", "event": "G", "id": "x"}] * 2}]},
     }
     assert cases.keys() == SEMANTIC_REFUSALS.keys()
     for name, extra in cases.items():

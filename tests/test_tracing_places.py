@@ -20,8 +20,10 @@ from credalbox import (
     CredalLevel,
     CredalSequence,
     DecisionProblem,
+    LevelSpec,
     Outcome,
     ProbInterval,
+    ProblemDocument,
     engine,
 )
 
@@ -82,6 +84,14 @@ def test_explore_looks_its_layers_up_on_the_engine_module(monkeypatch):
         Act("a1", (Outcome("G", 10.0), Outcome("not-G", -30.0))),
         Act("a2", (Outcome("H", -10.0), Outcome("not-H", 0.0))),
     ))
-    report = engine.explore(problem, seq)
-    assert report.status == engine.DECIDED
-    assert calls == ["eu_all", "maximal_set"] * 2
+    # the same levels built by resolution, as decide builds them, carry
+    # checked bounds and still go through engine.eu_all
+    built = ProblemDocument(problem, level_specs=tuple(
+        LevelSpec(level.error, (), level.assignments) for level in seq.levels)
+    ).build_sequence()
+    assert built == seq
+    for levels in (seq, built):
+        calls.clear()
+        report = engine.explore(problem, levels)
+        assert report.status == engine.DECIDED
+        assert calls == ["eu_all", "maximal_set"] * 2
