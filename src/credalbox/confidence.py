@@ -31,12 +31,19 @@ _CF_MAX_STEPS = 100_000
 
 @dataclass(frozen=True)
 class SampleCount:
-    """Successes out of trials, both non-negative with successes <= trials."""
+    """Successes out of trials, both non-negative with successes <= trials.
+
+    Both are ints: a bool, a float (3.5, or 10.0) or any other type is
+    refused with a ValueError that names the field.
+    """
 
     successes: int
     trials: int
 
     def __post_init__(self):
+        for field, value in (("successes", self.successes), ("trials", self.trials)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{field} must be an int, got {value!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials!r}")
         if not 0 <= self.successes <= self.trials:
@@ -48,27 +55,37 @@ class SampleCount:
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction of the incomplete beta by the modified Lentz
     method; it converges fast for x < (a+1)/(a+b+2)."""
+    tiny = _CF_TINY
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
+    if -tiny < d < tiny:
+        d = tiny
     d = 1.0 / d
     h = d
     for m in range(1, _CF_MAX_STEPS + 1):
         m2 = 2 * m
-        # the even then the odd partial numerator of step m
-        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
-                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
-            d = 1.0 + aa * d
-            if abs(d) < _CF_TINY:
-                d = _CF_TINY
-            c = 1.0 + aa / c
-            if abs(c) < _CF_TINY:
-                c = _CF_TINY
-            d = 1.0 / d
-            step = d * c
-            h *= step
+        # the even partial numerator of step m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if -tiny < d < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if -tiny < c < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        # then the odd one, whose step decides convergence
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if -tiny < d < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if -tiny < c < tiny:
+            c = tiny
+        d = 1.0 / d
+        step = d * c
+        h *= step
         if abs(step - 1.0) < _CF_EPS:
             return h
     raise ValueError(

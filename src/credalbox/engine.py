@@ -8,6 +8,7 @@ import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
+from operator import mul as _mul
 from typing import Callable, Mapping, Sequence
 
 from .expectation import DecisionProblem, FeasibilityError, _box_bounds, eu_all
@@ -289,9 +290,10 @@ def _point_eu(utils: Sequence[float], probs: Sequence[float], act: str) -> float
         if not all(map(math.isfinite, probs)):
             raise ValueError(f"act {act!r}: probabilities must be finite numbers")
         raise ValueError(f"act {act!r}: probabilities sum to {total!r}, not 1")
-    if any(p < 0.0 for p in probs):
+    # every entry is finite here, so min sees no NaN
+    if min(probs) < 0.0:
         raise ValueError(f"act {act!r}: negative probability")
-    return math.fsum(p * u for p, u in zip(probs, utils))
+    return math.fsum(map(_mul, probs, utils))
 
 
 @dataclass(frozen=True)
@@ -342,7 +344,9 @@ class ParameterizedCredal:
     """Credal members indexed by one real parameter over [lo, hi].
 
     mapping sends a parameter value to act-keyed outcome distributions;
-    resolution fixes the uniform evaluation grid.
+    resolution fixes the uniform evaluation grid.  The range must be
+    non-empty with finite endpoints, and resolution an int (not a bool)
+    of at least 100; anything else is refused with a ValueError.
     """
 
     lo: float
@@ -354,6 +358,15 @@ class ParameterizedCredal:
         if not self.lo < self.hi:
             raise ValueError(
                 f"parameter range [{self.lo!r}, {self.hi!r}] must be non-empty"
+            )
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(
+                f"parameter range [{self.lo!r}, {self.hi!r}] must have "
+                f"finite endpoints"
+            )
+        if isinstance(self.resolution, bool) or not isinstance(self.resolution, int):
+            raise ValueError(
+                f"resolution must be an int, got {self.resolution!r}"
             )
         if self.resolution < 100:
             raise ValueError(
@@ -372,22 +385,26 @@ def starr(problem: DecisionProblem, credal: ParameterizedCredal
     span = credal.hi - credal.lo
     step = span / credal.resolution
     share = 1.0 / credal.resolution
-    measures = {act.name: 0.0 for act in problem.acts}
-    utils = {act.name: [o.utility for o in act.outcomes] for act in problem.acts}
+    acts = [(act.name, [o.utility for o in act.outcomes]) for act in problem.acts]
+    names = [name for name, _ in acts]
+    measures = dict.fromkeys(names, 0.0)
     for k in range(credal.resolution):
         theta = credal.lo + (k + 0.5) * step
         assignment = credal.mapping(theta)
-        scores: dict[str, float] = {}
-        for act in problem.acts:
-            if act.name not in assignment:
+        scores = []
+        for name, utils in acts:
+            if name not in assignment:
                 raise ValueError(
-                    f"parameter {theta!r}: no distribution for act {act.name!r}"
+                    f"parameter {theta!r}: no distribution for act {name!r}"
                 )
-            scores[act.name] = _point_eu(utils[act.name],
-                                         assignment[act.name], act.name)
-        best = max(scores.values())
-        winners = [name for name, value in scores.items() if value == best]
-        for name in winners:
-            measures[name] += share / len(winners)
+            scores.append(_point_eu(utils, assignment[name], name))
+        # the scores are finite, so == finds exactly the acts at the best
+        best = max(scores)
+        if scores.count(best) == 1:
+            measures[names[scores.index(best)]] += share
+        else:
+            winners = [name for name, value in zip(names, scores) if value == best]
+            for name in winners:
+                measures[name] += share / len(winners)
     winner = max(measures, key=lambda name: measures[name])
     return winner, measures

@@ -391,10 +391,12 @@ class CredalLevel:
     """Per-act probability assignments at one error level.
 
     assignments maps act name -> outcome label -> interval; outcomes not
-    mentioned keep the bounds declared on the problem itself.  The boxes
-    are copied here and are read-only after construction: a level built
-    by resolution also carries the bounds its boxes were checked to,
-    which a box changed in place would leave stale.
+    mentioned keep the bounds declared on the problem itself.  A level
+    built here copies its boxes; a level built by resolution keeps the
+    boxes the resolver built, which no later body changes.  Either way
+    the boxes are read-only after construction: a level built by
+    resolution also carries the bounds its boxes were checked to, which
+    a box changed in place would leave stale.
     """
 
     index: int
@@ -672,9 +674,14 @@ class _Resolver:
             self.checked[pos] = bounds
         # the boxes now hold extra, which the next body must not inherit
         self.body = None if extra else body
-        level = CredalLevel(index=body.index, error=body.error, assignments={
-            act.name: box for act, box in zip(acts, self.boxes) if box})
-        object.__setattr__(level, "_checked", (self.problem, list(self.checked)))
+        # CredalLevel(body.index, body.error, boxes) without copying the
+        # boxes, which were built here and are never changed afterwards;
+        # the body has checked its index and error
+        level = object.__new__(CredalLevel)
+        level.__dict__.update(
+            index=body.index, error=body.error,
+            assignments={act.name: box for act, box in zip(acts, self.boxes) if box},
+            _checked=(self.problem, list(self.checked)))
         return level
 
 

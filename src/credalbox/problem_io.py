@@ -182,9 +182,11 @@ def _parse_statement(data, fallback_id: str) -> Statement:
 
 def _parse_statements(raw, path: str, id_prefix: str) -> tuple[Statement, ...]:
     """The array at path as statements; the i-th is named id_prefix + i
-    when it has no id of its own."""
+    when it has no id of its own.  The array ends at the first repeated
+    id, so that _unique_ids names the repeat before a later statement
+    can fail."""
     return tuple(_each(raw, path, lambda data, i, _: _parse_statement(
-        data, f"{id_prefix}{i}")))
+        data, f"{id_prefix}{i}"), attrgetter("id")))
 
 
 def _unique_ids(statements: tuple[Statement, ...], path: str) -> None:

@@ -32,6 +32,11 @@ ProbInterval of two floats in order passes with one comparison.
 The binomial tail oracles sum the probability mass term by term from
 log-gamma binomial coefficients, O(n) work per tail, and check the
 incomplete-beta tails and the Clopper-Pearson endpoints built on them.
+The continued-fraction oracle runs the Lentz step as a loop over its
+two partial numerators, where the runtime writes them out; the point
+expected-utility and starr oracles build a generator per check and a
+name-keyed dict of scores per grid point, where the runtime keeps a
+list.  Each pair agrees to the bit.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ from credalbox import (
     intersect,
     tolerable_error,
 )
+from credalbox import confidence
 from credalbox.expectation import _check_feasible
 from credalbox.knowledge import EMPTY_TABLE
 
@@ -505,3 +511,99 @@ def oracle_clopper_pearson(x: int, n: int, confidence: float,
     hi = 1.0 if x == n else root(
         lambda p: oracle_binomial_cdf(x, n, p), increasing=False)
     return lo, hi
+
+
+def oracle_betacf(a: float, b: float, x: float) -> float:
+    """Oracle: the Lentz continued fraction as a loop over the even and
+    the odd partial numerator of each step.  The runtime writes the two
+    out in sequence, with the same expressions in the same order, so
+    the two agree to the bit."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < confidence._CF_TINY:
+        d = confidence._CF_TINY
+    d = 1.0 / d
+    h = d
+    for m in range(1, confidence._CF_MAX_STEPS + 1):
+        m2 = 2 * m
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < confidence._CF_TINY:
+                d = confidence._CF_TINY
+            c = 1.0 + aa / c
+            if abs(c) < confidence._CF_TINY:
+                c = confidence._CF_TINY
+            d = 1.0 / d
+            step = d * c
+            h *= step
+        if abs(step - 1.0) < confidence._CF_EPS:
+            return h
+    raise ValueError(
+        f"incomplete beta I_{x!r}({a!r}, {b!r}) did not converge "
+        f"in {confidence._CF_MAX_STEPS} steps"
+    )
+
+
+def oracle_point_eu(utils, probs, act: str) -> float:
+    """Oracle: one act's point expected utility, its negative check a
+    generator over every entry and its sum taken from a generator."""
+    if len(utils) != len(probs):
+        raise ValueError(
+            f"act {act!r}: {len(probs)} probabilities for {len(utils)} outcomes"
+        )
+    try:
+        total = math.fsum(probs)
+    except ValueError:  # inf + -inf
+        total = math.nan
+    if not abs(total - 1.0) <= 1e-9:
+        if not all(map(math.isfinite, probs)):
+            raise ValueError(f"act {act!r}: probabilities must be finite numbers")
+        raise ValueError(f"act {act!r}: probabilities sum to {total!r}, not 1")
+    if any(p < 0.0 for p in probs):
+        raise ValueError(f"act {act!r}: negative probability")
+    return math.fsum(p * u for p, u in zip(probs, utils))
+
+
+def oracle_higher_order_eu(problem, credal) -> dict:
+    """Oracle: higher_order_eu over oracle_point_eu."""
+    out = {}
+    for act in problem.acts:
+        utils = [o.utility for o in act.outcomes]
+        terms = []
+        for assignment, weight in credal.members:
+            if act.name not in assignment:
+                raise ValueError(f"a member assigns nothing to act {act.name!r}")
+            terms.append(weight * oracle_point_eu(utils, assignment[act.name],
+                                                  act.name))
+        out[act.name] = math.fsum(terms)
+    return out
+
+
+def oracle_starr(problem, credal):
+    """Oracle: starr with a name-keyed dict of scores per grid point and
+    every grid point's winners split share / len(winners), where the
+    runtime keeps a list of scores and adds share whole to a sole winner."""
+    span = credal.hi - credal.lo
+    step = span / credal.resolution
+    share = 1.0 / credal.resolution
+    measures = {act.name: 0.0 for act in problem.acts}
+    utils = {act.name: [o.utility for o in act.outcomes] for act in problem.acts}
+    for k in range(credal.resolution):
+        theta = credal.lo + (k + 0.5) * step
+        assignment = credal.mapping(theta)
+        scores = {}
+        for act in problem.acts:
+            if act.name not in assignment:
+                raise ValueError(
+                    f"parameter {theta!r}: no distribution for act {act.name!r}"
+                )
+            scores[act.name] = oracle_point_eu(utils[act.name],
+                                               assignment[act.name], act.name)
+        best = max(scores.values())
+        winners = [name for name, value in scores.items() if value == best]
+        for name in winners:
+            measures[name] += share / len(winners)
+    winner = max(measures, key=lambda name: measures[name])
+    return winner, measures

@@ -16,17 +16,20 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from credalbox import (
+    BodyOfKnowledge,
     CredalLevel,
     CredalSequence,
     DecisionProblem,
     InfeasibleLevelError,
     ProbInterval,
+    Statement,
     VACUOUS,
     cli,
     expectation,
     explore,
     knowledge,
     parse_document,
+    sequence_from_bodies,
 )
 from support import outcome
 
@@ -181,6 +184,33 @@ class TestOtherLevelsTakeTheFullCheck:
         assert rebuilt == seq and repr(rebuilt) == repr(seq)
         assert knowledge._checked_bounds(seq.levels[1], parse_document(DOC).problem) is None
         assert knowledge._checked_bounds(rebuilt.levels[1], None) is None
+
+
+class TestLevelsKeepTheirBoxes:
+    def test_hand_built_level_copies_its_boxes(self):
+        box = {"G": ProbInterval(0.5, 0.9)}
+        assignments = {"a1": box}
+        level = CredalLevel(0, 0.0, assignments)
+        assert level.assignments == assignments
+        assert level.assignments is not assignments
+        assert level.assignments["a1"] is not box
+        box["not-G"] = ProbInterval(0.1, 0.5)
+        assert level.assignments == {"a1": {"G": ProbInterval(0.5, 0.9)}}
+
+    def test_resolved_level_keeps_the_resolver_boxes(self):
+        # body 2 adds a statement on H only, so a1's box from body 1 is
+        # carried forward: the very dict the resolver built, not a copy
+        problem = parse_document(DOC).problem
+        on_g = Statement.event_interval("g", "G", ProbInterval(0.75, 1.0))
+        on_h = Statement.event_interval("h", "H", ProbInterval(0.15, 0.3))
+        seq = sequence_from_bodies([BodyOfKnowledge(0, 0.0, ()),
+                                    BodyOfKnowledge(1, 0.1, (on_g,)),
+                                    BodyOfKnowledge(2, 0.2, (on_g, on_h))], problem)
+        one, two = seq.levels[1].assignments, seq.levels[2].assignments
+        assert two["a1"] is one["a1"] and type(two["a1"]) is dict
+        assert two["a2"] is not one.get("a2")
+        assert fresh(seq) == seq and repr(fresh(seq)) == repr(seq)
+        assert knowledge._checked_bounds(seq.levels[2], problem) is not None
 
 
 def counted(monkeypatch, module, name):

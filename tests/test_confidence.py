@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from credalbox import SampleCount, binomial_cdf, binomial_sf, clopper_pearson
 from credalbox import confidence
-from support import oracle_binomial_cdf, oracle_binomial_sf, oracle_clopper_pearson
+from support import (
+    oracle_betacf,
+    oracle_binomial_cdf,
+    oracle_binomial_sf,
+    oracle_clopper_pearson,
+    outcome,
+)
 
 
 def cp(x, n, conf):
@@ -110,6 +116,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             SampleCount(0, 0)
 
+    @pytest.mark.parametrize("successes, trials, message", [
+        (3.5, 10, "successes must be an int, got 3.5"),
+        (True, 2, "successes must be an int, got True"),
+        ("3", 10, "successes must be an int, got '3'"),
+        (3, 10.0, "trials must be an int, got 10.0"),
+        (0, True, "trials must be an int, got True"),
+        (None, None, "successes must be an int, got None"),
+    ])
+    def test_sample_count_takes_ints_only(self, successes, trials, message):
+        with pytest.raises(ValueError) as exc:
+            SampleCount(successes, trials)
+        assert str(exc.value) == message
+
     def test_tail_helpers_validate_inputs(self):
         for tail in (binomial_cdf, binomial_sf):
             with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
@@ -203,3 +222,65 @@ class TestContinuedFraction:
         monkeypatch.setattr(confidence, "_CF_MAX_STEPS", 3)
         with pytest.raises(ValueError, match="did not converge"):
             binomial_sf(50_000, 100_000, 0.5)
+
+
+def cp_bits(x, n, conf):
+    """The endpoints of cp(x, n, conf) as float.hex strings."""
+    iv = cp(x, n, conf)
+    return iv.lo.hex(), iv.hi.hex()
+
+
+def betacf_bits(fn, a, b, x):
+    """fn(a, b, x) as a float.hex string, or its ValueError's type and text."""
+    got = outcome(lambda: fn(a, b, x))
+    return got.hex() if isinstance(got, float) else got
+
+
+def loop_cp_bits(x, n, conf):
+    """cp_bits with the continued fraction run by its loop-form oracle."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(confidence, "_betacf", oracle_betacf)
+        return cp_bits(x, n, conf)
+
+
+class TestWrittenOutContinuedFraction:
+    # the runtime writes the even and the odd step out in sequence; the
+    # loop form in tests/support.py is the oracle, bit for bit
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1.0, 3e4), st.floats(1.0, 3e4),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_betacf_matches_the_loop_bit_for_bit(self, a, b, x):
+        assert betacf_bits(confidence._betacf, a, b, x) == \
+            betacf_bits(oracle_betacf, a, b, x)
+
+    @pytest.mark.parametrize("a, b, x", [
+        (1.0, 1.0, 1.0),     # d is 0 before the first step
+        (0.5, 2.5, 0.625),   # d is 0 after the even numerator of step 1
+        (1.5, 12.5, 0.9375),  # c is 0 after the odd numerator of step 1
+        (1.0, 7.0, 0.5),     # d is 0 after the odd numerator of step 2
+        (7.5, 14.5, 0.5),    # d is 0 after the even numerator of step 3
+    ])
+    def test_tiny_guards_match_the_loop(self, a, b, x):
+        assert betacf_bits(confidence._betacf, a, b, x) == \
+            betacf_bits(oracle_betacf, a, b, x)
+
+    def test_cap_raises_the_loop_text(self, monkeypatch):
+        monkeypatch.setattr(confidence, "_CF_MAX_STEPS", 3)
+        args = (50_000.0, 50_001.0, 0.5)
+        got = outcome(lambda: confidence._betacf(*args))
+        assert got == outcome(lambda: oracle_betacf(*args))
+        assert got[0] is ValueError and "did not converge in 3 steps" in got[1]
+
+    @pytest.mark.parametrize("conf", [0.9, 0.95, 0.99])
+    def test_every_small_count_matches_the_loop(self, conf):
+        for n in range(1, 61):
+            for x in range(n + 1):
+                assert cp_bits(x, n, conf) == loop_cp_bits(x, n, conf), (x, n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(61, 30_000).flatmap(
+        lambda n: st.tuples(st.integers(0, n), st.just(n))),
+        st.sampled_from([0.5, 0.9, 0.95, 0.99, 0.999]))
+    def test_drawn_counts_match_the_loop(self, count, conf):
+        x, n = count
+        assert cp_bits(x, n, conf) == loop_cp_bits(x, n, conf)

@@ -29,7 +29,13 @@ from credalbox import (
     starr,
     tolerable_error,
 )
-from support import interval_close, oracle_explore, outcome
+from support import (
+    interval_close,
+    oracle_explore,
+    oracle_higher_order_eu,
+    oracle_starr,
+    outcome,
+)
 
 # a coarse grid, so that point boxes, tied bounds and infeasible boxes
 # are common
@@ -559,3 +565,190 @@ class TestStarr:
             ParameterizedCredal(0.5, 0.5, theta_mapping)
         with pytest.raises(ValueError, match="resolution"):
             ParameterizedCredal(0.3, 0.8, theta_mapping, resolution=99)
+
+    @pytest.mark.parametrize("lo, hi, resolution, message", [
+        (0.3, 0.8, 100.5, "resolution must be an int, got 100.5"),
+        (0.3, 0.8, 1000.0, "resolution must be an int, got 1000.0"),
+        (0.3, 0.8, True, "resolution must be an int, got True"),
+        (0.3, 0.8, "1000", "resolution must be an int, got '1000'"),
+        (0.3, math.inf, 1000,
+         "parameter range [0.3, inf] must have finite endpoints"),
+        (-math.inf, 0.8, 1000,
+         "parameter range [-inf, 0.8] must have finite endpoints"),
+        # a NaN endpoint leaves the range empty, as it always did
+        (math.nan, 0.8, 1000, "parameter range [nan, 0.8] must be non-empty"),
+    ])
+    def test_non_int_resolution_and_infinite_range_refused(self, lo, hi,
+                                                          resolution, message):
+        with pytest.raises(ValueError) as exc:
+            ParameterizedCredal(lo, hi, theta_mapping, resolution)
+        assert str(exc.value) == message
+
+
+# outcome utilities and distributions on a coarse grid of exact binary
+# fractions, so that grid points where acts tie exactly are common
+TIE_UTILITIES = [-2.0, 0.0, 1.0, 3.0]
+# entries that _point_eu refuses, each for an act of n >= 2 outcomes
+BAD_DISTRIBUTIONS = {
+    "length": lambda n: (1.0,) * (n + 1),
+    "nan": lambda n: (math.nan,) + (1.0,) * (n - 1),
+    "inf": lambda n: (math.inf, -math.inf) + (0.0,) * (n - 2),
+    "sum": lambda n: (0.75,) * n,
+    "negative": lambda n: (1.5, -0.5) + (0.0,) * (n - 2),
+}
+
+
+@st.composite
+def tied_families(draw, faults=False):
+    """(problem, table): one to four acts on grid utilities, and per act
+    a cycle of grid distributions that a mapping steps through.  With
+    faults, one cycle entry in three may be missing or refused."""
+    n_acts = draw(st.integers(1, 4))
+    acts, table = [], {}
+    for a in range(n_acts):
+        n = draw(st.integers(2 if faults else 1, 3))
+        utils = draw(st.lists(st.sampled_from(TIE_UTILITIES),
+                              min_size=n, max_size=n))
+        acts.append(Act(f"a{a}", tuple(Outcome(f"o{i}", u)
+                                       for i, u in enumerate(utils))))
+        entries = st.sampled_from(GRID_DISTRIBUTIONS[n])
+        if faults:
+            entries = st.one_of(entries, entries, st.one_of(
+                st.none(),
+                st.sampled_from(sorted(BAD_DISTRIBUTIONS)).map(
+                    lambda kind, n=n: BAD_DISTRIBUTIONS[kind](n))))
+        table[f"a{a}"] = draw(st.lists(entries, min_size=1, max_size=4))
+    return DecisionProblem("grid", tuple(acts)), table
+
+
+def cycling(table, cells):
+    """A mapping that gives each act its table entry for the grid cell
+    theta falls in, cycling through the entries; None leaves it out."""
+    def mapping(theta):
+        cell = int(theta * cells)
+        out = {}
+        for name, entries in table.items():
+            probs = entries[cell % len(entries)]
+            if probs is not None:
+                out[name] = probs
+        return out
+    return mapping
+
+
+def bits(result):
+    """starr's or higher_order_eu's result with every float as float.hex,
+    in dict order, or the ValueError's type and text."""
+    if isinstance(result, tuple) and isinstance(result[0], type):
+        return result
+    if isinstance(result, tuple):
+        winner, measures = result
+        return winner, [(k, v.hex()) for k, v in measures.items()]
+    return [(k, v.hex()) for k, v in result.items()]
+
+
+def softmax_family(theta):
+    """Smooth distributions in theta: no two acts tie at a grid point."""
+    def weights(alpha, beta):
+        raw = [math.exp(a + b * theta) for a, b in zip(alpha, beta)]
+        total = sum(raw)
+        return tuple(w / total for w in raw)
+    return {"x": weights((0.5, -1.0), (2.0, -1.0)),
+            "y": weights((0.0, 0.3, -0.2), (-1.5, 0.5, 1.0)),
+            "z": weights((1.0, 0.0), (0.0, 0.0))}
+
+
+SOFTMAX_PROBLEM = DecisionProblem("smooth", (
+    Act("x", (Outcome("w", 4.0), Outcome("l", -3.0))),
+    Act("y", (Outcome("p", 2.5), Outcome("q", -1.0), Outcome("r", 0.5))),
+    Act("z", (Outcome("s", 1.25), Outcome("t", -0.75))),
+))
+
+
+class TestStarrOracle:
+    # starr keeps a list of scores per grid point and adds share whole
+    # to a sole winner; the dict-keyed loop in tests/support.py is the
+    # oracle, bit for bit, errors and their order included
+    @settings(max_examples=200, deadline=None)
+    @given(tied_families(), st.integers(100, 140), st.integers(1, 9))
+    def test_matches_the_oracle(self, family, resolution, cells):
+        problem, table = family
+        credal = ParameterizedCredal(0.0, 1.0, cycling(table, cells), resolution)
+        assert bits(starr(problem, credal)) == bits(oracle_starr(problem, credal))
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_families(faults=True), st.integers(1, 9))
+    def test_errors_match_the_oracle(self, family, cells):
+        problem, table = family
+        credal = ParameterizedCredal(0.0, 1.0, cycling(table, cells), 100)
+        assert bits(outcome(lambda: starr(problem, credal))) == \
+            bits(outcome(lambda: oracle_starr(problem, credal)))
+
+    @pytest.mark.parametrize("resolution", [100, 997, 2000])
+    def test_no_ties(self, resolution):
+        credal = ParameterizedCredal(-2.0, 1.5, softmax_family, resolution)
+        got = starr(SOFTMAX_PROBLEM, credal)
+        assert bits(got) == bits(oracle_starr(SOFTMAX_PROBLEM, credal))
+        assert sum(v > 0.0 for v in got[1].values()) >= 2
+
+    @pytest.mark.parametrize("n_tied", [2, 3])
+    def test_exact_ties_split_as_the_oracle_does(self, n_tied):
+        # three acts of equal scores everywhere, or two of them tied
+        # above a third on a coarser grid
+        problem = DecisionProblem("ties", tuple(
+            Act(name, (Outcome("w", 1.0), Outcome("l", 0.0)))
+            for name in ("x", "y", "z")))
+
+        def mapping(theta):
+            low = (0.25, 0.75)
+            return {"x": (0.5, 0.5), "y": (0.5, 0.5),
+                    "z": (0.5, 0.5) if n_tied == 3 else low}
+        for resolution in (100, 300, 1000):
+            credal = ParameterizedCredal(0.0, 1.0, mapping, resolution)
+            winner, measures = starr(problem, credal)
+            assert bits((winner, measures)) == bits(oracle_starr(problem, credal))
+            assert winner == "x"
+            assert measures["x"] == measures["y"] > 0.0
+            assert (measures["z"] == measures["x"]) == (n_tied == 3)
+            assert (measures["z"] == 0.0) == (n_tied == 2)
+
+    @pytest.mark.parametrize("mapping, message", [
+        (lambda theta: {"a1": (0.5,), "a2": (1.0,)},
+         "act 'a1': 1 probabilities for 2 outcomes"),
+        (lambda theta: {"a1": (math.inf, 0.0), "a2": (1.0,)},
+         "act 'a1': probabilities must be finite numbers"),
+        (lambda theta: {"a1": (0.6, 0.6), "a2": (1.0,)},
+         "act 'a1': probabilities sum to 1.2, not 1"),
+        (lambda theta: {"a1": (1.5, -0.5), "a2": (1.0,)},
+         "act 'a1': negative probability"),
+        (lambda theta: {"a1": (0.5, 0.5)},
+         "parameter 0.30024999999999996: no distribution for act 'a2'"),
+        # the first act's fault is named before a later act is missing
+        (lambda theta: {"a1": (1.5, -0.5)}, "act 'a1': negative probability"),
+        (lambda theta: {"a2": (0.5, 0.5)},
+         "parameter 0.30024999999999996: no distribution for act 'a1'"),
+        # a length mismatch is named before a bad sum
+        (lambda theta: {"a1": (0.6, 0.6), "a2": (0.5, 0.4)},
+         "act 'a1': probabilities sum to 1.2, not 1"),
+        (lambda theta: {"a1": (0.5, 0.5), "a2": (0.5, 0.4)},
+         "act 'a2': 2 probabilities for 1 outcomes"),
+    ], ids=["length", "finite", "sum", "negative", "missing",
+            "fault-before-missing", "missing-first", "sum-before-length",
+            "length-second"])
+    def test_error_texts(self, mapping, message):
+        credal = ParameterizedCredal(0.3, 0.8, mapping)
+        with pytest.raises(ValueError) as exc:
+            starr(gather_or_pass(), credal)
+        assert str(exc.value) == message
+        assert outcome(lambda: oracle_starr(gather_or_pass(), credal)) == \
+            (ValueError, message)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_families(faults=True), st.sampled_from([
+        (1.0,), (0.5, 0.5), (0.25, 0.25, 0.5), (0.125, 0.375, 0.5)]))
+    def test_higher_order_eu_matches_the_oracle(self, family, weights):
+        problem, table = family
+        mapping = cycling(table, 7)
+        credal = WeightedCredal(tuple(
+            (mapping(k / 7 + 1 / 14), w) for k, w in enumerate(weights)))
+        assert bits(outcome(lambda: higher_order_eu(problem, credal))) == \
+            bits(outcome(lambda: oracle_higher_order_eu(problem, credal)))

@@ -602,6 +602,26 @@ class TestValidationErrors:
         )
         assert "statement ids repeat" in error_path(data)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda stmts: doc_with(statements=stmts,
+                                acceptance={"rule": "next-most-probable"}),
+         "$.statements: statement ids repeat"),
+        (lambda stmts: doc_with(levels=[{"error": 0.0}, {
+            "error": 0.1, "constraints": stmts}]),
+         "$.levels[1].constraints: statement ids repeat"),
+    ], ids=["statements", "level-constraints"])
+    def test_repeated_id_is_named_before_a_later_statement_fails(self, make,
+                                                                 message):
+        stmts = [{"id": "x", "kind": "condition", "event": "G"},
+                 {"id": "x", "kind": "condition", "event": "not-G",
+                  "value": False},
+                 {"id": "y", "kind": "condition", "event": "G", "prob": 2.0}]
+        assert error_path(make(stmts)) == message
+        # with no repeat, the third statement's fault is named
+        stmts[1]["id"] = "z"
+        assert error_path(make(stmts)).endswith(
+            "[2].prob: value 2.0 is above 1.0")
+
     def test_level_constraints_must_be_certain(self):
         data = doc_with(levels=[
             {"error": 0.0, "constraints": [

@@ -24,6 +24,8 @@ from credalbox import (
     Outcome,
     ProbInterval,
     ProblemDocument,
+    SampleCount,
+    confidence,
     engine,
 )
 
@@ -95,3 +97,22 @@ def test_explore_looks_its_layers_up_on_the_engine_module(monkeypatch):
         report = engine.explore(problem, levels)
         assert report.status == engine.DECIDED
         assert calls == ["eu_all", "maximal_set"] * 2
+
+
+def test_clopper_pearson_looks_its_tails_up_on_the_confidence_module(monkeypatch):
+    # confidence.tail_evals counts the calls the tracer's wrappers see:
+    # 34 bisection steps a side for 3 of 14
+    calls = []
+
+    def counted(attr):
+        original = getattr(confidence, attr)
+
+        def wrapper(*args, **kwargs):
+            calls.append(attr)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(confidence, attr, wrapper)
+
+    counted("binomial_sf")
+    counted("binomial_cdf")
+    confidence.clopper_pearson(SampleCount(3, 14), 0.99)
+    assert calls == ["binomial_sf"] * 34 + ["binomial_cdf"] * 34
