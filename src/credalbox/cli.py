@@ -16,7 +16,7 @@ from .confidence import SampleCount, clopper_pearson
 from .engine import DECIDED, NO_MANDATE, RISK_PROBLEM, ToleranceSpec, explore
 from .expectation import eu_all
 from .intervals import Interval
-from .knowledge import _checked_bounds
+from .knowledge import _read_level
 from .ordering import (
     _hurwicz_score,
     hurwicz,
@@ -111,8 +111,7 @@ def _cmd_compare(args) -> int:
             f"levels 0..{len(seq.levels) - 1}"
         )
     level = seq.levels[index]
-    eu = eu_all(doc.problem, level.assignments, f"level {level.index} assigns to",
-                _checked=_checked_bounds(level, doc.problem))
+    eu = eu_all(doc.problem, _checked=_read_level(level, doc.problem))
     surviving = maximal_set(eu)
     sub = {name: eu[name] for name in surviving.names}
     floor = maximin(sub)

@@ -11,10 +11,10 @@ from json.encoder import encode_basestring_ascii as _quote
 from operator import mul as _mul
 from typing import Callable, Mapping, Sequence
 
-from .expectation import DecisionProblem, FeasibilityError, _box_bounds, eu_all
-from .intervals import Interval, ProbInterval
+from .expectation import DecisionProblem, FeasibilityError, eu_all
+from .intervals import Interval
 # not called here: perfbench/tracing.py binds its apply_level span on it
-from .knowledge import CredalSequence, _checked_bounds, apply_level
+from .knowledge import CredalSequence, _read_level, apply_level
 from .ordering import maximal_set, maximin
 
 DECIDED = "decided"
@@ -218,23 +218,13 @@ class DecisionReport:
         return head + _block("[", rows, "]", 2) + "\n}"
 
 
-def _all_points(problem: DecisionProblem,
-                boxes: Mapping[str, Mapping[str, ProbInterval]]) -> bool:
-    """True when every outcome's interval on the level is a point."""
-    for act in problem.acts:
-        lows, highs = _box_bounds(act, boxes.get(act.name) or {})
-        if lows != highs:
-            return False
-    return True
-
-
 def explore(problem: DecisionProblem, seq: CredalSequence,
             spec: ToleranceSpec | None = None) -> DecisionReport:
     """Walk the sequence from level 0 while error stays below tolerance.
 
-    Each level's expected utilities come straight from its boxes, by
-    eu_all(problem, level.assignments); no act is rebuilt, and a level
-    that resolution built against this problem is not checked again.
+    Each level's expected utilities come straight from its checked
+    bounds, by eu_all; no act is rebuilt, and a level that resolution
+    built against this problem is not checked again.
     Stops with a decision at the first level whose maximal set is a
     single act.  A level whose boxes have all collapsed to points with
     the top acts still tied is reported as a bare risk problem: the first
@@ -248,9 +238,8 @@ def explore(problem: DecisionProblem, seq: CredalSequence,
         if level.error >= tolerance:
             break
         try:
-            eu = eu_all(problem, level.assignments,
-                        f"level {level.index} assigns to",
-                        _checked=_checked_bounds(level, problem))
+            bounds = _read_level(level, problem)
+            eu = eu_all(problem, _checked=bounds)
         except FeasibilityError as exc:
             raise InfeasibleLevelError(
                 f"level {level.index} (error {level.error:g}): {exc}"
@@ -263,9 +252,10 @@ def explore(problem: DecisionProblem, seq: CredalSequence,
                 act=surviving.names[0], level_used=level.index,
                 error_used=level.error, trace=tuple(trace),
             )
-        if _all_points(problem, level.assignments):
-            # ties are certain here: a unique point maximum would have
-            # been a singleton maximal set already
+        if all(lows == highs for lows, highs in (
+                b or act._declared for act, b in zip(problem.acts, bounds))):
+            # all points, so ties are certain: a unique point maximum
+            # would have been a singleton maximal set already
             return DecisionReport(
                 problem=problem.name, status=RISK_PROBLEM, tolerance=tolerance,
                 act=maximin(eu), level_used=level.index, error_used=level.error,
@@ -345,8 +335,9 @@ class ParameterizedCredal:
 
     mapping sends a parameter value to act-keyed outcome distributions;
     resolution fixes the uniform evaluation grid.  The range must be
-    non-empty with finite endpoints, and resolution an int (not a bool)
-    of at least 100; anything else is refused with a ValueError.
+    non-empty, with finite endpoints and a finite span, and resolution an
+    int (not a bool) of at least 100; anything else is refused with a
+    ValueError.
     """
 
     lo: float
@@ -363,6 +354,11 @@ class ParameterizedCredal:
             raise ValueError(
                 f"parameter range [{self.lo!r}, {self.hi!r}] must have "
                 f"finite endpoints"
+            )
+        if math.isinf(self.hi - self.lo):
+            raise ValueError(
+                f"parameter range [{self.lo!r}, {self.hi!r}] must have a "
+                f"finite span"
             )
         if isinstance(self.resolution, bool) or not isinstance(self.resolution, int):
             raise ValueError(

@@ -249,9 +249,9 @@ def eu_all(problem: DecisionProblem,
     the result is bit-identical to eu_all(apply_level(problem, level)),
     without building a single act.  _level_bounds checks the level before
     any expected utility is computed, unless _checked holds what it would
-    return, already checked: the bounds a level built by resolution
-    carries.  Acts with no box, or an empty one, keep the interval
-    computed on their own bounds.
+    return, already checked, as knowledge's level reader gives it.  Acts
+    with no box, or an empty one, keep the interval computed on their
+    own bounds.
     """
     if _checked is None:
         _checked = _level_bounds(problem, assignments or {}, where)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from itertools import pairwise
-from operator import gt, is_, lt
+from operator import gt, lt
 from typing import Iterable, Mapping, Sequence
 
 from .expectation import (
@@ -152,7 +152,9 @@ def _merged_events(statements: Sequence[Statement]) -> dict[str, ProbInterval]:
 class BodyOfKnowledge:
     """Statements accepted at one error level of a nested (or merely
     indexed) family of corpora.  The event bounds its statements entail
-    are merged once, here, and kept for resolution."""
+    are merged once, here, and kept for resolution.  A body an acceptance
+    rule builds also records the statements of the body it grew from and
+    the statements it adds, never that body itself."""
 
     index: int
     error: float
@@ -179,13 +181,17 @@ def accept_threshold(statements: Sequence[Statement],
             raise ValueError("error levels must be strictly increasing")
     bodies = [BodyOfKnowledge(0, 0.0, ())]
     for j, eps in enumerate(levels, start=1):
+        parent = bodies[-1]
         accepted = tuple(s for s in statements if 1.0 - s.prob < eps)
         try:
-            bodies.append(BodyOfKnowledge(j, eps, accepted))
+            body = BodyOfKnowledge(j, eps, accepted)
         except InconsistentBodyError as exc:
             raise InconsistentBodyError(
                 f"body {j} at error level {eps}: {exc}"
             ) from exc
+        object.__setattr__(body, "_grown_from", (parent.statements, tuple(
+            s for s in accepted if parent.error <= 1.0 - s.prob)))
+        bodies.append(body)
     return bodies
 
 
@@ -207,6 +213,7 @@ def _grown(parent: BodyOfKnowledge, index: int, error: float, s: Statement,
     body = BodyOfKnowledge(index, error)
     object.__setattr__(body, "statements", statements)
     object.__setattr__(body, "_events", events)
+    object.__setattr__(body, "_grown_from", (parent.statements, (s,)))
     return body
 
 
@@ -412,16 +419,16 @@ class CredalLevel:
         object.__setattr__(self, "assignments", frozen)
 
 
-def _checked_bounds(level: CredalLevel,
-                    problem: DecisionProblem) -> list[_Bounds | None] | None:
-    """Each act's bounds under level's boxes, as _level_bounds gives them,
-    when resolution built level against this very problem object and
-    checked them there; None for any other level or problem.  The record
-    is no field, so equality, repr and sequence_bytes never see it."""
+def _read_level(level: CredalLevel, problem: DecisionProblem) -> list[_Bounds | None]:
+    """Each act's bounds under level's boxes, checked, as _level_bounds
+    gives them.  A level that resolution built against this very problem
+    object carries them, checked there; any other level or problem is
+    checked in full.  The record is no field, so equality, repr and
+    sequence_bytes never see it."""
     checked = level.__dict__.get("_checked")
     if checked is not None and checked[0] is problem:
         return checked[1]
-    return None
+    return _level_bounds(problem, level.assignments, f"level {level.index} assigns to")
 
 
 _NO_LEVELS = "a credal sequence needs at least one level"
@@ -498,13 +505,15 @@ class _Resolver:
     """Resolves bodies of knowledge against one problem and base table,
     one body after another.
 
-    When a body holds every statement of the body resolved before it, in
-    the same order, that body's table, event bounds and per-(item, event)
-    most specific classes carry forward, and only the (item, event) pairs,
-    events and acts that the new statements touch are recomputed.  Direct inference
-    is not monotone, because a newly accepted, more specific class
-    replaces the old answer, so a touched event is merged again from its
-    parts instead of narrowing its old bound.  Any other body is
+    A body that an acceptance rule grew from the body resolved last
+    records that body's statements and the statements it adds; that
+    body's table, event bounds and per-(item, event) most specific
+    classes then carry forward, and only the (item, event) pairs, events
+    and acts that the added statements touch are recomputed.  Direct
+    inference is not monotone, because a newly accepted, more specific
+    class replaces the old answer, so a touched event is merged again
+    from its parts instead of narrowing its old bound.  Any other body
+    (levels-form, hand-built, or one after an assertion or an error) is
     resolved from empty.  Either way only the acts with an outcome on a
     recomputed event, or named in the level's assertions, are visited.
     """
@@ -516,7 +525,8 @@ class _Resolver:
         self._start()
 
     def _start(self) -> None:
-        self.body: BodyOfKnowledge | None = None
+        # the statements of the body resolved last; None after assertions or an error
+        self.last: tuple[Statement, ...] | None = None
         self.table = self.refs
         # class -> events it has a frequency for, and items accepted in it
         self.freq_events: dict[str, set[str]] = {}
@@ -534,29 +544,19 @@ class _Resolver:
         self.checked: list[_Bounds | None] = [None] * len(self.boxes)
 
     def _added(self, body: BodyOfKnowledge) -> Sequence[Statement] | None:
-        """The statements body adds to the body resolved before it, or
-        None when body must be resolved from empty, as when it drops or
-        reorders an old one: an event's first statement sets its zero signs."""
-        if self.body is None:
+        """The statements body adds to the body resolved last, when an
+        acceptance rule grew it from that one; None when body must be
+        resolved from empty."""
+        grown_from = body.__dict__.get("_grown_from")
+        if grown_from is None or grown_from[0] is not self.last:
             return None
-        old, new = self.body.statements, body.statements
-        # a common prefix, the usual case, is matched at C speed
-        skip = len(old) if len(new) >= len(old) and all(map(is_, old, new)) else 0
-        rest = iter(old[skip:])
-        pending = next(rest, None)
-        added = []
-        for s in new[skip:]:
-            if s is pending:
-                pending = next(rest, None)
-            # the bits of a repeated frequency come from whichever
-            # statement is first in body order, which the carried table
-            # cannot tell when s comes before an old statement
-            elif (pending is not None and s.kind == "class-frequency"
-                  and self.table.freq(s.cls, s.event) is not None):
-                return None
-            else:
-                added.append(s)
-        return None if pending is not None else added
+        # the bits of a repeated frequency come from whichever statement
+        # is first in body order, which the carried table cannot tell
+        added = grown_from[1]
+        if any(s.kind == "class-frequency" and self.table.freq(s.cls, s.event) is not None
+               for s in added):
+            return None
+        return added
 
     def _touched(self, added: Sequence[Statement]) -> dict[tuple[str, str], list[str]]:
         """(item, event) pairs that gain usable classes, with the classes."""
@@ -629,7 +629,7 @@ class _Resolver:
             self._start()
             added = body.statements
         # a body that raises leaves the next one to start from empty
-        self.body = None
+        self.last = None
         changed = self._infer(body, added)
         _check_targets(self.problem, extra, f"body {body.index}: asserted interval for")
         acts = self.problem.acts
@@ -673,7 +673,7 @@ class _Resolver:
             self.boxes[pos] = over
             self.checked[pos] = bounds
         # the boxes now hold extra, which the next body must not inherit
-        self.body = None if extra else body
+        self.last = None if extra else body.statements
         # CredalLevel(body.index, body.error, boxes) without copying the
         # boxes, which were built here and are never changed afterwards;
         # the body has checked its index and error
@@ -695,9 +695,10 @@ def level_from_body(body: BodyOfKnowledge, problem: DecisionProblem,
     In a two-outcome act, a constraint on one outcome forces the
     complementary bounds onto the other.  extra supplies act-keyed
     interval assertions that are intersected on top.  resolver, when
-    given, is the one that resolved the previous body of the same
-    sequence against the same problem and table; without it the body
-    is resolved from empty.
+    given, is one built for the same problem and table; it carries its
+    state forward when an acceptance rule grew body from the body it
+    resolved last, and otherwise resolves body from empty, as a call
+    without it does.
     """
     if resolver is None:
         resolver = _Resolver(problem, refs)
@@ -707,8 +708,9 @@ def level_from_body(body: BodyOfKnowledge, problem: DecisionProblem,
 def sequence_from_bodies(bodies: Sequence[BodyOfKnowledge],
                          problem: DecisionProblem,
                          refs: ReferenceClassTable = EMPTY_TABLE) -> CredalSequence:
-    """Credal sequence induced by resolving each body against the problem;
-    nested bodies are resolved incrementally."""
+    """Credal sequence induced by resolving each body against the problem.
+    A body an acceptance rule grew from the body before it is resolved
+    from that one's state; any other body from empty."""
     resolver = _Resolver(problem, refs)
     return CredalSequence(tuple(
         level_from_body(body, problem, refs, resolver=resolver) for body in bodies
@@ -718,11 +720,11 @@ def sequence_from_bodies(bodies: Sequence[BodyOfKnowledge],
 def is_nested(seq: CredalSequence, problem: DecisionProblem) -> bool:
     """True when every later level's boxes sit inside every earlier one's.
 
-    Every level is checked first, as apply_level checks it; containment
-    is transitive, so comparing neighbouring levels suffices.
+    Every level is checked first, as apply_level checks it, unless
+    resolution against this problem checked it already; containment is
+    transitive, so comparing neighbouring levels suffices.
     """
-    resolved = [_level_bounds(problem, lvl.assignments, f"level {lvl.index} assigns to")
-                for lvl in seq.levels]
+    resolved = [_read_level(level, problem) for level in seq.levels]
     for act, *levels in zip(problem.acts, *resolved):
         own = act._declared
         for (lo_early, hi_early), (lo_late, hi_late) in pairwise(

@@ -24,9 +24,12 @@ from credalbox import (
     ProbInterval,
     Statement,
     VACUOUS,
+    accept_next_most_probable,
+    accept_threshold,
     cli,
     expectation,
     explore,
+    is_nested,
     knowledge,
     parse_document,
     sequence_from_bodies,
@@ -178,12 +181,15 @@ class TestOtherLevelsTakeTheFullCheck:
         assert explore(twin, seq).to_json() == same
         assert len(calls) == len(explore(twin, seq).trace)
 
-    def test_record_stays_out_of_equality_and_repr(self):
-        seq = parse_document(DOC).build_sequence()
+    def test_record_stays_out_of_equality_and_repr(self, monkeypatch):
+        doc = parse_document(DOC)
+        seq = doc.build_sequence()
         rebuilt = fresh(seq)
         assert rebuilt == seq and repr(rebuilt) == repr(seq)
-        assert knowledge._checked_bounds(seq.levels[1], parse_document(DOC).problem) is None
-        assert knowledge._checked_bounds(rebuilt.levels[1], None) is None
+        # the equal sequence carries no record, so each level is checked
+        calls = counted(monkeypatch, expectation, "_check_targets")
+        assert is_nested(seq, doc.problem) == is_nested(rebuilt, doc.problem)
+        assert len(calls) == len(seq.levels)
 
 
 class TestLevelsKeepTheirBoxes:
@@ -201,16 +207,29 @@ class TestLevelsKeepTheirBoxes:
         # body 2 adds a statement on H only, so a1's box from body 1 is
         # carried forward: the very dict the resolver built, not a copy
         problem = parse_document(DOC).problem
+        on_g = Statement.event_interval("g", "G", ProbInterval(0.75, 1.0), prob=0.99)
+        on_h = Statement.event_interval("h", "H", ProbInterval(0.15, 0.3), prob=0.9)
+        for bodies in (accept_next_most_probable([on_h, on_g]),
+                       accept_threshold([on_h, on_g], [0.05, 0.2])):
+            assert [sorted(s.id for s in body.statements) for body in bodies] == \
+                [[], ["g"], ["g", "h"]]
+            seq = sequence_from_bodies(bodies, problem)
+            one, two = seq.levels[1].assignments, seq.levels[2].assignments
+            assert two["a1"] is one["a1"] and type(two["a1"]) is dict
+            assert two["a2"] is not one.get("a2")
+            assert fresh(seq) == seq and repr(fresh(seq)) == repr(seq)
+
+    def test_hand_built_bodies_are_resolved_from_empty(self):
+        # the same statements in bodies built by hand record no parent, so
+        # body 2 rebuilds a1's box, equal to the one body 1 built
+        problem = parse_document(DOC).problem
         on_g = Statement.event_interval("g", "G", ProbInterval(0.75, 1.0))
         on_h = Statement.event_interval("h", "H", ProbInterval(0.15, 0.3))
         seq = sequence_from_bodies([BodyOfKnowledge(0, 0.0, ()),
                                     BodyOfKnowledge(1, 0.1, (on_g,)),
                                     BodyOfKnowledge(2, 0.2, (on_g, on_h))], problem)
         one, two = seq.levels[1].assignments, seq.levels[2].assignments
-        assert two["a1"] is one["a1"] and type(two["a1"]) is dict
-        assert two["a2"] is not one.get("a2")
-        assert fresh(seq) == seq and repr(fresh(seq)) == repr(seq)
-        assert knowledge._checked_bounds(seq.levels[2], problem) is not None
+        assert two["a1"] == one["a1"] and two["a1"] is not one["a1"]
 
 
 def counted(monkeypatch, module, name):
@@ -242,3 +261,18 @@ def test_decide_checks_each_box_once(monkeypatch, tmp_path, capsys):
     assert report["level_used"] == 2
     assert sum(map(len, feasible)) == len(DOC["acts"]) + boxed
     assert sum(map(len, targets)) == len(DOC["levels"])
+
+
+def test_is_nested_reads_the_bounds_resolution_checked(monkeypatch):
+    doc = parse_document(DOC)
+    seq = doc.build_sequence()
+    feasible = (counted(monkeypatch, expectation, "_check_feasible"),
+                counted(monkeypatch, knowledge, "_check_feasible"))
+    targets = (counted(monkeypatch, expectation, "_check_targets"),
+               counted(monkeypatch, knowledge, "_check_targets"))
+    nested = is_nested(seq, doc.problem)
+    assert sum(map(len, feasible)) == 0 and sum(map(len, targets)) == 0
+    # hand-built levels take the full check: names, then each boxed act
+    assert is_nested(fresh(seq), doc.problem) == nested
+    assert sum(map(len, targets)) == len(seq.levels)
+    assert sum(map(len, feasible)) == sum(len(level.assignments) for level in seq.levels)

@@ -55,6 +55,20 @@ def undecidable_path(tmp_path):
     return str(target)
 
 
+@pytest.mark.parametrize("extra, code", [([], 0), (["--tolerance", "0.04"], 2)],
+                         ids=["decided", "no-mandate"])
+def test_run_exits_with_the_code_main_returns(fixture_path, capsys, monkeypatch,
+                                              extra, code):
+    argv = ["decide", fixture_path("example_a"), *extra]
+    assert main(argv) == code
+    want = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["credalbox", *argv])
+    with pytest.raises(SystemExit) as exc_info:
+        cli.run()
+    assert exc_info.value.code == code
+    assert capsys.readouterr() == want
+
+
 class TestDecide:
     def test_decides_berry_problem(self, fixture_path, capsys):
         code = main(["decide", fixture_path("example_c_berry")])

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -575,6 +576,9 @@ class TestStarr:
          "parameter range [0.3, inf] must have finite endpoints"),
         (-math.inf, 0.8, 1000,
          "parameter range [-inf, 0.8] must have finite endpoints"),
+        # finite endpoints whose span overflows would put theta at inf
+        (-1e308, 1e308, 100,
+         "parameter range [-1e+308, 1e+308] must have a finite span"),
         # a NaN endpoint leaves the range empty, as it always did
         (math.nan, 0.8, 1000, "parameter range [nan, 0.8] must be non-empty"),
     ])
@@ -583,6 +587,11 @@ class TestStarr:
         with pytest.raises(ValueError) as exc:
             ParameterizedCredal(lo, hi, theta_mapping, resolution)
         assert str(exc.value) == message
+
+    def test_widest_finite_span_accepted(self):
+        top = sys.float_info.max
+        credal = ParameterizedCredal(-top / 2, top / 2, theta_mapping)
+        assert credal.hi - credal.lo == top
 
 
 # outcome utilities and distributions on a coarse grid of exact binary

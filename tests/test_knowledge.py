@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import re
 
 import pytest
@@ -278,6 +280,38 @@ class TestGrownBodies:
         with pytest.raises(InconsistentBodyError) as caught:
             accept_next_most_probable(statements)
         assert str(caught.value) == "body 2: statement ids repeat within one body"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(CORPUS_STATEMENT, max_size=10),
+           st.sampled_from(["next-most-probable", "threshold"]))
+    def test_bodies_record_their_parent_and_what_they_add(self, statements, rule):
+        try:
+            if rule == "threshold":
+                bodies = accept_threshold(statements, [0.005, 0.02, 0.2])
+            else:
+                bodies = accept_next_most_probable(statements)
+        except InconsistentBodyError:
+            return
+        assert "_grown_from" not in bodies[0].__dict__
+        for parent, body in zip(bodies, bodies[1:]):
+            held, added = body._grown_from
+            assert held is parent.statements
+            assert added == tuple(s for s in body.statements
+                                  if all(s is not t for t in held))
+
+    def test_last_body_of_a_long_chain_copies_and_pickles(self):
+        # bodies record their parent's statements, not the parent: a body
+        # linked to its parent would nest 2000 deep here
+        statements = []
+        for k in range(1000):
+            statements.append(Statement.class_frequency(
+                f"f{k}", f"c{k}", "E", ProbInterval(0.2, 0.8), 1.0 - k / 4000))
+            statements.append(Statement.membership(
+                f"m{k}", "x", f"c{k}", 1.0 - (k + 0.5) / 4000))
+        last = accept_next_most_probable(statements)[-1]
+        assert len(last.statements) == 2000
+        assert copy.deepcopy(last) == last
+        assert pickle.loads(pickle.dumps(last)) == last
 
     def test_negative_zero_keeps_the_first_bits(self):
         statements = [

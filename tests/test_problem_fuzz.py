@@ -1,7 +1,8 @@
 """Fuzzed problem files: mutated fixtures and small reference-class
 chains.  Some mutations break the shape of a file; others keep it:
 reordering an array, renaming a class, act or label to one the file
-already uses, and adding a specificity pair the order implies.  Every
+already uses, adding a specificity pair the order implies, and moving a
+statement to another level or between the corpus and a level.  Every
 input either fails with a ProblemFormatError naming a $ path, or parses
 to a document that matches the problem schema, survives dumps and loads
 unchanged, and builds and explores to a ValueError or to a report that
@@ -87,11 +88,35 @@ def name_slots(doc) -> dict[str, list]:
     return slots
 
 
+def statement_slots(doc) -> list:
+    """(parent, key) slots that hold, or could hold, an array of
+    statements: the top-level statements and each level's constraints."""
+    levels = doc.get("levels")
+    slots = [(doc, "statements")]
+    if isinstance(levels, list):
+        slots += [(level, "constraints") for level in levels if isinstance(level, dict)]
+    return [(parent, key) for parent, key in slots
+            if isinstance(parent.get(key, []), list)]
+
+
 def mutate(data, doc) -> None:
     """Apply one drawn mutation to doc in place."""
     op = data.draw(st.sampled_from(["retype", "stray", "duplicate", "empty", "drop",
-                                    "reorder", "rename", "imply"]))
+                                    "reorder", "rename", "imply", "move"]))
     nodes = containers(doc)
+    if op == "move":
+        # one statement to another level, or between the corpus and a
+        # level; a slot with no array yet gets one
+        slots = statement_slots(doc)
+        sources = [slot for slot in slots if slot[0].get(slot[1])]
+        if len(slots) > 1 and sources:
+            parent, key = data.draw(st.sampled_from(sources))
+            to_parent, to_key = data.draw(st.sampled_from(
+                [slot for slot in slots if slot[0] is not parent]))
+            entry = parent[key].pop(data.draw(st.integers(0, len(parent[key]) - 1)))
+            target = to_parent.setdefault(to_key, [])
+            target.insert(data.draw(st.integers(0, len(target))), entry)
+        return
     if op == "reorder":
         arrays = [n for n in nodes if isinstance(n, list) and len(n) > 1]
         if arrays:
