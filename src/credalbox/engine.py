@@ -80,7 +80,8 @@ def tolerable_error(problem: DecisionProblem, spec: ToleranceSpec) -> float:
 
 @dataclass(frozen=True)
 class TraceRow:
-    """What one explored level looked like."""
+    """What one explored level looked like.  A row built here copies its
+    eu mapping; a row explore builds keeps the dict eu_all made."""
 
     index: int
     error: float
@@ -245,7 +246,12 @@ def explore(problem: DecisionProblem, seq: CredalSequence,
                 f"level {level.index} (error {level.error:g}): {exc}"
             ) from exc
         surviving = maximal_set(eu)
-        trace.append(TraceRow(level.index, level.error, eu, surviving.names))
+        # TraceRow(level.index, level.error, eu, surviving.names) without
+        # copying the dict eu_all built or the tuple maximal_set did
+        row = object.__new__(TraceRow)
+        row.__dict__.update(index=level.index, error=level.error, eu=eu,
+                            maximal=surviving.names)
+        trace.append(row)
         if len(surviving) == 1:
             return DecisionReport(
                 problem=problem.name, status=DECIDED, tolerance=tolerance,

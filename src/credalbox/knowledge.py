@@ -47,7 +47,15 @@ class NoUniqueReferenceClassError(ValueError):
     """Direct inference found no single most specific reference class."""
 
 
-STATEMENT_KINDS = ("event-interval", "condition", "membership", "class-frequency")
+# each statement kind and the fields it needs, checked in this order; the
+# parser's one-check path reads the same table
+_NEEDS = {
+    "event-interval": ("event", "interval"),
+    "condition": ("event",),
+    "membership": ("item", "cls"),
+    "class-frequency": ("cls", "event", "interval"),
+}
+STATEMENT_KINDS = tuple(_NEEDS)
 
 
 @dataclass(frozen=True)
@@ -77,13 +85,7 @@ class Statement:
             raise ValueError(f"unknown statement kind {self.kind!r}")
         if not 0.0 <= self.prob <= 1.0:
             raise ValueError(f"statement {self.id!r}: prob must lie in [0, 1]")
-        needs = {
-            "event-interval": ("event", "interval"),
-            "condition": ("event",),
-            "membership": ("item", "cls"),
-            "class-frequency": ("cls", "event", "interval"),
-        }[self.kind]
-        for name in needs:
+        for name in _NEEDS[self.kind]:
             if getattr(self, name) is None:
                 raise ValueError(
                     f"statement {self.id!r} of kind {self.kind!r} needs {name!r}"
@@ -210,10 +212,11 @@ def _grown(parent: BodyOfKnowledge, index: int, error: float, s: Statement,
         if not _meet(events, s.event, _event_bound(s)):
             raise _conflict(s.event, [t for t in statements
                                       if t.kind in _EVENT_KINDS and t.event == s.event])
-    body = BodyOfKnowledge(index, error)
-    object.__setattr__(body, "statements", statements)
-    object.__setattr__(body, "_events", events)
-    object.__setattr__(body, "_grown_from", (parent.statements, (s,)))
+    # built once, without __post_init__: index counts up from 1 and error
+    # is some statement's 1 - prob, so both hold already
+    body = object.__new__(BodyOfKnowledge)
+    body.__dict__.update(index=index, error=error, statements=statements,
+                         _events=events, _grown_from=(parent.statements, (s,)))
     return body
 
 
@@ -527,6 +530,9 @@ class _Resolver:
     def _start(self) -> None:
         # the statements of the body resolved last; None after assertions or an error
         self.last: tuple[Statement, ...] | None = None
+        # the base table until a body adds a frequency, then a private
+        # copy that later bodies grow in place; its entries stay as made,
+        # since only freq and more_specific read it
         self.table = self.refs
         # class -> events it has a frequency for, and items accepted in it
         self.freq_events: dict[str, set[str]] = {}
@@ -581,9 +587,16 @@ class _Resolver:
         touch, and return the touched events.  Of several errors, the one
         raised is the first in (item, event) order, as a resolution item
         by item and event by event would meet it."""
-        table = self.table = self.table.with_entries(
-            (s.cls, s.event, s.interval)
-            for s in added if s.kind == "class-frequency")
+        freqs = [(s.cls, s.event, s.interval)
+                 for s in added if s.kind == "class-frequency"]
+        if freqs:
+            if self.table is self.refs:
+                self.table = self.refs.with_entries(freqs)
+            else:
+                # a body that raises here leaves the next one to start
+                # afresh, which drops this table
+                _add_freqs(self.table._freqs, freqs)
+        table = self.table
         touched = self._touched(added)
         errors: list[tuple[tuple[str, str, int], ValueError]] = []
         for (item, event), classes in touched.items():

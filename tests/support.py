@@ -27,7 +27,10 @@ builds every next-most-probable body from scratch, where the runtime
 grows each from the one before.
 
 The interval-check oracle runs every endpoint check, where a
-ProbInterval of two floats in order passes with one comparison.
+ProbInterval of two floats in order passes with one comparison.  The
+statement-parsing oracle checks every key and then lets Statement check
+its fields again, where the parser builds a usual statement after one
+combined test.
 
 The binomial tail oracles sum the probability mass term by term from
 log-gamma binomial coefficients, O(n) work per tail, and check the
@@ -67,6 +70,7 @@ from credalbox import (
     Outcome,
     ProbInterval,
     ReferenceClassTable,
+    Statement,
     ToleranceSpec,
     TraceRow,
     apply_level,
@@ -78,6 +82,15 @@ from credalbox import (
 from credalbox import confidence
 from credalbox.expectation import _check_feasible
 from credalbox.knowledge import EMPTY_TABLE
+from credalbox.problem_io import (
+    _as_mapping,
+    _built,
+    _fail,
+    _get,
+    _interval,
+    _number,
+    _string,
+)
 
 TOL = 1e-9
 
@@ -429,6 +442,33 @@ def full_interval_checks(lo, hi, prob: bool) -> None:
         raise ValueError(f"lower endpoint {lo!r} exceeds upper endpoint {hi!r}")
     if prob and (lo < 0.0 or hi > 1.0):
         raise ValueError(f"probability interval [{lo!r}, {hi!r}] escapes [0, 1]")
+
+
+def oracle_parse_statement(data, fallback_id: str) -> Statement:
+    """Oracle for problem_io._parse_statement: every check, in order,
+    then Statement's own checks again.  A failure raises the parser's
+    path-carrying error."""
+    obj = _as_mapping(data, "", {"id", "kind", "prob", "event", "interval",
+                                 "value", "item", "class"})
+    kind = _string(_get(obj, "kind", ""), ".kind")
+    sid = obj["id"] if "id" in obj else fallback_id
+    if not isinstance(sid, str) or not sid:
+        _fail(".id", "expected a non-empty string")
+    prob = _number(obj.get("prob", 1.0), ".prob", 0.0, 1.0)
+    kwargs = {}
+    if "event" in obj:
+        kwargs["event"] = _string(obj["event"], ".event")
+    if "interval" in obj:
+        kwargs["interval"] = _interval(obj["interval"], ".interval")
+    if "value" in obj:
+        if not isinstance(obj["value"], bool):
+            _fail(".value", "expected true or false")
+        kwargs["value"] = obj["value"]
+    if "item" in obj:
+        kwargs["item"] = _string(obj["item"], ".item")
+    if "class" in obj:
+        kwargs["cls"] = _string(obj["class"], ".class")
+    return _built("", Statement, id=sid, kind=kind, prob=prob, **kwargs)
 
 
 def chain_document(n: int) -> dict:

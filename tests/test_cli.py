@@ -1,7 +1,9 @@
 import io
 import json
 import math
+import runpy
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -65,6 +67,23 @@ def test_run_exits_with_the_code_main_returns(fixture_path, capsys, monkeypatch,
     monkeypatch.setattr(sys, "argv", ["credalbox", *argv])
     with pytest.raises(SystemExit) as exc_info:
         cli.run()
+    assert exc_info.value.code == code
+    assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize("extra, code", [([], 0), (["--tolerance", "0.04"], 2)],
+                         ids=["decided", "no-mandate"])
+def test_module_run_as_a_script_exits_with_the_code_main_returns(
+        fixture_path, capsys, monkeypatch, extra, code):
+    argv = ["decide", fixture_path("example_a"), *extra]
+    assert main(argv) == code
+    want = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["credalbox", *argv])
+    with warnings.catch_warnings():
+        # runpy warns that the package has imported credalbox.cli already
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exc_info:
+            runpy.run_module("credalbox.cli", run_name="__main__")
     assert exc_info.value.code == code
     assert capsys.readouterr() == want
 

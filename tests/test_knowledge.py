@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -257,7 +258,7 @@ class TestGrownBodies:
             assert str(caught.value) == str(exc)
             return
         got = accept_next_most_probable(statements)
-        assert got == want
+        assert got == want and repr(got) == repr(want)
         for body in got:
             assert event_bits(body._events) == event_bits(
                 knowledge._merged_events(body.statements))
@@ -1018,7 +1019,7 @@ class TestIncrementalResolution:
                 for lvl in seq.levels] == [1.0, -1.0]
 
     def test_order_closed_once_per_document(self, monkeypatch):
-        calls = {"close": 0, "with_entries": 0}
+        calls = {"close": 0, "with_entries": 0, "copy": 0}
         reach_map = knowledge._reach_map
         with_entries = ReferenceClassTable.with_entries
 
@@ -1030,8 +1031,68 @@ class TestIncrementalResolution:
             calls["with_entries"] += 1
             return with_entries(self, extra)
 
+        def counted_copy(obj):
+            calls["copy"] += 1
+            return copy.copy(obj)
+
         monkeypatch.setattr(knowledge, "_reach_map", counted_reach_map)
         monkeypatch.setattr(ReferenceClassTable, "with_entries", counted_with_entries)
+        monkeypatch.setattr(knowledge, "copy", SimpleNamespace(copy=counted_copy))
         seq = loads(json.dumps(chain_document(12))).build_sequence()
         assert len(seq.levels) == 25
-        assert calls == {"close": 1, "with_entries": 25}
+        # one fresh start, at body 0, which adds no frequency: body 1's
+        # frequency makes the working table and no later body copies it
+        assert calls == {"close": 1, "with_entries": 1, "copy": 1}
+
+    @pytest.mark.parametrize("with_refs", [True, False], ids=["doc-refs", "empty"])
+    @pytest.mark.parametrize("rule", ["next-most-probable", "threshold"])
+    def test_base_table_never_grows(self, rule, with_refs):
+        data = chain_document(6)
+        data["acceptance"] = {"rule": rule}
+        if rule == "threshold":
+            data["acceptance"]["error_levels"] = [0.005, 0.01, 0.02, 0.05]
+        if with_refs:
+            data["reference_classes"]["entries"] = [
+                {"class": "c0", "event": "E", "interval": [0.2, 1.0]},
+                {"class": "c9", "event": "E", "interval": [0.0, 1.0]}]
+        else:
+            # with no order the classes are incomparable: x joins c0 only
+            del data["reference_classes"]
+            data["statements"] = [s for s in data["statements"]
+                                  if s["kind"] != "membership" or s["id"] == "m0"]
+        doc = loads(json.dumps(data))
+        base = doc.refs
+        assert (base is knowledge.EMPTY_TABLE) is not with_refs
+        entries, freqs = base.entries, dict(base._freqs)
+        seq = doc.build_sequence()
+        assert len(seq.levels) > 2
+        assert base.entries == entries and base._freqs == freqs
+        assert knowledge.EMPTY_TABLE.entries == ()
+        assert knowledge.EMPTY_TABLE._freqs == {}
+
+    def test_resolver_reused_after_conflicting_frequencies(self):
+        # body 2 adds two frequencies for one pair; the first lands in
+        # the working table before the second raises, and the resolver
+        # must not carry it into the next sequence
+        refs = ReferenceClassTable(specificity=frozenset({("c", "d")}))
+        fd = Statement.class_frequency("fd", "d", "G", ProbInterval(0.2, 0.9), 0.99)
+        md = Statement.membership("md", "i", "d", 0.99)
+        fc1 = Statement.class_frequency("fc1", "c", "G", ProbInterval(0.1, 0.2), 0.95)
+        fc2 = Statement.class_frequency("fc2", "c", "G", ProbInterval(0.5, 0.6), 0.95)
+        mc = Statement.membership("mc", "i", "c", 0.95)
+        problem = jerry_problem()
+        resolver = knowledge._Resolver(problem, refs)
+        failing = accept_threshold([fd, md, fc1, fc2], [0.02, 0.1])
+        for body in failing[:2]:
+            level_from_body(body, problem, refs, resolver=resolver)
+        with pytest.raises(ValueError, match="^class 'c' has two different"):
+            level_from_body(failing[2], problem, refs, resolver=resolver)
+        for bodies in (accept_threshold([fd, md, fc2, mc], [0.02, 0.1]),
+                       accept_next_most_probable([fd, md, fc2, mc])):
+            got = CredalSequence(tuple(
+                level_from_body(body, problem, refs, resolver=resolver)
+                for body in bodies))
+            assert sequence_bytes(got) == sequence_bytes(
+                oracle_sequence(bodies, problem, refs))
+            assert got.levels[-1].assignments["a1"]["G"] == ProbInterval(0.5, 0.6)
+        assert refs.entries == () and refs._freqs == {}

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credalbox import (
@@ -28,7 +28,9 @@ from credalbox import (
     sequence_bytes,
     sequence_to_dict,
 )
+from credalbox.problem_io import _Invalid
 from credalbox.replicate import fixture_text
+from support import oracle_parse_statement
 
 FIXTURES = ("example_a", "example_b", "example_c_berry",
             "example_c_lottery", "example_d")
@@ -444,6 +446,59 @@ class TestParsing:
         assert doc.statements[0].id == "s0"
 
 
+# a name the parser accepts, then values of every type it may meet
+STATEMENT_NAMES = st.sampled_from(["G", "i", "c"])
+STATEMENT_VALUES = st.sampled_from([
+    None, "", "G", "condition", "membership", ["condition"], 0, 1, True, False,
+    -0.0, 0.0, 0.5, 1.0, 2.0, -1.0, math.nan, math.inf, [], [0.5], [0.5, 0.4],
+    [0, 1], [-0.0, 1.0], [0.0, 1.5], [True, 1.0], ["a", "b"], [0.25, 0.5, 1.0], {},
+])
+STATEMENT_KEYS = ["id", "kind", "prob", "event", "interval", "value", "item", "class"]
+NEEDED_KEYS = {"event-interval": ["event", "interval"], "condition": ["event"],
+               "membership": ["item", "class"],
+               "class-frequency": ["class", "event", "interval"]}
+
+
+@st.composite
+def statement_objects(draw):
+    """A statement object the parser accepts, in any key order, most
+    times with up to three faults: a key dropped, a key set to a value of
+    any type, a key the format does not know, or an int where a float is
+    usual, which the parser accepts on its full path.  Now and then not
+    an object at all."""
+    if draw(st.integers(0, 30)) == 0:
+        return draw(st.sampled_from([[], "condition", None, 1.0]))
+    kind = draw(st.sampled_from(sorted(NEEDED_KEYS)))
+    data = {"kind": kind}
+    for key in STATEMENT_KEYS[:1] + STATEMENT_KEYS[2:]:
+        if key not in NEEDED_KEYS[kind] and draw(st.booleans()):
+            continue
+        if key == "interval":
+            data[key] = sorted(draw(st.lists(
+                st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]), min_size=2, max_size=2)))
+        elif key == "value":
+            data[key] = draw(st.booleans())
+        elif key == "prob":
+            data[key] = draw(st.sampled_from([-0.0, 0.0, 0.9, 1.0]))
+        elif key == "id":
+            data[key] = draw(st.sampled_from(["s", "s0", "x"]))
+        else:
+            data[key] = draw(STATEMENT_NAMES)
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["drop", "set", "set", "unknown", "int"]))
+        if fault == "drop" and data:
+            del data[draw(st.sampled_from(sorted(data)))]
+        elif fault == "set":
+            data[draw(st.sampled_from(STATEMENT_KEYS))] = draw(STATEMENT_VALUES)
+        elif fault == "unknown":
+            data[draw(st.sampled_from(["cls", "extra"]))] = draw(STATEMENT_VALUES)
+        elif draw(st.booleans()):
+            data["prob"] = draw(st.sampled_from([0, 1]))
+        else:
+            data["interval"] = draw(st.sampled_from([[0, 1], [0.5, 1], [0, 0.5]]))
+    return {key: data[key] for key in draw(st.permutations(list(data)))}
+
+
 class TestParsedValues:
     """Values the parser builds on its one-check paths are the values
     their constructors build."""
@@ -464,6 +519,54 @@ class TestParsedValues:
         got = parse_document(MINIMAL).problem.act("a1").outcomes
         want = (Outcome("G", 10.0), Outcome("not-G", -30.0))
         assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+    @settings(max_examples=600, deadline=None)
+    @given(statement_objects())
+    def test_statements(self, data):
+        try:
+            want = oracle_parse_statement(data, "s0")
+        except _Invalid as exc:
+            assert error_path(statements_doc(data)) == \
+                f"$.statements[0]{exc.path}: {exc.message}"
+            return
+        got = parse_document(statements_doc(data)).statements[0]
+        assert got == want and hash(got) == hash(want)
+        assert list(got.__dict__) == list(want.__dict__)
+        assert [(type(v), repr(v)) for v in got.__dict__.values()] == \
+            [(type(v), repr(v)) for v in want.__dict__.values()]
+
+    @pytest.mark.parametrize("data,checked", [
+        ({"kind": "condition", "event": "G"}, False),
+        ({"id": "f", "kind": "class-frequency", "class": "c", "event": "G",
+          "interval": [-0.0, 0.5], "prob": 0.9, "value": False}, False),
+        ({"kind": "membership", "item": "i", "class": "c", "prob": 1}, True),
+        ({"kind": "event-interval", "event": "G", "interval": [0, 1]}, False),
+        ({"kind": "condition", "event": "G", "value": 1}, None),
+        ({"kind": ["condition"], "event": "G"}, None),
+        ({"kind": "membership", "item": "i"}, True),
+    ], ids=["condition", "every-key", "int-prob", "int-interval", "int-value",
+            "list-kind", "missing-class"])
+    def test_usual_statement_is_checked_once(self, monkeypatch, data, checked):
+        # checked: whether Statement's own checks run; None when the
+        # parser refuses the value before building a statement
+        calls = []
+        post_init = Statement.__post_init__
+
+        def counted(self):
+            calls.append(self.id)
+            post_init(self)
+
+        monkeypatch.setattr(Statement, "__post_init__", counted)
+        try:
+            want = oracle_parse_statement(data, "s0")
+        except _Invalid as exc:
+            want = f"$.statements[0]{exc.path}: {exc.message}"
+        calls.clear()
+        if isinstance(want, str):
+            assert error_path(statements_doc(data)) == want
+        else:
+            assert parse_document(statements_doc(data)).statements == (want,)
+        assert calls == (["s0"] if checked else [])
 
     def test_hand_built_level_spec_copies_its_boxes(self):
         box = {"G": ProbInterval(0.5, 0.9)}
