@@ -80,8 +80,7 @@ def tolerable_error(problem: DecisionProblem, spec: ToleranceSpec) -> float:
 
 @dataclass(frozen=True)
 class TraceRow:
-    """What one explored level looked like.  A row built here copies its
-    eu mapping; a row explore builds keeps the dict eu_all made."""
+    """What one explored level looked like."""
 
     index: int
     error: float
@@ -246,12 +245,7 @@ def explore(problem: DecisionProblem, seq: CredalSequence,
                 f"level {level.index} (error {level.error:g}): {exc}"
             ) from exc
         surviving = maximal_set(eu)
-        # TraceRow(level.index, level.error, eu, surviving.names) without
-        # copying the dict eu_all built or the tuple maximal_set did
-        row = object.__new__(TraceRow)
-        row.__dict__.update(index=level.index, error=level.error, eu=eu,
-                            maximal=surviving.names)
-        trace.append(row)
+        trace.append(TraceRow(level.index, level.error, eu, surviving.names))
         if len(surviving) == 1:
             return DecisionReport(
                 problem=problem.name, status=DECIDED, tolerance=tolerance,

@@ -519,6 +519,12 @@ class _Resolver:
     (levels-form, hand-built, or one after an assertion or an error) is
     resolved from empty.  Either way only the acts with an outcome on a
     recomputed event, or named in the level's assertions, are visited.
+
+    The first body after a fresh start that adds a frequency makes a
+    working copy of the base table, and later bodies add theirs to its
+    frequencies in place.  Its entries, equality and repr keep the first
+    batch only, so the working table never leaves the resolver: no
+    level, error or caller is handed it.
     """
 
     def __init__(self, problem: DecisionProblem, refs: ReferenceClassTable):
@@ -530,9 +536,8 @@ class _Resolver:
     def _start(self) -> None:
         # the statements of the body resolved last; None after assertions or an error
         self.last: tuple[Statement, ...] | None = None
-        # the base table until a body adds a frequency, then a private
-        # copy that later bodies grow in place; its entries stay as made,
-        # since only freq and more_specific read it
+        # the base table until a body adds a frequency, then the working
+        # table that later bodies grow in place (see the class docstring)
         self.table = self.refs
         # class -> events it has a frequency for, and items accepted in it
         self.freq_events: dict[str, set[str]] = {}

@@ -159,74 +159,38 @@ def _interval(value, path: str) -> ProbInterval:
 
 _STATEMENT_KEYS = frozenset({"id", "kind", "prob", "event", "interval", "value",
                              "item", "class"})
-# the keys that name an event, item or class, and the fields they fill
-_NAME_FIELDS = {"event": "event", "item": "item", "class": "cls"}
-
-
-def _usual_statement(data, fallback_id: str) -> Statement | None:
-    """The statement data states, built without Statement's checks, when
-    one test per field covers them: known keys, a known str kind, a
-    non-empty str id, a float prob in [0, 1], non-empty str names, an
-    interval _interval accepts, a bool value, and every field its kind
-    needs.  None for anything else, which _parse_statement checks in
-    full, so that each error keeps its text and its order."""
-    if type(data) is not dict or not data.keys() <= _STATEMENT_KEYS:
-        return None
-    kind = data.get("kind")
-    sid = data.get("id", fallback_id)
-    prob = data.get("prob", 1.0)
-    if not (type(kind) is str and kind in _NEEDS and type(sid) is str and sid
-            and type(prob) is float and 0.0 <= prob <= 1.0):
-        return None
-    # in field order, as Statement's __init__ would set them
-    fields = {"id": sid, "kind": kind, "prob": prob, "event": None,
-              "interval": None, "value": True, "item": None, "cls": None}
-    for key, value in data.items():
-        if key == "interval":
-            try:
-                fields["interval"] = _interval(value, "")
-            except _Invalid:
-                return None
-        elif key == "value":
-            if type(value) is not bool:
-                return None
-            fields["value"] = value
-        elif key in _NAME_FIELDS:
-            if type(value) is not str or not value:
-                return None
-            fields[_NAME_FIELDS[key]] = value
-    for name in _NEEDS[kind]:
-        if fields[name] is None:
-            return None
-    s = object.__new__(Statement)
-    s.__dict__.update(fields)
-    return s
 
 
 def _parse_statement(data, fallback_id: str) -> Statement:
-    usual = _usual_statement(data, fallback_id)
-    if usual is not None:
-        return usual
     obj = _as_mapping(data, "", _STATEMENT_KEYS)
     kind = _string(_get(obj, "kind", ""), ".kind")
     sid = obj["id"] if "id" in obj else fallback_id
     if not isinstance(sid, str) or not sid:
         _fail(".id", "expected a non-empty string")
     prob = _number(obj.get("prob", 1.0), ".prob", 0.0, 1.0)
-    kwargs = {}
+    # in field order, as Statement's __init__ would set them
+    fields = {"id": sid, "kind": kind, "prob": prob, "event": None,
+              "interval": None, "value": True, "item": None, "cls": None}
     if "event" in obj:
-        kwargs["event"] = _string(obj["event"], ".event")
+        fields["event"] = _string(obj["event"], ".event")
     if "interval" in obj:
-        kwargs["interval"] = _interval(obj["interval"], ".interval")
+        fields["interval"] = _interval(obj["interval"], ".interval")
     if "value" in obj:
         if not isinstance(obj["value"], bool):
             _fail(".value", "expected true or false")
-        kwargs["value"] = obj["value"]
+        fields["value"] = obj["value"]
     if "item" in obj:
-        kwargs["item"] = _string(obj["item"], ".item")
+        fields["item"] = _string(obj["item"], ".item")
     if "class" in obj:
-        kwargs["cls"] = _string(obj["class"], ".class")
-    return _built("", Statement, id=sid, kind=kind, prob=prob, **kwargs)
+        fields["cls"] = _string(obj["class"], ".class")
+    # the checks above are Statement's but two, a known kind and every
+    # field it needs; when those hold too, it is built without repeating them
+    needs = _NEEDS.get(kind)
+    if needs is None or None in map(fields.get, needs):
+        return _built("", Statement, **fields)
+    s = object.__new__(Statement)
+    s.__dict__.update(fields)
+    return s
 
 
 def _parse_statements(raw, path: str, id_prefix: str) -> tuple[Statement, ...]:

@@ -29,8 +29,8 @@ grows each from the one before.
 The interval-check oracle runs every endpoint check, where a
 ProbInterval of two floats in order passes with one comparison.  The
 statement-parsing oracle checks every key and then lets Statement check
-its fields again, where the parser builds a usual statement after one
-combined test.
+its fields again, where the parser runs Statement's checks only when
+they would raise.
 
 The binomial tail oracles sum the probability mass term by term from
 log-gamma binomial coefficients, O(n) work per tail, and check the

@@ -25,7 +25,6 @@ from credalbox import (
     ToleranceSpec,
     TraceRow,
     WeightedCredal,
-    engine,
     explore,
     higher_order_eu,
     starr,
@@ -254,38 +253,6 @@ class TestExplore:
                     ToleranceSpec.explicit(0.5))
         assert a == b
         assert a.to_dict() == b.to_dict()
-
-    def test_rows_keep_what_eu_all_and_maximal_set_built(self, monkeypatch):
-        built = {"eu": [], "maximal": []}
-        eu_all, maximal_set = engine.eu_all, engine.maximal_set
-
-        def kept_eu_all(*args, **kwargs):
-            built["eu"].append(eu_all(*args, **kwargs))
-            return built["eu"][-1]
-
-        def kept_maximal_set(eu):
-            built["maximal"].append(maximal_set(eu))
-            return built["maximal"][-1]
-
-        monkeypatch.setattr(engine, "eu_all", kept_eu_all)
-        monkeypatch.setattr(engine, "maximal_set", kept_maximal_set)
-        report = explore(jerry_problem(), narrowing_sequence(),
-                         ToleranceSpec.explicit(0.5))
-        assert len(report.trace) == 3
-        assert [row.eu for row in report.trace] == built["eu"]
-        assert all(row.eu is eu for row, eu in zip(report.trace, built["eu"]))
-        assert all(row.maximal is surviving.names
-                   for row, surviving in zip(report.trace, built["maximal"]))
-        assert report.trace[2] == TraceRow(2, 0.25, dict(built["eu"][2]), ("a1",))
-
-    def test_hand_built_row_copies(self):
-        eu = {"a": Interval(0.0, 1.0)}
-        maximal = ["a"]
-        row = TraceRow(0, 0.0, eu, maximal)
-        assert row.eu == eu and row.eu is not eu and type(row.eu) is dict
-        assert row.maximal == ("a",) and type(row.maximal) is tuple
-        eu["b"] = Interval(1.0, 2.0)
-        assert row.eu == {"a": Interval(0.0, 1.0)}
 
     def test_unknown_status_rejected(self):
         with pytest.raises(ValueError, match="^unknown report status 'maybe'$"):

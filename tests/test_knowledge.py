@@ -1070,6 +1070,26 @@ class TestIncrementalResolution:
         assert knowledge.EMPTY_TABLE.entries == ()
         assert knowledge.EMPTY_TABLE._freqs == {}
 
+    @staticmethod
+    def reaches(obj, target, seen=None) -> bool:
+        """Whether target is obj or lies in its containers, its fields
+        or, for an error, its args."""
+        seen = set() if seen is None else seen
+        if obj is target:
+            return True
+        if id(obj) in seen or isinstance(obj, (str, int, float, type(None))):
+            return False
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            parts = [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            parts = list(obj)
+        elif isinstance(obj, BaseException):
+            parts = [obj.args, vars(obj)]
+        else:
+            parts = list(getattr(obj, "__dict__", {}).values())
+        return any(TestIncrementalResolution.reaches(p, target, seen) for p in parts)
+
     def test_resolver_reused_after_conflicting_frequencies(self):
         # body 2 adds two frequencies for one pair; the first lands in
         # the working table before the second raises, and the resolver
@@ -1085,8 +1105,9 @@ class TestIncrementalResolution:
         failing = accept_threshold([fd, md, fc1, fc2], [0.02, 0.1])
         for body in failing[:2]:
             level_from_body(body, problem, refs, resolver=resolver)
-        with pytest.raises(ValueError, match="^class 'c' has two different"):
+        with pytest.raises(ValueError, match="^class 'c' has two different") as caught:
             level_from_body(failing[2], problem, refs, resolver=resolver)
+        working, made = [resolver.table], [caught.value]
         for bodies in (accept_threshold([fd, md, fc2, mc], [0.02, 0.1]),
                        accept_next_most_probable([fd, md, fc2, mc])):
             got = CredalSequence(tuple(
@@ -1095,4 +1116,10 @@ class TestIncrementalResolution:
             assert sequence_bytes(got) == sequence_bytes(
                 oracle_sequence(bodies, problem, refs))
             assert got.levels[-1].assignments["a1"]["G"] == ProbInterval(0.5, 0.6)
+            working.append(resolver.table)
+            made.append(got)
         assert refs.entries == () and refs._freqs == {}
+        # a working table per run, and none reaches a level or the error
+        assert len({id(table) for table in working}) == 3
+        assert all(table is not refs for table in working)
+        assert not any(self.reaches(obj, table) for obj in made for table in working)

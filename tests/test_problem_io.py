@@ -464,8 +464,8 @@ def statement_objects(draw):
     """A statement object the parser accepts, in any key order, most
     times with up to three faults: a key dropped, a key set to a value of
     any type, a key the format does not know, or an int where a float is
-    usual, which the parser accepts on its full path.  Now and then not
-    an object at all."""
+    usual, which the parser takes as a float.  Now and then not an object
+    at all."""
     if draw(st.integers(0, 30)) == 0:
         return draw(st.sampled_from([[], "condition", None, 1.0]))
     kind = draw(st.sampled_from(sorted(NEEDED_KEYS)))
@@ -539,16 +539,17 @@ class TestParsedValues:
         ({"kind": "condition", "event": "G"}, False),
         ({"id": "f", "kind": "class-frequency", "class": "c", "event": "G",
           "interval": [-0.0, 0.5], "prob": 0.9, "value": False}, False),
-        ({"kind": "membership", "item": "i", "class": "c", "prob": 1}, True),
+        ({"kind": "membership", "item": "i", "class": "c", "prob": 1}, False),
         ({"kind": "event-interval", "event": "G", "interval": [0, 1]}, False),
         ({"kind": "condition", "event": "G", "value": 1}, None),
         ({"kind": ["condition"], "event": "G"}, None),
+        ({"kind": "guess", "event": "G"}, True),
         ({"kind": "membership", "item": "i"}, True),
     ], ids=["condition", "every-key", "int-prob", "int-interval", "int-value",
-            "list-kind", "missing-class"])
-    def test_usual_statement_is_checked_once(self, monkeypatch, data, checked):
-        # checked: whether Statement's own checks run; None when the
-        # parser refuses the value before building a statement
+            "list-kind", "unknown-kind", "missing-class"])
+    def test_statement_is_checked_once(self, monkeypatch, data, checked):
+        # checked: whether Statement's own checks run, which they do only
+        # to raise its error; None when the parser refuses the value first
         calls = []
         post_init = Statement.__post_init__
 
