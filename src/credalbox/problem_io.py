@@ -539,9 +539,11 @@ def document_to_dict(doc: ProblemDocument) -> dict:
 
 
 def loads(text: str) -> ProblemDocument:
+    # besides a JSONDecodeError, json raises a RecursionError for deep
+    # nesting and a bare ValueError for an integer past int's digit limit
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProblemFormatError(f"not valid JSON: {exc}") from exc
     return parse_document(data)
 
@@ -552,7 +554,10 @@ def dumps(doc: ProblemDocument) -> str:
 
 def load_path(path) -> ProblemDocument:
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ProblemFormatError(f"not valid JSON: {exc}") from exc
     return loads(text)
 
 

@@ -1,3 +1,5 @@
+import argparse
+import gc
 import io
 import json
 import math
@@ -267,11 +269,111 @@ class TestDecide:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("content", [
+        b"[" * 200000,
+        b'{"problem": ' + b"1" * 5000 + b"}",
+        '{"problem": "caf\u00e9"}'.encode("latin-1"),
+    ], ids=["deep-nesting", "integer-past-the-digit-limit", "not-utf8"])
+    def test_undecodable_file_exits_one_without_a_traceback(
+            self, tmp_path, capsys, content):
+        target = tmp_path / "bad.json"
+        target.write_bytes(content)
+        code = main(["decide", str(target)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: not valid JSON: ")
+        assert captured.err.count("\n") == 1
+
     def test_conflicting_tolerance_flags(self, fixture_path, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["decide", fixture_path("example_a"),
                   "--tolerance", "0.1", "--odds-derived"])
         assert exc_info.value.code == 1
+
+
+def _levels_document(n_acts: int) -> dict:
+    """n_acts two-outcome acts and a sure act worth 5: level 0 leaves
+    them all undominated, level 1 boxes every act below 5, so each size
+    decides for the sure act at level 1."""
+    acts = [{"name": "sure", "outcomes": [{"label": "s", "utility": 5.0}]}]
+    acts += [{"name": f"a{k}", "outcomes": [{"label": "G", "utility": 10.0},
+                                            {"label": "not-G", "utility": 0.0}]}
+             for k in range(n_acts)]
+    boxes = {f"a{k}": {"G": [0.1, 0.3]} for k in range(n_acts)}
+    return {"problem": f"levels-{n_acts}", "acts": acts,
+            "levels": [{"error": 0.0}, {"error": 0.1, "overrides": boxes}]}
+
+
+class TestCollectorPause:
+    """main pauses the cyclic collector for the whole command and leaves
+    it as the caller had it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        assert gc.isenabled()
+        yield
+        gc.enable()
+
+    def test_parsing_and_the_handler_run_with_the_collector_off(
+            self, fixture_path, monkeypatch, capsys):
+        seen = []
+
+        def parse_args(parser, *args, **kwargs):
+            seen.append(("parse", gc.isenabled()))
+            return argparse.ArgumentParser.parse_args(parser, *args, **kwargs)
+
+        def stub_load_path(path):
+            seen.append(("handler", gc.isenabled()))
+            return load_path(path)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", parse_args)
+        monkeypatch.setattr(cli, "load_path", stub_load_path)
+        assert main(["decide", fixture_path("example_a")]) == 0
+        assert seen == [("parse", False), ("handler", False)]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("caller_enabled", [True, False],
+                             ids=["caller-on", "caller-off"])
+    @pytest.mark.parametrize("outcome", ["exit-0", "exit-1", "exit-2", "usage"])
+    def test_the_callers_setting_comes_back(self, tmp_path, undecidable_path,
+                                            capsys, outcome, caller_enabled):
+        not_json = tmp_path / "not.json"
+        not_json.write_text("{problem:", encoding="utf-8")
+        argv = {"exit-0": ["cp", "3", "14", "0.99"],
+                # a ProblemFormatError, which is a ValueError
+                "exit-1": ["decide", str(not_json)],
+                "exit-2": ["decide", undecidable_path],
+                "usage": []}[outcome]
+        if not caller_enabled:
+            gc.disable()
+        if outcome == "usage":
+            with pytest.raises(SystemExit) as exc_info:
+                main(argv)
+            assert exc_info.value.code == 1
+        else:
+            assert main(argv) == int(outcome[-1])
+        assert gc.isenabled() is caller_enabled
+
+    def test_what_the_pause_holds_does_not_grow_with_the_input(self, tmp_path, capsys):
+        paths = {}
+        for n_acts in (20, 400):
+            paths[n_acts] = tmp_path / f"levels-{n_acts}.json"
+            paths[n_acts].write_text(json.dumps(_levels_document(n_acts)),
+                                     encoding="utf-8")
+        gc.disable()
+        # a first command also leaves what warming the process's caches does
+        assert main(["decide", str(paths[20]), "--json"]) == 0
+        capsys.readouterr()
+        gc.collect()
+        found = {}
+        for n_acts, path in paths.items():
+            assert main(["decide", str(path), "--json"]) == 0
+            found[n_acts] = gc.collect()
+            report = json.loads(capsys.readouterr().out)
+            assert (report["status"], report["act"], report["level_used"]) == (
+                "decided", "sure", 1)
+        assert found[20] == found[400] <= 128
 
 
 class TestCompare:

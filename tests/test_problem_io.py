@@ -774,6 +774,23 @@ class TestValidationErrors:
         with pytest.raises(ProblemFormatError, match="not valid JSON"):
             loads("{problem:")
 
+    @pytest.mark.parametrize("text,cause", [
+        ("[" * 200000, RecursionError),
+        ('{"problem": ' + "1" * 5000 + "}", ValueError),
+    ], ids=["deep-nesting", "integer-past-the-digit-limit"])
+    def test_text_json_cannot_decode_is_not_valid_json(self, text, cause):
+        with pytest.raises(ProblemFormatError, match="^not valid JSON: ") as exc_info:
+            loads(text)
+        assert type(exc_info.value.__cause__) is cause
+
+    def test_file_that_is_not_utf8_is_not_valid_json(self, tmp_path):
+        target = tmp_path / "latin1.json"
+        target.write_bytes('{"problem": "caf\u00e9"}'.encode("latin-1"))
+        with pytest.raises(ProblemFormatError,
+                           match="^not valid JSON: 'utf-8' codec can't decode") as exc_info:
+            load_path(target)
+        assert type(exc_info.value.__cause__) is UnicodeDecodeError
+
     def test_non_object_root(self):
         assert "expected an object" in error_path([1, 2, 3])
 
