@@ -42,7 +42,9 @@ class ToleranceSpec:
         if self.mode not in ("explicit", "odds-derived"):
             raise ValueError(f"unknown tolerance mode {self.mode!r}")
         if self.mode == "explicit":
-            if self.max_error is None or not 0.0 <= self.max_error <= 1.0:
+            # a bool passes the range test but is no number in a report
+            if (self.max_error is None or isinstance(self.max_error, bool)
+                    or not 0.0 <= self.max_error <= 1.0):
                 raise ValueError(
                     f"explicit tolerance needs max_error in [0, 1], "
                     f"got {self.max_error!r}"

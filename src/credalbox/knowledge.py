@@ -150,6 +150,20 @@ def _merged_events(statements: Sequence[Statement]) -> dict[str, ProbInterval]:
     return merged
 
 
+def _check_index_error(what: str, index: int, error: float) -> None:
+    """Refuse a bool or negative index and a bool error or one outside
+    [0, 1]; a bool would pass the range tests and then be reported as
+    true or false where a report needs a number."""
+    if isinstance(index, bool):
+        raise ValueError(f"{what} index must be an int, got {index!r}")
+    if index < 0:
+        raise ValueError(f"{what} index must be non-negative, got {index!r}")
+    if isinstance(error, bool):
+        raise ValueError(f"{what} error must be a number, got {error!r}")
+    if not 0.0 <= error <= 1.0:
+        raise ValueError(f"{what} error must lie in [0, 1], got {error!r}")
+
+
 @dataclass(frozen=True)
 class BodyOfKnowledge:
     """Statements accepted at one error level of a nested (or merely
@@ -164,10 +178,7 @@ class BodyOfKnowledge:
 
     def __post_init__(self):
         object.__setattr__(self, "statements", tuple(self.statements))
-        if self.index < 0:
-            raise ValueError(f"body index must be non-negative, got {self.index!r}")
-        if not 0.0 <= self.error <= 1.0:
-            raise ValueError(f"body error must lie in [0, 1], got {self.error!r}")
+        _check_index_error("body", self.index, self.error)
         object.__setattr__(self, "_events", _merged_events(self.statements))
 
 
@@ -256,18 +267,23 @@ def _first_on_cycle(succ: Mapping[str, list[str]]) -> str:
     return next(c for c in sorted(succ) if on_cycle(c))
 
 
-def _reach_map(pairs: Iterable[tuple[str, str]]) -> dict[str, frozenset[str]]:
-    """Each class that is more specific than some class, mapped to every
-    class it is more specific than.
+def _reach_map(pairs: Iterable[tuple[str, str]]
+               ) -> tuple[dict[str, int], dict[str, int]]:
+    """The order's bits and reaches: each class that some class is more
+    specific than gets one bit, and each class that is more specific
+    than some class maps to its reach, the OR of the bits of every class
+    it is more specific than.
 
-    One depth-first walk: a class's reach is its direct successors plus
-    their reaches, each built once.  A cyclic order raises, naming the
-    smallest class on a cycle.
+    One depth-first walk ORs each class's direct successors' bits and
+    reaches into its own, each built once.  A cyclic order raises,
+    naming the smallest class on a cycle.
     """
     succ: dict[str, list[str]] = {}
+    bit: dict[str, int] = {}
     for a, b in pairs:
         succ.setdefault(a, []).append(b)
-    reach: dict[str, frozenset[str]] = {}
+        bit.setdefault(b, 1 << len(bit))
+    reach: dict[str, int] = {}
     for root in succ:
         if root in reach:
             continue
@@ -286,17 +302,11 @@ def _reach_map(pairs: Iterable[tuple[str, str]]) -> dict[str, frozenset[str]]:
             else:
                 stack.pop()
                 path.discard(node)
-                # widest reach first, so that a successor already in out
-                # is skipped with its reach: an order given already
-                # closed then costs about one step per pair
-                out: set[str] = set()
-                for nxt in sorted(succ[node], key=lambda c: len(reach.get(c, ())),
-                                  reverse=True):
-                    if nxt not in out:
-                        out.add(nxt)
-                        out.update(reach.get(nxt, ()))
-                reach[node] = frozenset(out)
-    return reach
+                out = 0
+                for nxt in succ[node]:
+                    out |= bit[nxt] | reach.get(nxt, 0)
+                reach[node] = out
+    return bit, reach
 
 
 def _add_freqs(freqs: dict[tuple[str, str], ProbInterval],
@@ -319,9 +329,10 @@ class ReferenceClassTable:
 
     entries maps (class, event) pairs to frequency intervals; specificity
     holds the (more_specific, less_specific) pairs as given, and equality
-    compares them as given.  The order is closed here, once, into the map
-    from each class to every class it is more specific than; tables made
-    by with_entries share that map.
+    compares them as given.  The order is closed here, once: each class
+    that some class is more specific than gets one bit, and each class
+    maps to the int of the bits of every class it is more specific than.
+    Tables made by with_entries share both maps.
     """
 
     entries: tuple[tuple[str, str, ProbInterval], ...] = ()
@@ -330,19 +341,21 @@ class ReferenceClassTable:
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
         object.__setattr__(self, "specificity", frozenset(self.specificity))
-        object.__setattr__(self, "_reach", _reach_map(self.specificity))
+        bit, reach = _reach_map(self.specificity)
+        object.__setattr__(self, "_bit", bit)
+        object.__setattr__(self, "_reach", reach)
         object.__setattr__(self, "_freqs", _add_freqs({}, self.entries))
 
     def freq(self, cls: str, event: str) -> ProbInterval | None:
         return self._freqs.get((cls, event))
 
     def more_specific(self, a: str, b: str) -> bool:
-        return b in self._reach.get(a, ())
+        return bool(self._reach.get(a, 0) & self._bit.get(b, 0))
 
     def with_entries(self, extra: Iterable[tuple[str, str, ProbInterval]]
                      ) -> ReferenceClassTable:
         """This table with the extra entries appended.  Only the new
-        entries are checked; the order and its reach map are shared, and
+        entries are checked; the order's bits and reaches are shared, and
         this table never sees them."""
         extra = tuple(extra)
         table = copy.copy(self)
@@ -356,15 +369,14 @@ EMPTY_TABLE = ReferenceClassTable()
 
 def _most_specific(classes: Iterable[str],
                    refs: ReferenceClassTable) -> frozenset[str]:
-    """The classes no other of the classes is more specific than.  A
-    class drops out when it lies in the reach of one kept so far, and
-    pushes out the kept ones in its own reach."""
-    most: set[str] = set()
+    """The classes no other of the classes is more specific than: those
+    whose bit lies in none of the classes' reaches.  No class reaches
+    itself, so each class's own reach joins the union too."""
+    classes = tuple(classes)
+    under = 0
     for c in classes:
-        if not any(refs.more_specific(m, c) for m in most):
-            most = {m for m in most if not refs.more_specific(c, m)}
-            most.add(c)
-    return frozenset(most)
+        under |= refs._reach.get(c, 0)
+    return frozenset(c for c in classes if not refs._bit.get(c, 0) & under)
 
 
 def direct_inference(item: str, event: str, accepted_classes: Iterable[str],
@@ -414,10 +426,7 @@ class CredalLevel:
     assignments: Mapping[str, Mapping[str, ProbInterval]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.index < 0:
-            raise ValueError(f"level index must be non-negative, got {self.index!r}")
-        if not 0.0 <= self.error <= 1.0:
-            raise ValueError(f"level error must lie in [0, 1], got {self.error!r}")
+        _check_index_error("level", self.index, self.error)
         frozen = {act: dict(boxes) for act, boxes in self.assignments.items()}
         object.__setattr__(self, "assignments", frozen)
 

@@ -3,7 +3,9 @@ import gc
 import io
 import json
 import math
+import os
 import runpy
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -23,9 +25,24 @@ from credalbox import (
 from credalbox import cli
 from credalbox.cli import main
 from credalbox.replicate import fixture_text
-from support import chain_document
+from support import chain_document, fixed_point_closure
 
 REPORT_SCHEMA = Path(__file__).resolve().parent.parent / "schema" / "report.schema.json"
+
+
+def dag_document(n: int, closed: bool) -> dict:
+    """chain_document(n) with an idle twin d{k} beside each inner class
+    c{k}, so that the order is a DAG of diamonds with incomparable
+    classes; closed lists every transitive pair as well, as dumps wrote
+    orders before they were kept as given."""
+    data = chain_document(n)
+    pairs = data["reference_classes"]["specificity"]
+    for k in range(1, n - 1):
+        pairs += [[f"c{k + 1}", f"d{k}"], [f"d{k}", f"c{k - 1}"]]
+    if closed:
+        closure = fixed_point_closure(tuple(p) for p in pairs)
+        data["reference_classes"]["specificity"] = [list(p) for p in sorted(closure)]
+    return data
 
 
 @pytest.fixture
@@ -262,6 +279,38 @@ class TestDecide:
         # first to lift the lower bound on E above 1/3
         assert (got["status"], got["act"], got["level_used"]) == ("decided", "bet", 12)
         assert got["error_used"] == pytest.approx(0.022)
+
+    def test_closed_order_decides_as_the_order_given(self, tmp_path, capsys):
+        outputs, tables = [], []
+        for closed in (False, True):
+            target = tmp_path / f"dag-{closed}.json"
+            target.write_text(json.dumps(dag_document(12, closed)), encoding="utf-8")
+            assert main(["decide", str(target), "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+            tables.append(load_path(target).refs)
+        given, closed = tables
+        assert len(closed.specificity) > 2 * len(given.specificity)
+        classes = sorted({c for pair in closed.specificity for c in pair})
+        for a in classes:
+            for b in classes:
+                assert given.more_specific(a, b) == closed.more_specific(a, b)
+        assert outputs[0] == outputs[1]
+
+    def test_report_independent_of_the_hash_seed(self, tmp_path):
+        # the order's bits are numbered in the set's iteration order,
+        # which the hash seed changes
+        target = tmp_path / "dag.json"
+        target.write_text(json.dumps(dag_document(12, False)), encoding="utf-8")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        outputs = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-m", "credalbox.cli", "decide", str(target), "--json"],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = main(["decide", str(tmp_path / "nope.json")])

@@ -129,6 +129,12 @@ class TestTolerableError:
             ToleranceSpec.explicit(1.5)
         with pytest.raises(ValueError):
             ToleranceSpec.explicit(-0.1)
+        # a bool would be written as "tolerance": true, which the report
+        # schema refuses; ints still pass
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=f"needs max_error in \\[0, 1\\], got {flag}$"):
+                ToleranceSpec.explicit(flag)
+        assert ToleranceSpec.explicit(1).max_error == 1
         with pytest.raises(ValueError, match="no max_error"):
             ToleranceSpec(mode="odds-derived", max_error=0.3)
 

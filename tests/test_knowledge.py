@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import pickle
@@ -128,6 +129,16 @@ class TestBodyConsistency:
             BodyOfKnowledge(-1, 0.0)
         with pytest.raises(ValueError):
             BodyOfKnowledge(0, 1.5)
+
+    @pytest.mark.parametrize("index, error, message", [
+        (True, 0.1, "body index must be an int, got True"),
+        (1, True, "body error must be a number, got True"),
+        (0, False, "body error must be a number, got False"),
+    ])
+    def test_bools_refused_where_numbers_go(self, index, error, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BodyOfKnowledge(index, error)
+        assert BodyOfKnowledge(1, 1).error == 1
 
 
 class TestAcceptThreshold:
@@ -355,6 +366,14 @@ class TestReferenceClassTable:
         for a in "abcde":
             for b in "abcde":
                 assert table.more_specific(a, b) == ((a, b) in want)
+        # _most_specific against its definition, on every subset plus a
+        # class outside the order and a repeated class
+        for size in range(6):
+            for subset in itertools.combinations("abcde", size):
+                classes = [*subset, "f", *subset[:1]]
+                expected = frozenset(c for c in classes
+                                     if not any((d, c) in want for d in classes))
+                assert knowledge._most_specific(classes, table) == expected
 
     def test_conflicting_duplicate_entries_rejected(self):
         with pytest.raises(ValueError, match="two different"):
@@ -457,6 +476,18 @@ class TestCredalStructures:
             CredalLevel(-1, 0.0)
         with pytest.raises(ValueError):
             CredalLevel(0, -0.5)
+
+    @pytest.mark.parametrize("index, error, message", [
+        (True, 0.1, "level index must be an int, got True"),
+        (1, True, "level error must be a number, got True"),
+        (0, False, "level error must be a number, got False"),
+    ])
+    def test_bools_refused_where_numbers_go(self, index, error, message):
+        # True == 1 would pass the sequence's position check and then be
+        # written as "level_used": true, which the report schema refuses
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CredalLevel(index, error, {"a": {"G": ProbInterval(0.9, 1.0)}})
+        assert CredalLevel(1, 1).error == 1
 
     def test_sequence_needs_levels(self):
         with pytest.raises(ValueError):
