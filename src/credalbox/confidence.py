@@ -7,8 +7,18 @@ with the endpoints pinned to 0 and 1 when x is 0 or n.  Each binomial
 tail is a regularized incomplete beta, P[X >= k] = I_p(k, n-k+1),
 evaluated by the Lentz continued fraction (Numerical Recipes, section
 6.4).  One tail costs a few lgamma calls and a loop whose length grows
-only like the square root of n p (1-p), not n + 1 log-gamma terms.  The
-tails are inverted by bisection.
+only like the square root of n p (1-p), not n + 1 log-gamma terms.
+
+Bisection of each tail on [0, 1] to BISECTION_TOL defines the answer.
+It is found in five to ten tail evaluations instead of 34 a side:
+safeguarded Newton steps on the log tail (Numerical Recipes, section
+9.4, rtsafe), whose derivative is the beta density, find the root from
+a Wilson-score guess; one point on each side of it is then certified,
+its tail missing the target by a relative margin well above the tail's
+rounding error; and the bisection is replayed, evaluating only the
+midpoints between the two certified points.  Every midpoint outside
+them would have moved the bracket the same way, so the endpoints are
+bit-identical to plain bisection.
 """
 
 from __future__ import annotations
@@ -27,6 +37,22 @@ _CF_EPS = 3e-16
 _CF_TINY = 1e-300
 #: steps allowed before the continued fraction gives up
 _CF_MAX_STEPS = 100_000
+
+#: Newton steps allowed; the root found by then only places the points
+#: to certify, so stopping early costs evaluations, never bits
+_NEWTON_STEPS = 60
+#: least relative margin by which a certified point's tail misses the
+#: target
+_CERT_MARGIN = 1e-9
+#: the margin is also at least this many times 2**-52 times the summed
+#: magnitudes of the tail's log-gamma and log terms.  That sum bounded
+#: the tail's relative rounding error within a factor of about one
+#: against 50-digit arithmetic up to n = 10**9, and a certified point
+#: needs a margin of twice the error
+_CERT_ULPS = 16.0
+#: times a certified point's distance from the root is multiplied by 16
+#: before that side falls back to its end of [0, 1]
+_WIDENINGS = 3
 
 
 @dataclass(frozen=True)
@@ -139,17 +165,120 @@ def binomial_sf(k: int, n: int, p: float) -> float:
     return min(1.0, _betai(k, n - k + 1, p))
 
 
-def _bisect(fn, target: float, increasing: bool, tol: float) -> float:
+def _bisect(fn, target: float, increasing: bool, tol: float,
+            bracket: tuple[float, float] = (0.0, 1.0)) -> float:
     """Root of fn(p) = target for fn monotone on [0, 1] in the given
-    direction, to a bracket narrower than tol."""
+    direction, to a bracket narrower than tol.
+
+    bracket = (below, above) holds two certified points: a midpoint at
+    or below `below` moves lo, and one at or above `above` moves hi,
+    without a call to fn.  The caller certifies them so that fn would
+    have moved the bracket the same way; with the default (0, 1) every
+    midpoint is evaluated.
+    """
+    below, above = bracket
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if (fn(mid) < target) == increasing:
+        if mid <= below:
+            lo = mid
+        elif mid >= above:
+            hi = mid
+        elif (fn(mid) < target) == increasing:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _normal_quantile(tail: float) -> float:
+    """z with P[Z > z] = tail for 0 < tail <= 1/2, to about 4.5e-4
+    (Abramowitz & Stegun 26.2.23); only a starting guess needs it."""
+    s = math.sqrt(-2.0 * math.log(tail))
+    return s - (2.515517 + s * (0.802853 + s * 0.010328)) / (
+        1.0 + s * (1.432788 + s * (0.189269 + s * 0.001308)))
+
+
+def _wilson_lower(x: int, n: int, z: float) -> float:
+    """Lower Wilson score bound for x of n at normal quantile z, written
+    without the cancellation of its textbook form."""
+    z2 = z * z
+    return x * x * (1.0 + z2 / n) / ((n + z2) * (
+        x + 0.5 * z2 + z * math.sqrt(x * (n - x) / n + 0.25 * z2)))
+
+
+def _certified(fn, target: float, increasing: bool, root: float,
+               offset: float, margin: float) -> float:
+    """root + offset if fn there misses target by more than margin *
+    target on that side of the root; else the offset is widened by 16
+    up to _WIDENINGS times, and then the side's end of [0, 1] is the
+    answer, which certifies nothing."""
+    for _ in range(_WIDENINGS + 1):
+        p = root + offset
+        if not 0.0 < p < 1.0:
+            break
+        miss = fn(p) - target
+        # fn lies above the target above a rising root, below a falling one
+        if (miss if (offset > 0.0) == increasing else -miss) > margin * target:
+            return p
+        offset *= 16.0
+    return 0.0 if offset < 0.0 else 1.0
+
+
+def _invert(fn, target: float, increasing: bool, a: int, b: int,
+            p: float) -> float:
+    """_bisect(fn, target, increasing, BISECTION_TOL) for a binomial tail
+    fn whose slope is the Beta(a, b) density, up to sign, starting from
+    the guess p.
+
+    Newton steps on log fn against log q, where q is p for a rising tail
+    and 1 - p for a falling one, stop once a step is below a quarter of
+    the tolerance; a step that would leave the bracket the evaluations
+    so far give, or [0, 1] itself, bisects that bracket instead.
+    """
+    lg_a, lg_b, lg_ab = math.lgamma(a), math.lgamma(b), math.lgamma(a + b)
+    if _CERT_ULPS * 2.0 ** -52 * (lg_ab + lg_a + lg_b) >= 1.0:
+        # the tail's rounding error may reach the tail itself (from
+        # about n = 5 * 10**12), so no point below the target can be
+        # certified
+        return _bisect(fn, target, increasing, BISECTION_TOL)
+    log_coef = lg_ab - lg_a - lg_b
+    log_target = math.log(target)
+    # the guess for x = n (or 0) at a confidence near 0 is 1 (or 0)
+    p = min(max(p, 2.0 ** -1074), 1.0 - 2.0 ** -53)
+    lo, hi = 0.0, 1.0
+    for _ in range(_NEWTON_STEPS):
+        value = fn(p)
+        if (value < target) == increasing:
+            lo = p
+        else:
+            hi = p
+        log_p, log_1mp = math.log(p), math.log1p(-p)
+        log_density = log_coef + (a - 1.0) * log_p + (b - 1.0) * log_1mp
+        log_q = log_p if increasing else log_1mp
+        nxt = -1.0  # outside every bracket: bisect unless Newton steps
+        if value > 0.0:
+            log_value = math.log(value)
+            # d log fn / d log q
+            slope = math.exp(log_density + log_q - log_value)
+            if slope > 0.0:
+                q = math.exp(log_q + (log_target - log_value) / slope)
+                nxt = q if increasing else 1.0 - q
+        if not (lo <= nxt <= hi and 0.0 < nxt < 1.0):
+            nxt = 0.5 * (lo + hi)
+        step = abs(nxt - p)
+        p = nxt
+        if step < 0.25 * BISECTION_TOL:
+            break
+    margin = max(_CERT_MARGIN, _CERT_ULPS * 2.0 ** -52 * (
+        lg_ab + lg_a + lg_b - a * log_p - b * log_1mp))
+    # where the density moves fn by twice the margin (at most 1), and a
+    # few floats more, since near 1 a float step can move fn by more
+    offset = (math.exp(min(math.log(2.0 * margin * target) - log_density, 0.0))
+              + step + 4.0 * math.ulp(p))
+    below = _certified(fn, target, increasing, p, -offset, margin)
+    above = _certified(fn, target, increasing, p, offset, margin)
+    return _bisect(fn, target, increasing, BISECTION_TOL, (below, above))
 
 
 def clopper_pearson(count: SampleCount, confidence: float) -> ProbInterval:
@@ -160,14 +289,19 @@ def clopper_pearson(count: SampleCount, confidence: float) -> ProbInterval:
         )
     x, n = count.successes, count.trials
     tail = (1.0 - confidence) / 2.0
+    z = _normal_quantile(tail)
+    # P[X >= x] rises with p at the Beta(x, n-x+1) density, and P[X <= x]
+    # falls at the Beta(x+1, n-x) density
     if x == 0:
         lo = 0.0
     else:
-        lo = _bisect(lambda p: binomial_sf(x, n, p), tail, True, BISECTION_TOL)
+        lo = _invert(lambda p: binomial_sf(x, n, p), tail, True, x, n - x + 1,
+                     _wilson_lower(x, n, z))
     if x == n:
         hi = 1.0
     else:
-        hi = _bisect(lambda p: binomial_cdf(x, n, p), tail, False, BISECTION_TOL)
+        hi = _invert(lambda p: binomial_cdf(x, n, p), tail, False, x + 1, n - x,
+                     1.0 - _wilson_lower(n - x, n, z))
     lo = min(max(lo, 0.0), 1.0)
     hi = min(max(hi, lo), 1.0)
     return ProbInterval(lo, hi)

@@ -80,6 +80,13 @@ def tolerable_error(problem: DecisionProblem, spec: ToleranceSpec) -> float:
     return 1.0 - rho / (rho + 1.0)
 
 
+def _refuse_bool(what: str, value, kind: str) -> None:
+    """A bool passes as 1 or 0 but is written as true or false where the
+    report schema needs a number, so it is refused, naming the field."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TraceRow:
     """What one explored level looked like."""
@@ -90,6 +97,8 @@ class TraceRow:
     maximal: tuple[str, ...]
 
     def __post_init__(self):
+        _refuse_bool("trace row index", self.index, "an int")
+        _refuse_bool("trace row error", self.error, "a number")
         object.__setattr__(self, "eu", dict(self.eu))
         object.__setattr__(self, "maximal", tuple(self.maximal))
 
@@ -148,6 +157,9 @@ class DecisionReport:
         object.__setattr__(self, "trace", tuple(self.trace))
         if self.status not in (DECIDED, RISK_PROBLEM, NO_MANDATE):
             raise ValueError(f"unknown report status {self.status!r}")
+        _refuse_bool("report tolerance", self.tolerance, "a number")
+        _refuse_bool("report level_used", self.level_used, "an int")
+        _refuse_bool("report error_used", self.error_used, "a number")
 
     def to_dict(self) -> dict:
         return {

@@ -8,7 +8,6 @@ values the example is known to produce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .belief import MassFunction, bel, dempster_combine, discount, discount_threshold
 from .engine import DECIDED, explore
@@ -49,6 +48,10 @@ class ReplicationResult:
 
 
 def fixture_text(name: str) -> str:
+    # imported here: importlib.resources pulls in tempfile and random,
+    # which no other command needs at start-up
+    from importlib import resources
+
     return (resources.files("credalbox") / "data" / f"{name}.json").read_text(
         encoding="utf-8")
 

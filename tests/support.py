@@ -553,6 +553,20 @@ def oracle_clopper_pearson(x: int, n: int, confidence: float,
     return lo, hi
 
 
+def oracle_bisect(fn, target: float, increasing: bool, tol: float,
+                  bracket: tuple[float, float] = (0.0, 1.0)) -> float:
+    """Oracle: confidence._bisect as it reads with no certified bracket,
+    every midpoint evaluated; a bracket passed in is ignored."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if (fn(mid) < target) == increasing:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def oracle_betacf(a: float, b: float, x: float) -> float:
     """Oracle: the Lentz continued fraction as a loop over the even and
     the odd partial numerator of each step.  The runtime writes the two

@@ -8,6 +8,7 @@ from credalbox import SampleCount, binomial_cdf, binomial_sf, clopper_pearson
 from credalbox import confidence
 from support import (
     oracle_betacf,
+    oracle_bisect,
     oracle_binomial_cdf,
     oracle_binomial_sf,
     oracle_clopper_pearson,
@@ -284,3 +285,111 @@ class TestWrittenOutContinuedFraction:
     def test_drawn_counts_match_the_loop(self, count, conf):
         x, n = count
         assert cp_bits(x, n, conf) == loop_cp_bits(x, n, conf)
+
+
+def bisect_cp_bits(x, n, conf):
+    """cp_bits with the bracket forced to [0, 1]: plain bisection, which
+    evaluates every midpoint, and defines the endpoints."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(confidence, "_bisect", oracle_bisect)
+        return cp_bits(x, n, conf)
+
+
+def endpoint_evaluations(x, n, conf):
+    """Tail evaluations cp(x, n, conf) makes for each endpoint it does
+    not pin at 0 or 1: P[X >= x] for the lower, P[X <= x] for the upper."""
+    calls = {binomial_sf: 0, binomial_cdf: 0}
+
+    def counted(tail):
+        def wrapper(k, n, p):
+            calls[tail] += 1
+            return tail(k, n, p)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(confidence, "binomial_sf", counted(binomial_sf))
+        patch.setattr(confidence, "binomial_cdf", counted(binomial_cdf))
+        cp(x, n, conf)
+    return [calls[binomial_sf]] * (x > 0) + [calls[binomial_cdf]] * (x < n)
+
+
+GRID_CONFIDENCES = [1e-6, 0.5, 0.9, 0.95, 0.99, 1 - 1e-12]
+# a few counts far above the drawn ones; at n = 10**16 and 10**20 the
+# tails' rounding error outgrows any margin, and plain bisection runs
+FIXED_COUNTS = [(x, n) for n in (10**6, 10**12) for x in (1, n // 2, n - 1)] + [
+    (x, n) for n in (10**16, 10**20) for x in (1, n - 1)]
+
+
+class TestCertifiedBisection:
+    # Newton finds each root, two certified points bracket it, and the
+    # bisection is replayed between them: bit for bit plain bisection
+
+    @pytest.mark.parametrize("conf", GRID_CONFIDENCES)
+    def test_every_small_count_matches_plain_bisection(self, conf):
+        for n in range(1, 61):
+            for x in range(n + 1):
+                assert cp_bits(x, n, conf) == bisect_cp_bits(x, n, conf), (x, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(61, 30_000).flatmap(
+        lambda n: st.tuples(st.integers(0, n), st.just(n))),
+        st.sampled_from(GRID_CONFIDENCES) | st.floats(1e-9, 1.0, exclude_max=True))
+    def test_drawn_counts_match_plain_bisection(self, count, conf):
+        x, n = count
+        assert cp_bits(x, n, conf) == bisect_cp_bits(x, n, conf)
+        assert max(endpoint_evaluations(x, n, conf)) <= 40
+
+    @pytest.mark.parametrize("x, n", FIXED_COUNTS)
+    @pytest.mark.parametrize("conf", [0.95, 1 - 1e-12])
+    def test_large_counts_match_plain_bisection(self, x, n, conf):
+        # at 1 - 1e-12 the upper root of n - 1 of 10**6 rounds to 1, so
+        # Newton steps out of (0, 1) and bisects its bracket instead
+        assert cp_bits(x, n, conf) == bisect_cp_bits(x, n, conf)
+        assert max(endpoint_evaluations(x, n, conf)) <= 40
+
+    def test_half_of_ten_to_the_sixteen_fails_as_bisection_does(self):
+        # the continued fraction gives up at the first midpoint, 0.5
+        want = outcome(lambda: bisect_cp_bits(5 * 10**15, 10**16, 0.95))
+        assert want[0] is ValueError and "I_0.5(" in want[1]
+        assert outcome(lambda: cp_bits(5 * 10**15, 10**16, 0.95)) == want
+
+    @pytest.mark.parametrize("margin", [2.0, 1e300])
+    def test_uncertified_sides_fall_back_to_plain_bisection(self, monkeypatch, margin):
+        # a margin of 2 leaves no point below the target certifiable, so
+        # that side widens, then falls back to its end of [0, 1]; one of
+        # 1e300 puts both certified points outside [0, 1] at once
+        brackets = []
+        replay = confidence._bisect
+
+        def spy(fn, target, increasing, tol, bracket=(0.0, 1.0)):
+            brackets.append(bracket)
+            return replay(fn, target, increasing, tol, bracket)
+
+        monkeypatch.setattr(confidence, "_CERT_MARGIN", margin)
+        monkeypatch.setattr(confidence, "_bisect", spy)
+        for x, n, conf in [(3, 14, 0.99), (7, 20, 0.95), (1, 9, 0.9)]:
+            brackets.clear()
+            got = cp_bits(x, n, conf)
+            lower, upper = brackets
+            if margin == 2.0:
+                assert lower[0] == 0.0 and 0.0 < lower[1] < 1.0
+                assert 0.0 < upper[0] < 1.0 and upper[1] == 1.0
+            else:
+                assert lower == upper == (0.0, 1.0)
+            assert got == bisect_cp_bits(x, n, conf)
+
+    def test_continued_fraction_cap_still_raises(self, monkeypatch):
+        # the first tail evaluated is at the Wilson-score guess for the
+        # lower endpoint, which the message names
+        monkeypatch.setattr(confidence, "_CF_MAX_STEPS", 3)
+        with pytest.raises(ValueError, match="did not converge in 3 steps") as exc:
+            cp(50_000, 100_000, 0.95)
+        assert str(exc.value).startswith("incomplete beta I_0.4969")
+
+    @pytest.mark.parametrize("conf", GRID_CONFIDENCES)
+    def test_evaluations_per_endpoint(self, conf):
+        counts = [count for n in range(1, 61) for x in range(n + 1)
+                  for count in endpoint_evaluations(x, n, conf)]
+        assert max(counts) <= 40
+        if conf == 0.95:
+            assert sum(counts) / len(counts) <= 10

@@ -406,17 +406,61 @@ class TestToJson:
             return "not a float repr"
 
     @pytest.mark.parametrize("fields", [
-        {"tolerance": True},
+        # number fields refuse a bool; a bool elsewhere is json's to write
+        {"act": True},
         {"tolerance": _Float(0.5)},
         {"problem": ["a", 1]},
         {"trace": (TraceRow(0, 0.0, {1: Interval(0.0, 1.0)}, ()),)},
         {"trace": (TraceRow(0, 0.0, {}, (2, None)),)},
-        {"trace": (TraceRow(True, 0, {"a": Interval(0, 1)}, ("a",)),)},
+        {"trace": (TraceRow(1, 0, {"a": Interval(0, 1)}, ("a",)),)},
     ])
     def test_undeclared_types_are_written_as_json_writes_them(self, fields):
         report = DecisionReport(**{"problem": "p", "status": NO_MANDATE,
                                    "tolerance": 0.5, **fields})
         assert report.to_json() == reference_json(report)
+
+    @pytest.mark.parametrize("field, kind", [
+        ("tolerance", "a number"), ("level_used", "an int"),
+        ("error_used", "a number"),
+    ])
+    def test_report_number_fields_refuse_bools(self, field, kind):
+        # True == 1 would pass, and be written as true where the report
+        # schema needs a number
+        for flag in (True, False):
+            fields = {"problem": "p", "status": DECIDED, "tolerance": 0.5,
+                      "act": "a", "level_used": 0, "error_used": 0.0,
+                      field: flag}
+            with pytest.raises(ValueError,
+                               match=f"^report {field} must be {kind}, got {flag}$"):
+                DecisionReport(**fields)
+
+    def test_trace_row_number_fields_refuse_bools(self):
+        eu = {"a": Interval(1.0, 1.0)}
+        for flag in (True, False):
+            with pytest.raises(ValueError,
+                               match=f"^trace row index must be an int, got {flag}$"):
+                TraceRow(flag, 0.0, eu, ("a",))
+            with pytest.raises(ValueError,
+                               match=f"^trace row error must be a number, got {flag}$"):
+                TraceRow(0, flag, eu, ("a",))
+
+    def test_hand_built_bool_report_is_refused(self):
+        # the repro of a hand-built report that wrote true and false into
+        # five number fields: the first it meets is refused
+        with pytest.raises(ValueError, match="^trace row index must be an int"):
+            DecisionReport("p", "decided", True, act="a", level_used=True,
+                           error_used=False, trace=(TraceRow(
+                               True, False, {"a": Interval(1.0, 1.0)}, ("a",)),))
+        with pytest.raises(ValueError, match="^report tolerance must be a number"):
+            DecisionReport("p", "decided", True, act="a", level_used=True,
+                           error_used=False)
+
+    def test_int_and_float_number_fields_still_pass(self):
+        report = DecisionReport("p", DECIDED, 1, act="a", level_used=2,
+                                error_used=0, trace=(TraceRow(
+                                    2, 1, {"a": Interval(1.0, 1.0)}, ("a",)),))
+        assert report.to_json() == reference_json(report)
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
 
     def test_unencodable_value_raises_as_json_does(self):
         report = DecisionReport("p", NO_MANDATE, 0.5, act=object())

@@ -1,6 +1,7 @@
 """The runtime imports nothing beyond the standard library and itself."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,3 +36,21 @@ def test_runtime_imports_only_the_standard_library():
         if module not in allowed
     ]
     assert strays == []
+
+
+def test_cli_start_up_loads_no_heavy_stdlib_module():
+    # every CLI command pays for what `import credalbox.cli` loads; the
+    # interpreter runs without site (-S), whose .pth files may load some
+    # of these themselves, and only what the import adds is counted
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "before = set(sys.modules)\n"
+        "import credalbox.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                          capture_output=True, text=True)
+    loaded = set(done.stdout.split())
+    assert "credalbox.cli" in loaded
+    assert loaded & {"statistics", "fractions", "decimal", "random"} == set()

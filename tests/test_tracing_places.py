@@ -101,7 +101,8 @@ def test_explore_looks_its_layers_up_on_the_engine_module(monkeypatch):
 
 def test_clopper_pearson_looks_its_tails_up_on_the_confidence_module(monkeypatch):
     # confidence.tail_evals counts the calls the tracer's wrappers see:
-    # 34 bisection steps a side for 3 of 14
+    # for 3 of 14, the Newton steps, two certified points and the
+    # midpoints of the replayed bisection between them on each side
     calls = []
 
     def counted(attr):
@@ -114,5 +115,9 @@ def test_clopper_pearson_looks_its_tails_up_on_the_confidence_module(monkeypatch
 
     counted("binomial_sf")
     counted("binomial_cdf")
+    counted("_betai")
     confidence.clopper_pearson(SampleCount(3, 14), 0.99)
-    assert calls == ["binomial_sf"] * 34 + ["binomial_cdf"] * 34
+    tails = [name for name in calls if name != "_betai"]
+    assert tails == ["binomial_sf"] * 7 + ["binomial_cdf"] * 9
+    # and no tail is evaluated past the wrappers
+    assert calls.count("_betai") == len(tails)
