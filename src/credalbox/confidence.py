@@ -50,9 +50,6 @@ _CERT_MARGIN = 1e-9
 #: against 50-digit arithmetic up to n = 10**9, and a certified point
 #: needs a margin of twice the error
 _CERT_ULPS = 16.0
-#: times a certified point's distance from the root is multiplied by 16
-#: before that side falls back to its end of [0, 1]
-_WIDENINGS = 3
 
 
 @dataclass(frozen=True)
@@ -131,12 +128,17 @@ def _betai(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def binomial_cdf(k: int, n: int, p: float) -> float:
-    """P[X <= k] for X ~ Binomial(n, p)."""
+def _check_binomial(n: int, p: float) -> None:
+    """Refuse fewer than one trial, or a p outside [0, 1]."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
+
+
+def binomial_cdf(k: int, n: int, p: float) -> float:
+    """P[X <= k] for X ~ Binomial(n, p)."""
+    _check_binomial(n, p)
     if k < 0:
         return 0.0
     if k >= n:
@@ -150,10 +152,7 @@ def binomial_cdf(k: int, n: int, p: float) -> float:
 
 def binomial_sf(k: int, n: int, p: float) -> float:
     """P[X >= k] for X ~ Binomial(n, p)."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n!r}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    _check_binomial(n, p)
     if k <= 0:
         return 1.0
     if k > n:
@@ -209,19 +208,15 @@ def _wilson_lower(x: int, n: int, z: float) -> float:
 
 def _certified(fn, target: float, increasing: bool, root: float,
                offset: float, margin: float) -> float:
-    """root + offset if fn there misses target by more than margin *
-    target on that side of the root; else the offset is widened by 16
-    up to _WIDENINGS times, and then the side's end of [0, 1] is the
-    answer, which certifies nothing."""
-    for _ in range(_WIDENINGS + 1):
-        p = root + offset
-        if not 0.0 < p < 1.0:
-            break
+    """root + offset if it lies in (0, 1) and fn there misses target by
+    more than margin * target on that side of the root; else the side's
+    end of [0, 1], which certifies nothing."""
+    p = root + offset
+    if 0.0 < p < 1.0:
         miss = fn(p) - target
         # fn lies above the target above a rising root, below a falling one
         if (miss if (offset > 0.0) == increasing else -miss) > margin * target:
             return p
-        offset *= 16.0
     return 0.0 if offset < 0.0 else 1.0
 
 
@@ -292,16 +287,20 @@ def clopper_pearson(count: SampleCount, confidence: float) -> ProbInterval:
     z = _normal_quantile(tail)
     # P[X >= x] rises with p at the Beta(x, n-x+1) density, and P[X <= x]
     # falls at the Beta(x+1, n-x) density
-    if x == 0:
-        lo = 0.0
-    else:
-        lo = _invert(lambda p: binomial_sf(x, n, p), tail, True, x, n - x + 1,
-                     _wilson_lower(x, n, z))
-    if x == n:
-        hi = 1.0
-    else:
-        hi = _invert(lambda p: binomial_cdf(x, n, p), tail, False, x + 1, n - x,
-                     1.0 - _wilson_lower(n - x, n, z))
-    lo = min(max(lo, 0.0), 1.0)
-    hi = min(max(hi, lo), 1.0)
+    try:
+        if x == 0:
+            lo = 0.0
+        else:
+            lo = _invert(lambda p: binomial_sf(x, n, p), tail, True, x, n - x + 1,
+                         _wilson_lower(x, n, z))
+        if x == n:
+            hi = 1.0
+        else:
+            hi = _invert(lambda p: binomial_cdf(x, n, p), tail, False, x + 1, n - x,
+                         1.0 - _wilson_lower(n - x, n, z))
+    except OverflowError as exc:
+        raise ValueError(
+            f"count {x} of {n} is beyond float arithmetic: {exc}"
+        ) from None
+    hi = max(hi, lo)
     return ProbInterval(lo, hi)

@@ -549,7 +549,17 @@ def loads(text: str) -> ProblemDocument:
 
 
 def dumps(doc: ProblemDocument) -> str:
-    return json.dumps(document_to_dict(doc), indent=2)
+    """The document as JSON text that loads reads back equal.  A document
+    built through the API that the parser would refuse is refused here
+    with the parser's ProblemFormatError, and one that would read back
+    different names the first field that differs."""
+    data = document_to_dict(doc)
+    again = parse_document(data)
+    if again != doc:
+        name = next(name for name in doc.__dataclass_fields__
+                    if getattr(again, name) != getattr(doc, name))
+        raise ProblemFormatError(f"$: the document's {name} would not read back equal")
+    return json.dumps(data, indent=2)
 
 
 def load_path(path) -> ProblemDocument:

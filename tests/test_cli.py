@@ -515,6 +515,20 @@ class TestCp:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("successes, trials", [
+        (5 * 10**19, 10**20),  # the tail's exp overflows
+        (5, 10**300),          # the continued fraction's terms do
+        (1, 10**400),          # the Wilson-score guess's do
+    ], ids=["exp-overflow", "betacf-overflow", "wilson-overflow"])
+    def test_counts_past_the_float_range_exit_one(self, capsys, successes, trials):
+        code = main(["cp", str(successes), str(trials), "0.95"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: count {successes} of {trials} ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
 
 class TestDsThreshold:
     def test_crossing_prints_rate_and_both_sides(self, capsys):

@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -295,9 +296,10 @@ def bisect_cp_bits(x, n, conf):
         return cp_bits(x, n, conf)
 
 
-def endpoint_evaluations(x, n, conf):
-    """Tail evaluations cp(x, n, conf) makes for each endpoint it does
-    not pin at 0 or 1: P[X >= x] for the lower, P[X <= x] for the upper."""
+@contextmanager
+def counted_tails():
+    """A monkeypatch under which the confidence module's tails count
+    their calls into the dict it yields, keyed by tail."""
     calls = {binomial_sf: 0, binomial_cdf: 0}
 
     def counted(tail):
@@ -309,15 +311,43 @@ def endpoint_evaluations(x, n, conf):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(confidence, "binomial_sf", counted(binomial_sf))
         patch.setattr(confidence, "binomial_cdf", counted(binomial_cdf))
+        yield patch, calls
+
+
+def endpoint_evaluations(x, n, conf):
+    """Tail evaluations cp(x, n, conf) makes for each endpoint it does
+    not pin at 0 or 1: P[X >= x] for the lower, P[X <= x] for the upper."""
+    with counted_tails() as (_, calls):
         cp(x, n, conf)
     return [calls[binomial_sf]] * (x > 0) + [calls[binomial_cdf]] * (x < n)
 
 
 GRID_CONFIDENCES = [1e-6, 0.5, 0.9, 0.95, 0.99, 1 - 1e-12]
+# counts with a point to certify outside (0, 1), so that side falls back
+# to its end of [0, 1]: the first above its upper root at 1 - 1e-12, the
+# second below its lower root at 0.95
+OUTSIDE_COUNTS = [(1_297_206, 1_297_207), (1, 6_416_912_539)]
 # a few counts far above the drawn ones; at n = 10**16 and 10**20 the
 # tails' rounding error outgrows any margin, and plain bisection runs
 FIXED_COUNTS = [(x, n) for n in (10**6, 10**12) for x in (1, n // 2, n - 1)] + [
-    (x, n) for n in (10**16, 10**20) for x in (1, n - 1)]
+    (x, n) for n in (10**16, 10**20) for x in (1, n - 1)] + OUTSIDE_COUNTS
+
+
+def certification_points(x, n, conf):
+    """(point, tails evaluated) for each _certified call cp(x, n, conf)
+    makes, the point being root + offset."""
+    points = []
+    certified = confidence._certified
+    with counted_tails() as (patch, calls):
+        def spy(fn, target, increasing, root, offset, margin):
+            before = sum(calls.values())
+            got = certified(fn, target, increasing, root, offset, margin)
+            points.append((root + offset, sum(calls.values()) - before))
+            return got
+
+        patch.setattr(confidence, "_certified", spy)
+        cp(x, n, conf)
+    return points
 
 
 class TestCertifiedBisection:
@@ -347,6 +377,18 @@ class TestCertifiedBisection:
         assert cp_bits(x, n, conf) == bisect_cp_bits(x, n, conf)
         assert max(endpoint_evaluations(x, n, conf)) <= 40
 
+    @pytest.mark.parametrize("count, conf", zip(OUTSIDE_COUNTS, [1 - 1e-12, 0.95]))
+    def test_a_point_outside_the_unit_interval_is_not_evaluated(self, count, conf):
+        points = certification_points(*count, conf)
+        assert [tails for point, tails in points if not 0.0 < point < 1.0] == [0]
+
+    def test_each_side_is_certified_by_at_most_one_tail(self):
+        for n in range(1, 61):
+            for x in range(n + 1):
+                points = certification_points(x, n, 0.95)
+                assert len(points) == 2 * ((x > 0) + (x < n)), (x, n)
+                assert all(tails <= 1 for _, tails in points), (x, n)
+
     def test_half_of_ten_to_the_sixteen_fails_as_bisection_does(self):
         # the continued fraction gives up at the first midpoint, 0.5
         want = outcome(lambda: bisect_cp_bits(5 * 10**15, 10**16, 0.95))
@@ -356,7 +398,7 @@ class TestCertifiedBisection:
     @pytest.mark.parametrize("margin", [2.0, 1e300])
     def test_uncertified_sides_fall_back_to_plain_bisection(self, monkeypatch, margin):
         # a margin of 2 leaves no point below the target certifiable, so
-        # that side widens, then falls back to its end of [0, 1]; one of
+        # that side falls back to its end of [0, 1]; one of
         # 1e300 puts both certified points outside [0, 1] at once
         brackets = []
         replay = confidence._bisect

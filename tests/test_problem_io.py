@@ -9,9 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from credalbox import (
+    VACUOUS,
+    Act,
     CredalLevel,
     CredalSequence,
+    DecisionProblem,
     InconsistentBodyError,
+    Interval,
     LevelSpec,
     Outcome,
     ProbInterval,
@@ -213,7 +217,10 @@ class TestRoundTrip:
     ])
     def test_fixture_survives_a_cycle(self, load):
         doc = load()
-        again = loads(dumps(doc))
+        text = dumps(doc)
+        # the check dumps runs leaves its bytes as they were
+        assert text == json.dumps(document_to_dict(doc), indent=2)
+        again = loads(text)
         assert again == doc
         assert document_to_dict(again) == document_to_dict(doc)
 
@@ -276,6 +283,80 @@ class TestRoundTrip:
         target = tmp_path / "problem.json"
         target.write_text(text, encoding="utf-8")
         assert load_path(target) == loads(text)
+
+
+def _api_doc(utility=1.0, label="G", prob=VACUOUS, **fields):
+    """A ProblemDocument built through the API, with one act of one
+    outcome and the given document fields."""
+    act = Act("a1", (Outcome(label, utility, prob),))
+    return ProblemDocument(DecisionProblem("p", (act,)), **fields)
+
+
+def _constraint(sid="s", prob=1.0):
+    return Statement.event_interval(sid, "G", ProbInterval(0.2, 0.4), prob)
+
+
+def _nmp(*statements, **fields):
+    return _api_doc(statements=statements, rule="next-most-probable", **fields)
+
+
+def _threshold(*error_levels):
+    return _api_doc(statements=(_constraint(),), rule="threshold",
+                    error_levels=error_levels)
+
+
+def _override(act, label):
+    return _api_doc(level_specs=(LevelSpec(0.0, (), {act: {label: ProbInterval(0.1, 0.2)}}),))
+
+
+# documents the API builds but the parser would refuse, or read back
+# different, with the refusal dumps gives for each
+UNWRITABLE_DOCS = {
+    "level-error-above-one": (_api_doc(level_specs=(LevelSpec(2.0),)),
+                              "$.levels[0].error: value 2.0 is above 1.0"),
+    "level-error-nan": (_api_doc(level_specs=(LevelSpec(math.nan),)),
+                        "$.levels[0].error: expected a finite number, got nan"),
+    "level-constraint-prob": (
+        _api_doc(level_specs=(LevelSpec(0.0, (_constraint(prob=0.5),)),)),
+        "$.levels[0].constraints: level constraints are assertions; prob must stay 1"),
+    "constraint-ids-repeat": (
+        _api_doc(level_specs=(LevelSpec(0.0, (_constraint(), _constraint())),)),
+        "$.levels[0].constraints: statement ids repeat"),
+    "statement-ids-repeat": (_nmp(_constraint(), _constraint()),
+                             "$.statements: statement ids repeat"),
+    "override-unknown-act": (_override("zz", "G"),
+                             "$.levels[0].overrides.zz: unknown act 'zz'"),
+    "override-unknown-outcome": (
+        _override("a1", "Q"), "$.levels[0].overrides.a1.Q: unknown outcome 'Q' of act 'a1'"),
+    "threshold-error-zero": (
+        _threshold(0.0), "$.acceptance.error_levels[0]: error level 0.0 must lie in (0, 1]"),
+    "threshold-errors-fall": (
+        _threshold(0.2, 0.1),
+        "$.acceptance.error_levels[1]: error levels must be strictly increasing"),
+    "bool-utility": (_api_doc(utility=True),
+                     "$.acts[0].outcomes[0].utility: expected a number, got bool"),
+    "bool-statement-prob": (_nmp(_constraint(prob=True)),
+                            "$.statements[0].prob: expected a number, got bool"),
+    "int-label": (_api_doc(label=1),
+                  "$.acts[0].outcomes[0].label: expected a non-empty string"),
+    "error-levels-next-most-probable": (
+        _nmp(_constraint(), error_levels=(0.1,)),
+        "$: the document's error_levels would not read back equal"),
+    "error-levels-without-a-rule": (
+        _api_doc(error_levels=(0.1,)),
+        "$: the document's error_levels would not read back equal"),
+    "plain-interval-prob": (_api_doc(prob=Interval(0.0, 1.0)),
+                            "$: the document's problem would not read back equal"),
+}
+
+
+class TestDumpsRefusal:
+    @pytest.mark.parametrize("name", UNWRITABLE_DOCS)
+    def test_unwritable_document_is_refused_at_a_path(self, name):
+        doc, message = UNWRITABLE_DOCS[name]
+        with pytest.raises(ProblemFormatError) as exc:
+            dumps(doc)
+        assert str(exc.value) == message
 
 
 class TestSchema:

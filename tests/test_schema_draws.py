@@ -6,7 +6,8 @@ neither), both tolerance modes, and with or without reference classes.
 Names come from small pools, so repeats and references to names a
 document does not declare are common.  Every draw must pass the schema
 validator, and parse_document must accept it or refuse it with one of
-the semantic refusals the README lists as checks beyond the schema.
+the semantic refusals the README lists as checks beyond the schema; a
+document it accepts must come back equal through dumps and loads.
 """
 
 import json
@@ -17,7 +18,7 @@ import jsonschema
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credalbox import ProblemFormatError, parse_document
+from credalbox import ProblemFormatError, document_to_dict, dumps, loads, parse_document
 
 SCHEMA = Path(__file__).resolve().parent.parent / "schema" / "problem.schema.json"
 VALIDATOR = jsonschema.Draft202012Validator(
@@ -140,9 +141,15 @@ def refusal(message: str) -> str | None:
 def test_schema_valid_documents_parse_or_meet_a_listed_refusal(doc):
     VALIDATOR.validate(doc)
     try:
-        parse_document(doc)
+        parsed = parse_document(doc)
     except ProblemFormatError as exc:
         assert refusal(str(exc)) is not None, str(exc)
+        return
+    # what the parser accepts, dumps writes as it always did, and loads
+    # reads back equal
+    text = dumps(parsed)
+    assert text == json.dumps(document_to_dict(parsed), indent=2)
+    assert loads(text) == parsed
 
 
 def test_every_listed_refusal_is_reachable():

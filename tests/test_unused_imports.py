@@ -1,11 +1,15 @@
-"""Every name a runtime module imports is used there.
+"""Every name a runtime module imports is used there, and every private
+module-level name a runtime module defines is read by one of them.
 
 An import no code reads is dead weight that outlives the code that
 needed it.  Three kinds are exempt: ``from __future__`` imports, the
 package's ``__init__.py``, which imports to re-export, and the module
 attributes perfbench/tracing.py rebinds, which a module keeps bound
 for the tracer though it no longer calls them (their table in
-perfbench/tracing.py says why each stays).
+perfbench/tracing.py says why each stays).  A private function, class
+or constant (one named with a single leading underscore) that no
+runtime module reads is dead the same way: a constant left behind by
+the loop that used it, say.
 """
 
 import ast
@@ -27,6 +31,32 @@ def unused_imports(tree):
                 bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def private_definitions(tree):
+    """(line, name) for every function, class or constant the module
+    defines at its top level under a single-underscore name."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [ast.Name(node.name)]
+        elif isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        found.extend((node.lineno, name.id) for target in targets
+                     for name in ast.walk(target) if isinstance(name, ast.Name)
+                     and name.id.startswith("_") and not name.id.startswith("__"))
+    return found
+
+
+def read_names(tree):
+    """Every name the module reads, bare or as an attribute."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
 
 
 def rebound_attributes():
@@ -55,3 +85,24 @@ def test_runtime_modules_use_every_import():
         if (path.name, name) not in kept
     ]
     assert unused == []
+
+
+def test_finds_private_definitions_and_reads():
+    tree = ast.parse("_A = 1\n_B: int = 2\n__all__ = []\nC = 3\n"
+                     "def _f():\n    return _A + mod._g\nclass _K:\n    _x = 0\n")
+    assert private_definitions(tree) == [(1, "_A"), (2, "_B"), (5, "_f"), (7, "_K")]
+    assert {"_A", "_g", "mod"} <= read_names(tree)
+    assert not {"_B", "_f", "_K", "_x"} & read_names(tree)
+
+
+def test_runtime_modules_read_every_private_definition():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(read_names, trees.values()))
+    dead = [
+        f"{name}:{line}: {private}"
+        for name, tree in trees.items()
+        for line, private in private_definitions(tree)
+        if private not in read
+    ]
+    assert dead == []
