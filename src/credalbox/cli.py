@@ -267,6 +267,10 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    # a name the terminal cannot encode (a lone surrogate is valid JSON)
+    # prints escaped, as it does on stderr, not half a table and an error
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(main())
 
 

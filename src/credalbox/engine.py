@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Sequence
 from .expectation import DecisionProblem, FeasibilityError, eu_all
 from .intervals import Interval
 # not called here: perfbench/tracing.py binds its apply_level span on it
-from .knowledge import CredalSequence, _read_level, apply_level
+from .knowledge import CredalSequence, _read_level, _refuse_bool, apply_level
 from .ordering import maximal_set, maximin
 
 DECIDED = "decided"
@@ -78,13 +78,6 @@ def tolerable_error(problem: DecisionProblem, spec: ToleranceSpec) -> float:
         # the limit of 1/(rho + 1); the expression below would give NaN
         return 0.0
     return 1.0 - rho / (rho + 1.0)
-
-
-def _refuse_bool(what: str, value, kind: str) -> None:
-    """A bool passes as 1 or 0 but is written as true or false where the
-    report schema needs a number, so it is refused, naming the field."""
-    if isinstance(value, bool):
-        raise ValueError(f"{what} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)

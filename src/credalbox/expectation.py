@@ -79,6 +79,13 @@ class Act:
         _check_feasible(self.name, *declared)
         object.__setattr__(self, "_labels", labels)
         object.__setattr__(self, "_declared", declared)
+        # the allocation orders, shared by every box: no level changes a
+        # utility; the stable sort keeps equal utilities in outcome order
+        utils = [o.utility for o in self.outcomes]
+        positions = range(len(utils))
+        object.__setattr__(self, "_orders", (
+            utils, sorted(positions, key=utils.__getitem__),
+            sorted(positions, key=utils.__getitem__, reverse=True)))
 
     def labels(self) -> tuple[str, ...]:
         return self._labels
@@ -176,24 +183,9 @@ def _allocate(lows: tuple[float, ...], highs: tuple[float, ...],
     return math.fsum(map(mul, p, utils))
 
 
-def _orders(act: Act) -> tuple[list[float], list[int], list[int]]:
-    """The act's utilities and its ascending and descending allocation
-    orders.  Computed once per act instance and kept on it: no level
-    changes a utility, so every box the act is evaluated on shares them.
-    """
-    cached = act.__dict__.get("_orders")
-    if cached is None:
-        utils = [o.utility for o in act.outcomes]
-        n = len(utils)
-        cached = (utils, sorted(range(n), key=lambda i: (utils[i], i)),
-                  sorted(range(n), key=lambda i: (-utils[i], i)))
-        object.__setattr__(act, "_orders", cached)
-    return cached
-
-
 def _bounds(act: Act, lows: tuple[float, ...], highs: tuple[float, ...]) -> Interval:
     """The act's expected-utility interval over the box lows..highs."""
-    utils, ascending, descending = _orders(act)
+    utils, ascending, descending = act._orders
     residual = 1.0 - math.fsum(lows)
     try:
         lo = _allocate(lows, highs, utils, ascending, residual)

@@ -47,9 +47,6 @@ class ProbInterval(Interval):
     """A closed probability interval, constrained to [0, 1]."""
 
     def __post_init__(self):
-        # two floats in order pass at once; anything else meets every check
-        if type(self.lo) is float is type(self.hi) and 0.0 <= self.lo <= self.hi <= 1.0:
-            return
         # slots=True rebuilds the class, which leaves zero-argument
         # super() pointing at the class it replaced
         Interval.__post_init__(self)

@@ -150,16 +150,21 @@ def _merged_events(statements: Sequence[Statement]) -> dict[str, ProbInterval]:
     return merged
 
 
+def _refuse_bool(what: str, value, kind: str) -> None:
+    """A bool passes as 1 or 0 but is written as true or false where the
+    report schema needs a number, so it is refused, naming the field."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+
+
 def _check_index_error(what: str, index: int, error: float) -> None:
     """Refuse a bool or negative index and a bool error or one outside
     [0, 1]; a bool would pass the range tests and then be reported as
     true or false where a report needs a number."""
-    if isinstance(index, bool):
-        raise ValueError(f"{what} index must be an int, got {index!r}")
+    _refuse_bool(f"{what} index", index, "an int")
     if index < 0:
         raise ValueError(f"{what} index must be non-negative, got {index!r}")
-    if isinstance(error, bool):
-        raise ValueError(f"{what} error must be a number, got {error!r}")
+    _refuse_bool(f"{what} error", error, "a number")
     if not 0.0 <= error <= 1.0:
         raise ValueError(f"{what} error must lie in [0, 1], got {error!r}")
 
@@ -182,16 +187,22 @@ class BodyOfKnowledge:
         object.__setattr__(self, "_events", _merged_events(self.statements))
 
 
+def _check_error_level(eps: float, previous: float | None) -> None:
+    """Refuse a threshold error level outside (0, 1], or one at or below
+    the level before it, previous (None for the first level)."""
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"error level {eps!r} must lie in (0, 1]")
+    if previous is not None and eps <= previous:
+        raise ValueError("error levels must be strictly increasing")
+
+
 def accept_threshold(statements: Sequence[Statement],
                      error_levels: Sequence[float]) -> list[BodyOfKnowledge]:
     """Bodies K_0..K_m where K_j holds the statements with 1 - prob below
     the j-th error level.  K_0 is always the empty body at error 0."""
     levels = list(error_levels)
     for j, eps in enumerate(levels):
-        if not 0.0 < eps <= 1.0:
-            raise ValueError(f"error level {eps!r} must lie in (0, 1]")
-        if j > 0 and eps <= levels[j - 1]:
-            raise ValueError("error levels must be strictly increasing")
+        _check_error_level(eps, levels[j - 1] if j else None)
     bodies = [BodyOfKnowledge(0, 0.0, ())]
     for j, eps in enumerate(levels, start=1):
         parent = bodies[-1]

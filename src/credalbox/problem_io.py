@@ -29,6 +29,7 @@ from .knowledge import (
     _NEEDS,
     _NO_LEVELS,
     _Resolver,
+    _check_error_level,
     _level_drop,
     accept_next_most_probable,
     accept_threshold,
@@ -112,17 +113,6 @@ def _get(mapping: dict, key: str, path: str):
 
 
 def _number(value, path: str, lo: float | None = None, hi: float | None = None) -> float:
-    # a finite float, the common case, is returned as it is
-    if type(value) is not float or not -math.inf < value < math.inf:
-        value = _finite(value, path)
-    if lo is not None and value < lo:
-        _fail(path, f"value {value!r} is below {lo}")
-    if hi is not None and value > hi:
-        _fail(path, f"value {value!r} is above {hi}")
-    return value
-
-
-def _finite(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
     try:
@@ -131,6 +121,10 @@ def _finite(value, path: str) -> float:
         out = math.inf
     if not math.isfinite(out):
         _fail(path, f"expected a finite number, got {out!r}")
+    if lo is not None and out < lo:
+        _fail(path, f"value {out!r} is below {lo}")
+    if hi is not None and out > hi:
+        _fail(path, f"value {out!r} is above {hi}")
     return out
 
 
@@ -142,8 +136,8 @@ def _string(value, path: str) -> str:
 
 def _interval(value, path: str) -> ProbInterval:
     # two ordered floats in [0, 1], the usual value, pass in one check,
-    # which is all ProbInterval's would do; anything else (ints, NaN, a
-    # reversed pair) meets every check below
+    # which implies every check ProbInterval would run; anything else
+    # (ints, NaN, a reversed pair) meets every check below
     if (type(value) is list and len(value) == 2 and type(value[0]) is float
             is type(value[1]) and 0.0 <= value[0] <= value[1] <= 1.0):
         return _unchecked(ProbInterval, value[0], value[1])
@@ -472,10 +466,7 @@ def _parse_acceptance(raw) -> tuple[str, list[float]]:
 
 def _error_level(data, i: int, done: list[float]) -> float:
     eps = _number(data, "", 0.0, 1.0)
-    if eps == 0.0:
-        _fail("", f"error level {eps!r} must lie in (0, 1]")
-    if done and eps <= done[-1]:
-        _fail("", "error levels must be strictly increasing")
+    _built("", _check_error_level, eps, done[-1] if done else None)
     return eps
 
 

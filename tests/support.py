@@ -26,8 +26,9 @@ once and resolves nested bodies incrementally.  The acceptance oracle
 builds every next-most-probable body from scratch, where the runtime
 grows each from the one before.
 
-The interval-check oracle runs every endpoint check, where a
-ProbInterval of two floats in order passes with one comparison.  The
+The interval-check oracle runs every endpoint check in one function,
+where the runtime splits them between Interval and ProbInterval, and
+the parser passes two ordered floats in [0, 1] with one comparison.  The
 statement-parsing oracle checks every key and then lets Statement check
 its fields again, where the parser runs Statement's checks only when
 they would raise.
@@ -40,13 +41,22 @@ two partial numerators, where the runtime writes them out; the point
 expected-utility and starr oracles build a generator per check and a
 name-keyed dict of scores per grid point, where the runtime keeps a
 list.  Each pair agrees to the bit.
+
+perfbench_module reads a file of the benchmark, which is no package, by
+path, and seeded_pool gives the documents its generator plans for a
+decide workload, so that tests can run the benchmark's own inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
 import math
 import random
+import sys
+import types
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -661,3 +671,33 @@ def oracle_starr(problem, credal):
             measures[name] += share / len(winners)
     winner = max(measures, key=lambda name: measures[name])
     return winner, measures
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name: str) -> types.ModuleType:
+    """perfbench/<name>.py as a module, read without writing a bytecode
+    file next to it."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    # dataclasses look the defining module up in sys.modules
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+             module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+@functools.cache
+def _pool_text(workload: str, seed: int) -> str:
+    return json.dumps(perfbench_module("gen").plan(workload, seed))
+
+
+def seeded_pool(workload: str, seed: int = 1) -> list:
+    """The documents (or stats-tools op specs) perfbench/gen.py plans for
+    the workload at seed, as the benchmark's worker reads them back from
+    JSON; a fresh copy on every call, free to mutate."""
+    return json.loads(_pool_text(workload, seed))

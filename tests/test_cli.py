@@ -107,6 +107,28 @@ def test_module_run_as_a_script_exits_with_the_code_main_returns(
     assert capsys.readouterr() == want
 
 
+@pytest.mark.parametrize("command", ["decide", "compare"])
+def test_a_name_stdout_cannot_encode_prints_escaped(tmp_path, capsys, command):
+    # a lone surrogate is valid JSON; the tables print it escaped, as
+    # stderr would, instead of stopping halfway with an encoding error
+    target = tmp_path / "surrogate.json"
+    target.write_text(json.dumps({"problem": "p", "acts": [
+        {"name": "a\ud800", "outcomes": [{"label": "x", "utility": 1.0}]},
+        {"name": "b", "outcomes": [{"label": "y", "utility": 0.0}]}]}),
+        encoding="utf-8")
+    # what main writes to a stream that escapes, as run makes stdout do
+    sys.stdout.reconfigure(errors="backslashreplace")
+    assert main([command, str(target)]) == 0
+    want = capsys.readouterr().out
+    assert "a\\ud800" in want
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+    done = subprocess.run([sys.executable, "-m", "credalbox.cli", command, str(target)],
+                          env=env, capture_output=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == want.encode("utf-8")
+
+
 class TestDecide:
     def test_decides_berry_problem(self, fixture_path, capsys):
         code = main(["decide", fixture_path("example_c_berry")])

@@ -157,6 +157,17 @@ class TestEuInterval:
             # an equal act is another instance, and is computed afresh
             eu_interval(act("a1", ("G", 10.0, 0.75, 1.0), ("not-G", -30.0, 0.0, 0.25)))
 
+    # few distinct values, so that repeats and signed zeros are common
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5, -1e300, 5e-324]),
+                    min_size=1, max_size=12))
+    def test_allocation_orders_equal_the_keyed_sorts(self, utils):
+        a = Act("a", tuple(Outcome(f"o{i}", u) for i, u in enumerate(utils)))
+        got_utils, ascending, descending = a._orders
+        n = len(utils)
+        assert [repr(u) for u in got_utils] == [repr(u) for u in utils]
+        assert ascending == sorted(range(n), key=lambda i: (utils[i], i))
+        assert descending == sorted(range(n), key=lambda i: (-utils[i], i))
+
 
 class TestEuAll:
     def test_berry_problem_at_sharper_level(self):

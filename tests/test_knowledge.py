@@ -180,6 +180,22 @@ class TestAcceptThreshold:
         with pytest.raises(ValueError):
             accept_threshold([], [1.1])
 
+    # the parser reads each error level through the same check, so these
+    # texts are also what a file's acceptance.error_levels[i] reports
+    @pytest.mark.parametrize("levels,message", [
+        ([0.0], "error level 0.0 must lie in (0, 1]"),
+        ([-0.0], "error level -0.0 must lie in (0, 1]"),
+        ([1.1], "error level 1.1 must lie in (0, 1]"),
+        ([float("nan")], "error level nan must lie in (0, 1]"),
+        ([0.1, 0.1], "error levels must be strictly increasing"),
+        ([0.2, 0.1], "error levels must be strictly increasing"),
+        ([0.2, 0.5, 0.0], "error level 0.0 must lie in (0, 1]"),
+    ])
+    def test_level_messages(self, levels, message):
+        with pytest.raises(ValueError) as caught:
+            accept_threshold([], levels)
+        assert str(caught.value) == message
+
     def test_inconsistent_body_names_its_level(self):
         s = Statement.event_interval("lo", "G", ProbInterval(0.0, 0.2))
         t = Statement.event_interval("hi", "G", ProbInterval(0.5, 1.0))

@@ -32,7 +32,7 @@ from credalbox import (
     sequence_bytes,
     sequence_to_dict,
 )
-from credalbox.problem_io import _Invalid
+from credalbox.problem_io import _Invalid, _number
 from credalbox.replicate import fixture_text
 from support import oracle_parse_statement
 
@@ -993,6 +993,43 @@ class TestValidationErrors:
         with pytest.raises(ProblemFormatError) as exc_info:
             ProblemDocument(problem, **{"statements": (statement,), **fields})
         assert str(exc_info.value) == message
+
+
+class TestNumber:
+    """_number, the parser's one reader of a numeric field: the message it
+    fails with, at the path it is given, for every kind of value a JSON
+    document can hold there, and the float it returns otherwise."""
+
+    @pytest.mark.parametrize("value,lo,hi,message", [
+        (True, None, None, "expected a number, got bool"),
+        (False, 0.0, 1.0, "expected a number, got bool"),
+        ("0.5", 0.0, 1.0, "expected a number, got str"),
+        (None, None, None, "expected a number, got NoneType"),
+        ([0.5], None, None, "expected a number, got list"),
+        (10 ** 400, None, None, "expected a finite number, got inf"),
+        # an int past the float range is reported as inf, whatever its sign
+        (-10 ** 400, 0.0, 1.0, "expected a finite number, got inf"),
+        (math.nan, 0.0, 1.0, "expected a finite number, got nan"),
+        (math.inf, None, None, "expected a finite number, got inf"),
+        (-math.inf, 0.0, 1.0, "expected a finite number, got -inf"),
+        (-0.5, 0.0, 1.0, "value -0.5 is below 0.0"),
+        (2, 0.0, 1.0, "value 2.0 is above 1.0"),
+        (1.5, None, 1.0, "value 1.5 is above 1.0"),
+    ], ids=["true", "false", "str", "null", "list", "huge-int", "huge-negative-int",
+            "nan", "inf", "negative-inf", "below", "int-above", "above"])
+    def test_refusals(self, value, lo, hi, message):
+        with pytest.raises(_Invalid) as caught:
+            _number(value, ".field", lo, hi)
+        assert (caught.value.path, caught.value.message) == (".field", message)
+
+    @pytest.mark.parametrize("value", [0.5, -0.0, 1e300, 5e-324])
+    def test_finite_float_comes_back_as_itself(self, value):
+        assert _number(value, "") is value
+        assert _number(value, "", -1e308, 1e308) is value
+
+    def test_int_comes_back_as_a_float(self):
+        got = _number(3, "", 0.0, 4.0)
+        assert type(got) is float and got == 3.0
 
 
 class TestSequenceSerialization:

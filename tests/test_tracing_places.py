@@ -9,9 +9,6 @@ install; these tests stop the suite instead.
 from __future__ import annotations
 
 import importlib
-import sys
-import types
-from pathlib import Path
 
 import pytest
 
@@ -28,21 +25,12 @@ from credalbox import (
     confidence,
     engine,
 )
-
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from support import perfbench_module
 
 
 def tracing_tables():
-    """SPANS and COUNTED from perfbench/tracing.py, read without writing
-    a bytecode file next to it."""
-    module = types.ModuleType("perfbench_tracing")
-    # dataclasses look the defining module up in sys.modules
-    sys.modules[module.__name__] = module
-    try:
-        exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"),
-             module.__dict__)
-    finally:
-        del sys.modules[module.__name__]
+    """SPANS and COUNTED from perfbench/tracing.py."""
+    module = perfbench_module("tracing")
     return module.SPANS, module.COUNTED
 
 
