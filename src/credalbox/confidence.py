@@ -3,14 +3,18 @@
 The two-sided interval at confidence level c puts (1-c)/2 of tail
 probability on each side: the lower endpoint is the p solving
 P[X >= x] = (1-c)/2 and the upper the p solving P[X <= x] = (1-c)/2,
-with the endpoints pinned to 0 and 1 when x is 0 or n.  Each binomial
-tail is a regularized incomplete beta, P[X >= k] = I_p(k, n-k+1),
+with the endpoints pinned to 0 and 1 when x is 0 or n.  The upper
+endpoint comes by symmetry: P[X <= x] at p is the chance of n - x or
+more failures, P[X' >= n - x] at 1 - p, so it is one minus the lower
+endpoint for n - x of n.  Every bisection midpoint is a dyadic
+rational, so 1 - mid is exact and the two solves agree to the bit.
+Each tail is a regularized incomplete beta, P[X >= k] = I_p(k, n-k+1),
 evaluated by the Lentz continued fraction (Numerical Recipes, section
 6.4).  One tail costs a few lgamma calls and a loop whose length grows
 only like the square root of n p (1-p), not n + 1 log-gamma terms.
 
-Bisection of each tail on [0, 1] to BISECTION_TOL defines the answer.
-It is found in five to ten tail evaluations instead of 34 a side:
+Bisection of the rising tail on [0, 1] to BISECTION_TOL defines the
+answer.  It is found in five to ten tail evaluations instead of 34:
 safeguarded Newton steps on the log tail (Numerical Recipes, section
 9.4, rtsafe), whose derivative is the beta density, find the root from
 a Wilson-score guess; one point on each side of it is then certified,
@@ -118,9 +122,7 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 
 def _betai(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0 and 0 < x <= 1."""
-    if x == 1.0:  # binomial_cdf passes 1 - p, which is 1.0 for p <= 2**-54
-        return 1.0
+    """Regularized incomplete beta I_x(a, b) for a, b > 0 and 0 < x < 1."""
     front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
                      + a * math.log(x) + b * math.log1p(-x))
     if x < (a + 1.0) / (a + b + 2.0):
@@ -136,23 +138,8 @@ def _check_binomial(n: int, p: float) -> None:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
 
 
-def binomial_cdf(k: int, n: int, p: float) -> float:
-    """P[X <= k] for X ~ Binomial(n, p)."""
-    _check_binomial(n, p)
-    if k < 0:
-        return 0.0
-    if k >= n:
-        return 1.0
-    if p == 0.0:
-        return 1.0
-    if p == 1.0:
-        return 0.0
-    return min(1.0, _betai(n - k, k + 1, 1.0 - p))
-
-
-def binomial_sf(k: int, n: int, p: float) -> float:
-    """P[X >= k] for X ~ Binomial(n, p)."""
-    _check_binomial(n, p)
+def _sf(k: int, n: int, p: float) -> float:
+    """P[X >= k] for X ~ Binomial(n, p), n and p already checked."""
     if k <= 0:
         return 1.0
     if k > n:
@@ -162,6 +149,19 @@ def binomial_sf(k: int, n: int, p: float) -> float:
     if p == 1.0:
         return 1.0
     return min(1.0, _betai(k, n - k + 1, p))
+
+
+def binomial_cdf(k: int, n: int, p: float) -> float:
+    """P[X <= k] for X ~ Binomial(n, p): n - k or more failures, whose
+    chance is 1 - p."""
+    _check_binomial(n, p)
+    return _sf(n - k, n, 1.0 - p)
+
+
+def binomial_sf(k: int, n: int, p: float) -> float:
+    """P[X >= k] for X ~ Binomial(n, p)."""
+    _check_binomial(n, p)
+    return _sf(k, n, p)
 
 
 def _bisect(fn, target: float, increasing: bool, tol: float,
@@ -206,59 +206,59 @@ def _wilson_lower(x: int, n: int, z: float) -> float:
         x + 0.5 * z2 + z * math.sqrt(x * (n - x) / n + 0.25 * z2)))
 
 
-def _certified(fn, target: float, increasing: bool, root: float,
-               offset: float, margin: float) -> float:
-    """root + offset if it lies in (0, 1) and fn there misses target by
-    more than margin * target on that side of the root; else the side's
-    end of [0, 1], which certifies nothing."""
+def _certified(fn, target: float, root: float, offset: float,
+               margin: float) -> float:
+    """root + offset if it lies in (0, 1) and the rising fn there misses
+    target by more than margin * target on that side of the root; else
+    the side's end of [0, 1], which certifies nothing."""
     p = root + offset
     if 0.0 < p < 1.0:
         miss = fn(p) - target
-        # fn lies above the target above a rising root, below a falling one
-        if (miss if (offset > 0.0) == increasing else -miss) > margin * target:
+        if (miss if offset > 0.0 else -miss) > margin * target:
             return p
     return 0.0 if offset < 0.0 else 1.0
 
 
-def _invert(fn, target: float, increasing: bool, a: int, b: int,
-            p: float) -> float:
-    """_bisect(fn, target, increasing, BISECTION_TOL) for a binomial tail
-    fn whose slope is the Beta(a, b) density, up to sign, starting from
-    the guess p.
+def _lower_endpoint(k: int, n: int, target: float, z: float) -> float:
+    """The p where P[X >= k] for X ~ Binomial(n, p), 0 < k <= n, rises
+    through target: _bisect of the tail to BISECTION_TOL.
 
-    Newton steps on log fn against log q, where q is p for a rising tail
-    and 1 - p for a falling one, stop once a step is below a quarter of
-    the tolerance; a step that would leave the bracket the evaluations
-    so far give, or [0, 1] itself, bisects that bracket instead.
+    The tail rises at the Beta(k, n-k+1) density.  Newton steps on log
+    P[X >= k] against log p, from the Wilson-score guess at normal
+    quantile z, stop once a step is below a quarter of the tolerance; a
+    step that would leave the bracket the evaluations so far give, or
+    [0, 1] itself, bisects that bracket instead.
     """
+    def fn(p):
+        return binomial_sf(k, n, p)
+
+    a, b = k, n - k + 1
     lg_a, lg_b, lg_ab = math.lgamma(a), math.lgamma(b), math.lgamma(a + b)
     if _CERT_ULPS * 2.0 ** -52 * (lg_ab + lg_a + lg_b) >= 1.0:
         # the tail's rounding error may reach the tail itself (from
         # about n = 5 * 10**12), so no point below the target can be
         # certified
-        return _bisect(fn, target, increasing, BISECTION_TOL)
+        return _bisect(fn, target, True, BISECTION_TOL)
     log_coef = lg_ab - lg_a - lg_b
     log_target = math.log(target)
-    # the guess for x = n (or 0) at a confidence near 0 is 1 (or 0)
-    p = min(max(p, 2.0 ** -1074), 1.0 - 2.0 ** -53)
+    # the guess for k = n at a confidence near 0 is 1
+    p = min(max(_wilson_lower(k, n, z), 2.0 ** -1074), 1.0 - 2.0 ** -53)
     lo, hi = 0.0, 1.0
     for _ in range(_NEWTON_STEPS):
         value = fn(p)
-        if (value < target) == increasing:
+        if value < target:
             lo = p
         else:
             hi = p
         log_p, log_1mp = math.log(p), math.log1p(-p)
         log_density = log_coef + (a - 1.0) * log_p + (b - 1.0) * log_1mp
-        log_q = log_p if increasing else log_1mp
         nxt = -1.0  # outside every bracket: bisect unless Newton steps
         if value > 0.0:
             log_value = math.log(value)
-            # d log fn / d log q
-            slope = math.exp(log_density + log_q - log_value)
+            # d log fn / d log p
+            slope = math.exp(log_density + log_p - log_value)
             if slope > 0.0:
-                q = math.exp(log_q + (log_target - log_value) / slope)
-                nxt = q if increasing else 1.0 - q
+                nxt = math.exp(log_p + (log_target - log_value) / slope)
         if not (lo <= nxt <= hi and 0.0 < nxt < 1.0):
             nxt = 0.5 * (lo + hi)
         step = abs(nxt - p)
@@ -271,9 +271,9 @@ def _invert(fn, target: float, increasing: bool, a: int, b: int,
     # few floats more, since near 1 a float step can move fn by more
     offset = (math.exp(min(math.log(2.0 * margin * target) - log_density, 0.0))
               + step + 4.0 * math.ulp(p))
-    below = _certified(fn, target, increasing, p, -offset, margin)
-    above = _certified(fn, target, increasing, p, offset, margin)
-    return _bisect(fn, target, increasing, BISECTION_TOL, (below, above))
+    below = _certified(fn, target, p, -offset, margin)
+    above = _certified(fn, target, p, offset, margin)
+    return _bisect(fn, target, True, BISECTION_TOL, (below, above))
 
 
 def clopper_pearson(count: SampleCount, confidence: float) -> ProbInterval:
@@ -285,19 +285,9 @@ def clopper_pearson(count: SampleCount, confidence: float) -> ProbInterval:
     x, n = count.successes, count.trials
     tail = (1.0 - confidence) / 2.0
     z = _normal_quantile(tail)
-    # P[X >= x] rises with p at the Beta(x, n-x+1) density, and P[X <= x]
-    # falls at the Beta(x+1, n-x) density
     try:
-        if x == 0:
-            lo = 0.0
-        else:
-            lo = _invert(lambda p: binomial_sf(x, n, p), tail, True, x, n - x + 1,
-                         _wilson_lower(x, n, z))
-        if x == n:
-            hi = 1.0
-        else:
-            hi = _invert(lambda p: binomial_cdf(x, n, p), tail, False, x + 1, n - x,
-                         1.0 - _wilson_lower(n - x, n, z))
+        lo = 0.0 if x == 0 else _lower_endpoint(x, n, tail, z)
+        hi = 1.0 if x == n else 1.0 - _lower_endpoint(n - x, n, tail, z)
     except OverflowError as exc:
         raise ValueError(
             f"count {x} of {n} is beyond float arithmetic: {exc}"

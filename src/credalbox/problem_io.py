@@ -117,8 +117,8 @@ def _number(value, path: str, lo: float | None = None, hi: float | None = None) 
         _fail(path, f"expected a number, got {type(value).__name__}")
     try:
         out = float(value)
-    except OverflowError:
-        out = math.inf
+    except OverflowError:  # an int past the float range
+        out = math.inf if value > 0 else -math.inf
     if not math.isfinite(out):
         _fail(path, f"expected a finite number, got {out!r}")
     if lo is not None and out < lo:

@@ -36,11 +36,18 @@ they would raise.
 The binomial tail oracles sum the probability mass term by term from
 log-gamma binomial coefficients, O(n) work per tail, and check the
 incomplete-beta tails and the Clopper-Pearson endpoints built on them.
+The falling binomial cdf oracle takes the incomplete beta of 1 - p
+itself, where the runtime reads P[X <= k] as the survival function of
+the failures.
 The continued-fraction oracle runs the Lentz step as a loop over its
 two partial numerators, where the runtime writes them out; the point
 expected-utility and starr oracles build a generator per check and a
 name-keyed dict of scores per grid point, where the runtime keeps a
 list.  Each pair agrees to the bit.
+
+levels_document writes a resolved credal sequence back as a levels-form
+problem file, one override box per act and level, so that the two
+paths to a sequence can be compared.
 
 perfbench_module reads a file of the benchmark, which is no package, by
 path, and seeded_pool gives the documents its generator plans for a
@@ -516,6 +523,20 @@ def chain_document(n: int) -> dict:
     }
 
 
+def levels_document(raw: dict, seq: CredalSequence) -> dict:
+    """The levels form of the problem file raw, whose resolved credal
+    sequence is seq: the same problem, acts and tolerance, and for each
+    level its error and its boxes as overrides, each interval a [lo, hi]
+    list."""
+    out = {key: raw[key] for key in ("problem", "acts", "tolerance") if key in raw}
+    out["levels"] = [
+        {"error": level.error,
+         "overrides": {act: {label: [iv.lo, iv.hi] for label, iv in box.items()}
+                       for act, box in level.assignments.items()}}
+        for level in seq.levels]
+    return out
+
+
 def binomial_tail_sum(n: int, p: float, support: range) -> float:
     """Oracle: Binomial(n, p) mass on support, summed term by term from
     log-gamma coefficients; p must lie strictly inside (0, 1)."""
@@ -538,6 +559,28 @@ def oracle_binomial_cdf(k: int, n: int, p: float) -> float:
 def oracle_binomial_sf(k: int, n: int, p: float) -> float:
     """Oracle P[X >= k] for p strictly inside (0, 1)."""
     return binomial_tail_sum(n, p, range(max(k, 0), n + 1))
+
+
+def falling_binomial_cdf(k: int, n: int, p: float) -> float:
+    """Oracle: P[X <= k] as its own incomplete beta I_{1-p}(n-k, k+1),
+    with its own edge cases and its own guard for p <= 2**-54, where
+    1 - p rounds to 1.0.  The runtime takes the survival function of the
+    failures at 1 - p instead, and the two agree to the bit."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n!r}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    if k < 0:
+        return 0.0
+    if k >= n:
+        return 1.0
+    if p == 0.0:
+        return 1.0
+    if p == 1.0:
+        return 0.0
+    if 1.0 - p == 1.0:
+        return 1.0
+    return min(1.0, confidence._betai(n - k, k + 1, 1.0 - p))
 
 
 def oracle_clopper_pearson(x: int, n: int, confidence: float,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from credalbox import SampleCount, binomial_cdf, binomial_sf, clopper_pearson
 from credalbox import confidence
 from support import (
+    falling_binomial_cdf,
     oracle_betacf,
     oracle_bisect,
     oracle_binomial_cdf,
@@ -164,6 +165,18 @@ class TestTailHelpers:
         assert binomial_cdf(1, 2, 0.5) == pytest.approx(0.75, abs=1e-12)
         assert binomial_sf(2, 2, 0.5) == pytest.approx(0.25, abs=1e-12)
 
+    def test_cdf_matches_its_falling_form_bit_for_bit(self):
+        # binomial_cdf is the survival function of the failures at 1 - p;
+        # the incomplete beta of 1 - p it was computed from, edge cases
+        # and messages included, is the oracle
+        ps = [0.0, -0.0, 5e-324, 2.0 ** -54, 2.0 ** -53, 1e-9, 0.3, 0.5,
+              0.77, 1 - 2.0 ** -53, 1.0, -0.5, 1.5, math.nan]
+        for n in [-1, 0, *range(1, 61), 1000, 10**6]:
+            for k in [-2, -1, 0, 1, n // 2, n - 1, n, n + 1, 1.5]:
+                for p in ps:
+                    assert outcome(lambda: binomial_cdf(k, n, p)) == \
+                        outcome(lambda: falling_binomial_cdf(k, n, p)), (k, n, p)
+
     def test_terms_sum_to_one(self):
         total = math.fsum(
             binomial_cdf(k, 9, 0.3) - binomial_cdf(k - 1, 9, 0.3)
@@ -290,10 +303,25 @@ class TestWrittenOutContinuedFraction:
 
 def bisect_cp_bits(x, n, conf):
     """cp_bits with the bracket forced to [0, 1]: plain bisection, which
-    evaluates every midpoint, and defines the endpoints."""
+    evaluates every midpoint.  It defines the lower endpoint; the upper
+    is one minus the lower endpoint for n - x, which falling_upper_bits
+    checks against its own definition."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(confidence, "_bisect", oracle_bisect)
         return cp_bits(x, n, conf)
+
+
+def falling_upper_bits(x, n, conf):
+    """The upper endpoint of cp(x, n, conf) by its definition, as a
+    float.hex string: plain bisection of the falling P[X <= x] on
+    [0, 1], raised to the lower endpoint as clopper_pearson raises it."""
+    got = cp(x, n, conf)
+    if x == n:
+        return got.hi.hex()
+    tail = (1.0 - conf) / 2.0
+    hi = oracle_bisect(lambda p: binomial_cdf(x, n, p), tail, False,
+                       confidence.BISECTION_TOL)
+    return max(hi, got.lo).hex()
 
 
 @contextmanager
@@ -316,17 +344,28 @@ def counted_tails():
 
 def endpoint_evaluations(x, n, conf):
     """Tail evaluations cp(x, n, conf) makes for each endpoint it does
-    not pin at 0 or 1: P[X >= x] for the lower, P[X <= x] for the upper."""
-    with counted_tails() as (_, calls):
+    not pin at 0 or 1, counted per call of the endpoint solver: P[X >= x]
+    for the lower, then P[X >= n - x] at 1 - p for the upper."""
+    counts = []
+    solve = confidence._lower_endpoint
+    with counted_tails() as (patch, calls):
+        def spy(*args):
+            before = sum(calls.values())
+            got = solve(*args)
+            counts.append(sum(calls.values()) - before)
+            return got
+
+        patch.setattr(confidence, "_lower_endpoint", spy)
         cp(x, n, conf)
-    return [calls[binomial_sf]] * (x > 0) + [calls[binomial_cdf]] * (x < n)
+    assert len(counts) == (x > 0) + (x < n)
+    return counts
 
 
 GRID_CONFIDENCES = [1e-6, 0.5, 0.9, 0.95, 0.99, 1 - 1e-12]
 # counts with a point to certify outside (0, 1), so that side falls back
-# to its end of [0, 1]: the first above its upper root at 1 - 1e-12, the
-# second below its lower root at 0.95
-OUTSIDE_COUNTS = [(1_297_206, 1_297_207), (1, 6_416_912_539)]
+# to its end of [0, 1]: the first above the root of P[X >= n] that gives
+# its upper endpoint at 1e-6, the second below its lower root at 0.95
+OUTSIDE_COUNTS = [(0, 31_622_776_601), (1, 6_416_912_539)]
 # a few counts far above the drawn ones; at n = 10**16 and 10**20 the
 # tails' rounding error outgrows any margin, and plain bisection runs
 FIXED_COUNTS = [(x, n) for n in (10**6, 10**12) for x in (1, n // 2, n - 1)] + [
@@ -339,9 +378,9 @@ def certification_points(x, n, conf):
     points = []
     certified = confidence._certified
     with counted_tails() as (patch, calls):
-        def spy(fn, target, increasing, root, offset, margin):
+        def spy(fn, target, root, offset, margin):
             before = sum(calls.values())
-            got = certified(fn, target, increasing, root, offset, margin)
+            got = certified(fn, target, root, offset, margin)
             points.append((root + offset, sum(calls.values()) - before))
             return got
 
@@ -352,13 +391,17 @@ def certification_points(x, n, conf):
 
 class TestCertifiedBisection:
     # Newton finds each root, two certified points bracket it, and the
-    # bisection is replayed between them: bit for bit plain bisection
+    # bisection is replayed between them: bit for bit plain bisection.
+    # The upper endpoint, solved as one minus a lower one, also matches
+    # plain bisection of the falling P[X <= x] to the bit
 
     @pytest.mark.parametrize("conf", GRID_CONFIDENCES)
     def test_every_small_count_matches_plain_bisection(self, conf):
         for n in range(1, 61):
             for x in range(n + 1):
-                assert cp_bits(x, n, conf) == bisect_cp_bits(x, n, conf), (x, n)
+                bits = cp_bits(x, n, conf)
+                assert bits == bisect_cp_bits(x, n, conf), (x, n)
+                assert bits[1] == falling_upper_bits(x, n, conf), (x, n)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(61, 30_000).flatmap(
@@ -366,18 +409,23 @@ class TestCertifiedBisection:
         st.sampled_from(GRID_CONFIDENCES) | st.floats(1e-9, 1.0, exclude_max=True))
     def test_drawn_counts_match_plain_bisection(self, count, conf):
         x, n = count
-        assert cp_bits(x, n, conf) == bisect_cp_bits(x, n, conf)
+        bits = cp_bits(x, n, conf)
+        assert bits == bisect_cp_bits(x, n, conf)
+        assert bits[1] == falling_upper_bits(x, n, conf)
         assert max(endpoint_evaluations(x, n, conf)) <= 40
 
     @pytest.mark.parametrize("x, n", FIXED_COUNTS)
     @pytest.mark.parametrize("conf", [0.95, 1 - 1e-12])
     def test_large_counts_match_plain_bisection(self, x, n, conf):
-        # at 1 - 1e-12 the upper root of n - 1 of 10**6 rounds to 1, so
-        # Newton steps out of (0, 1) and bisects its bracket instead
-        assert cp_bits(x, n, conf) == bisect_cp_bits(x, n, conf)
+        # at 1 - 1e-12 the upper root of n - 1 of 10**6 lies about 5e-19
+        # below 1, far inside the last float step; it is solved as one
+        # minus the lower root for 1 of 10**6, near 5e-19
+        bits = cp_bits(x, n, conf)
+        assert bits == bisect_cp_bits(x, n, conf)
+        assert bits[1] == falling_upper_bits(x, n, conf)
         assert max(endpoint_evaluations(x, n, conf)) <= 40
 
-    @pytest.mark.parametrize("count, conf", zip(OUTSIDE_COUNTS, [1 - 1e-12, 0.95]))
+    @pytest.mark.parametrize("count, conf", zip(OUTSIDE_COUNTS, [1e-6, 0.95]))
     def test_a_point_outside_the_unit_interval_is_not_evaluated(self, count, conf):
         points = certification_points(*count, conf)
         assert [tails for point, tails in points if not 0.0 < point < 1.0] == [0]
@@ -398,8 +446,9 @@ class TestCertifiedBisection:
     @pytest.mark.parametrize("margin", [2.0, 1e300])
     def test_uncertified_sides_fall_back_to_plain_bisection(self, monkeypatch, margin):
         # a margin of 2 leaves no point below the target certifiable, so
-        # that side falls back to its end of [0, 1]; one of
-        # 1e300 puts both certified points outside [0, 1] at once
+        # that side falls back to its end of [0, 1]: 0 for the lower
+        # endpoint and, mirrored, for the upper one's solve at n - x; one
+        # of 1e300 puts both certified points outside [0, 1] at once
         brackets = []
         replay = confidence._bisect
 
@@ -415,7 +464,7 @@ class TestCertifiedBisection:
             lower, upper = brackets
             if margin == 2.0:
                 assert lower[0] == 0.0 and 0.0 < lower[1] < 1.0
-                assert 0.0 < upper[0] < 1.0 and upper[1] == 1.0
+                assert upper[0] == 0.0 and 0.0 < upper[1] < 1.0
             else:
                 assert lower == upper == (0.0, 1.0)
             assert got == bisect_cp_bits(x, n, conf)

@@ -24,20 +24,29 @@ the other.
 - Tolerance.  Any explicit tolerance above the error of the level a
   report stopped at gives the same report at the same level, but for
   the tolerance it names.
+- Two paths, one answer.  A file that resolves, written back in levels
+  form with its resolved boxes as overrides, gives the same exit code,
+  stdout and stderr from decide --json.
 """
 
 import copy
 import dataclasses
+import io
+import json
 import math
 import random
+import tempfile
 import types
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from credalbox import NO_MANDATE, ToleranceSpec, explore, parse_document
-from support import seeded_pool
+from credalbox.cli import main
+from support import levels_document, seeded_pool
 from test_problem_fuzz import SEEDS, mutate
 from test_schema_draws import documents
 
@@ -199,6 +208,29 @@ def check_tolerance(raw, above) -> None:
             before.to_json()
 
 
+# --------------------------------------------------------------- two paths
+
+def decide_json(raw) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of decide --json on raw as a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "problem.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["decide", "--json", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_two_paths(raw) -> bool:
+    """False when raw does not resolve, and so has no levels form."""
+    try:
+        seq = parse_document(raw).build_sequence()
+    except ValueError:
+        return False
+    assert decide_json(levels_document(raw, seq)) == decide_json(raw)
+    return True
+
+
 # ---------------------------------------------------------- the seed pools
 
 def pool_tolerances(error: float) -> list[float]:
@@ -217,6 +249,11 @@ def test_relations_on_the_seed_pools(name, raw):
     for k in (rng.randint(1, 20), -rng.randint(1, 20)):
         assert check_scaling(raw, k)
     check_tolerance(raw, pool_tolerances)
+
+
+@pytest.mark.parametrize("name, raw", POOL_DOCS, ids=[n for n, _ in POOL_DOCS])
+def test_two_paths_on_the_seed_pools(name, raw):
+    assert check_two_paths(raw)
 
 
 def test_the_seed_pools_stop_at_a_level():
@@ -258,3 +295,10 @@ def test_tolerance(raw, data):
     assume(parses(raw))
     check_tolerance(raw, lambda error: [data.draw(
         st.floats(error, 1.0, exclude_min=True), label="tolerance")])
+
+
+@SETTINGS
+@given(DRAWN)
+def test_two_paths(raw):
+    assume(parses(raw))
+    assume(check_two_paths(raw))

@@ -934,6 +934,8 @@ class TestValidationErrors:
          "$.acts[0].outcomes[0].utility: expected a number, got bool"),
         (doc_with_utility(10 ** 400),
          "$.acts[0].outcomes[0].utility: expected a finite number, got inf"),
+        (doc_with_utility(-10 ** 400),
+         "$.acts[0].outcomes[0].utility: expected a finite number, got -inf"),
         (doc_with_act(0, outcomes=[{"label": "G", "utility": 1.0,
                                     "prob": [0.5, 0.2]}]),
          "$.acts[0].outcomes[0].prob: lower endpoint 0.5 exceeds upper endpoint 0.2"),
@@ -966,7 +968,7 @@ class TestValidationErrors:
             "specificity-pair-shape", "specificity-class-not-string",
             "entry-interval-number", "unknown-outcome-key", "outcome-not-object",
             "outcome-misses-utility", "label-not-string", "bool-utility",
-            "huge-int-utility", "interval-lo-above-hi", "interval-endpoint-type",
+            "huge-int-utility", "huge-negative-int-utility", "interval-lo-above-hi", "interval-endpoint-type",
             "interval-shape", "act-refused", "problem-refused",
             "override-box-not-object", "override-interval-range",
             "constraint-interval-number", "constraint-event-empty",
@@ -1007,8 +1009,8 @@ class TestNumber:
         (None, None, None, "expected a number, got NoneType"),
         ([0.5], None, None, "expected a number, got list"),
         (10 ** 400, None, None, "expected a finite number, got inf"),
-        # an int past the float range is reported as inf, whatever its sign
-        (-10 ** 400, 0.0, 1.0, "expected a finite number, got inf"),
+        # an int past the float range is reported as an infinity of its sign
+        (-10 ** 400, 0.0, 1.0, "expected a finite number, got -inf"),
         (math.nan, 0.0, 1.0, "expected a finite number, got nan"),
         (math.inf, None, None, "expected a finite number, got inf"),
         (-math.inf, 0.0, 1.0, "expected a finite number, got -inf"),

@@ -90,14 +90,16 @@ def test_explore_looks_its_layers_up_on_the_engine_module(monkeypatch):
 def test_clopper_pearson_looks_its_tails_up_on_the_confidence_module(monkeypatch):
     # confidence.tail_evals counts the calls the tracer's wrappers see:
     # for 3 of 14, the Newton steps, two certified points and the
-    # midpoints of the replayed bisection between them on each side
+    # midpoints of the replayed bisection between them for P[X >= 3],
+    # then the same for P[X >= 11], whose lower endpoint is one minus
+    # the upper one
     calls = []
 
     def counted(attr):
         original = getattr(confidence, attr)
 
         def wrapper(*args, **kwargs):
-            calls.append(attr)
+            calls.append((attr, args[:2]))
             return original(*args, **kwargs)
         monkeypatch.setattr(confidence, attr, wrapper)
 
@@ -105,7 +107,7 @@ def test_clopper_pearson_looks_its_tails_up_on_the_confidence_module(monkeypatch
     counted("binomial_cdf")
     counted("_betai")
     confidence.clopper_pearson(SampleCount(3, 14), 0.99)
-    tails = [name for name in calls if name != "_betai"]
-    assert tails == ["binomial_sf"] * 7 + ["binomial_cdf"] * 9
+    tails = [call for call in calls if call[0] != "_betai"]
+    assert tails == [("binomial_sf", (3, 14))] * 7 + [("binomial_sf", (11, 14))] * 9
     # and no tail is evaluated past the wrappers
-    assert calls.count("_betai") == len(tails)
+    assert len(calls) == 2 * len(tails)
