@@ -138,8 +138,16 @@ def _check_binomial(n: int, p: float) -> None:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
 
 
-def _sf(k: int, n: int, p: float) -> float:
-    """P[X >= k] for X ~ Binomial(n, p), n and p already checked."""
+def binomial_cdf(k: int, n: int, p: float) -> float:
+    """P[X <= k] for X ~ Binomial(n, p): n - k or more failures, whose
+    chance is 1 - p."""
+    _check_binomial(n, p)
+    return binomial_sf(n - k, n, 1.0 - p)
+
+
+def binomial_sf(k: int, n: int, p: float) -> float:
+    """P[X >= k] for X ~ Binomial(n, p)."""
+    _check_binomial(n, p)
     if k <= 0:
         return 1.0
     if k > n:
@@ -149,19 +157,6 @@ def _sf(k: int, n: int, p: float) -> float:
     if p == 1.0:
         return 1.0
     return min(1.0, _betai(k, n - k + 1, p))
-
-
-def binomial_cdf(k: int, n: int, p: float) -> float:
-    """P[X <= k] for X ~ Binomial(n, p): n - k or more failures, whose
-    chance is 1 - p."""
-    _check_binomial(n, p)
-    return _sf(n - k, n, 1.0 - p)
-
-
-def binomial_sf(k: int, n: int, p: float) -> float:
-    """P[X >= k] for X ~ Binomial(n, p)."""
-    _check_binomial(n, p)
-    return _sf(k, n, p)
 
 
 def _bisect(fn, target: float, increasing: bool, tol: float,

@@ -367,9 +367,11 @@ GRID_CONFIDENCES = [1e-6, 0.5, 0.9, 0.95, 0.99, 1 - 1e-12]
 # its upper endpoint at 1e-6, the second below its lower root at 0.95
 OUTSIDE_COUNTS = [(0, 31_622_776_601), (1, 6_416_912_539)]
 # a few counts far above the drawn ones; at n = 10**16 and 10**20 the
-# tails' rounding error outgrows any margin, and plain bisection runs
+# tails' rounding error outgrows any margin, and plain bisection runs;
+# the last is one whose upper root, solved on the falling tail, rounded to 1
 FIXED_COUNTS = [(x, n) for n in (10**6, 10**12) for x in (1, n // 2, n - 1)] + [
-    (x, n) for n in (10**16, 10**20) for x in (1, n - 1)] + OUTSIDE_COUNTS
+    (x, n) for n in (10**16, 10**20) for x in (1, n - 1)] + OUTSIDE_COUNTS + [
+    (1_297_206, 1_297_207)]
 
 
 def certification_points(x, n, conf):
