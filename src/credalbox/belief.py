@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .confidence import _bisect
 from .intervals import ProbInterval
 
 #: how far the masses may miss summing to exactly 1
@@ -94,8 +93,8 @@ def discount(m: MassFunction, rate: float) -> MassFunction:
     return MassFunction(m.frame, out)
 
 
-def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
-    """Dempster's rule: intersect focal sets, renormalize away conflict."""
+def _combine(m1: MassFunction, m2: MassFunction) -> tuple[MassFunction, float]:
+    """Dempster's rule and the normaliser it divides the agreeing weights by."""
     if m1.frame != m2.frame:
         raise ValueError(
             f"cannot combine mass functions over different frames "
@@ -111,12 +110,27 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
                 acc[meet] = acc.get(meet, 0.0) + weight
             else:
                 conflict += weight
-    if conflict >= 1.0 - MASS_TOL:
+    # Dempster's normaliser 1 - conflict equals the agreeing weight in
+    # exact arithmetic, but not in floats: past a conflict of one half
+    # the conflict's rounding is large next to it, and masses that miss
+    # 1 by their allowed slack move the agreeing weight off it.  Where
+    # the two part by half that slack, the agreeing weight normalises
+    agree = math.fsum(acc.values())
+    norm = 1.0 - conflict
+    if conflict > 0.5 or abs(agree - norm) > 0.5 * MASS_TOL * norm:
+        norm = agree
+    # masses may miss 1 by MASS_TOL, so pairs that all conflict can leave
+    # the conflict under the cutoff with no agreeing weight
+    if conflict >= 1.0 - MASS_TOL or norm == 0.0:
         raise TotalConflictError(
             f"sources are in total conflict (conflict weight {conflict:.9g})"
         )
-    norm = 1.0 - conflict
-    return MassFunction(m1.frame, {k: v / norm for k, v in acc.items()})
+    return MassFunction(m1.frame, {k: v / norm for k, v in acc.items()}), norm
+
+
+def dempster_combine(m1: MassFunction, m2: MassFunction) -> MassFunction:
+    """Dempster's rule: intersect focal sets, renormalize away conflict."""
+    return _combine(m1, m2)[0]
 
 
 def bel(m: MassFunction, event) -> float:
@@ -145,21 +159,17 @@ def discount_threshold(fixed: MassFunction, discounted: MassFunction,
     """Discount rate at which the combined belief in the event crosses target.
 
     fixed is combined with discounted-at-rate-r for r in [0, 1]; the
-    belief in the event must bracket the target.  Solved to 1e-9 by the
-    bisection Clopper-Pearson uses.
-
-    The belief is monotone in r: discounting is linear in r, so the
-    combined masses and their conflict are too, and the normalized
-    belief is a ratio of two linear functions of r whose denominator
-    stays positive wherever the combination is defined.
+    belief in the event must bracket the target.  Discounting is linear
+    in r, and so are the weight N the combination puts on subsets of the
+    event and the normaliser K > 0 it divides N by.  The root of the line
+    N - target * K = K * (belief - target) comes from its values at the
+    two ends, which differ in sign: one division, and no cancellation.
     """
     if not 0.0 <= target <= 1.0:
         raise ValueError(f"target must lie in [0, 1], got {target!r}")
 
-    def belief_at(rate: float) -> float:
-        return bel(dempster_combine(fixed, discount(discounted, rate)), event)
-
-    at0, at1 = belief_at(0.0), belief_at(1.0)
+    ends = [_combine(fixed, discount(discounted, rate)) for rate in (0.0, 1.0)]
+    (at0, norm0), (at1, norm1) = ((bel(m, event), norm) for m, norm in ends)
     if abs(at0 - target) <= 1e-12:
         return 0.0
     if abs(at1 - target) <= 1e-12:
@@ -169,4 +179,5 @@ def discount_threshold(fixed: MassFunction, discounted: MassFunction,
             f"target {target!r} is outside the reachable beliefs "
             f"[{min(at0, at1):.9g}, {max(at0, at1):.9g}]"
         )
-    return _bisect(belief_at, target, at1 > at0, 1e-9)
+    gap0, gap1 = norm0 * (at0 - target), norm1 * (at1 - target)
+    return gap0 / (gap0 - gap1)

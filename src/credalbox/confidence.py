@@ -159,10 +159,9 @@ def binomial_sf(k: int, n: int, p: float) -> float:
     return min(1.0, _betai(k, n - k + 1, p))
 
 
-def _bisect(fn, target: float, increasing: bool, tol: float,
-            bracket: tuple[float, float] = (0.0, 1.0)) -> float:
-    """Root of fn(p) = target for fn monotone on [0, 1] in the given
-    direction, to a bracket narrower than tol.
+def _bisect(fn, target: float, bracket: tuple[float, float] = (0.0, 1.0)) -> float:
+    """Root of fn(p) = target for fn rising on [0, 1], to a bracket
+    narrower than BISECTION_TOL: both endpoints solve a rising tail.
 
     bracket = (below, above) holds two certified points: a midpoint at
     or below `below` moves lo, and one at or above `above` moves hi,
@@ -172,13 +171,13 @@ def _bisect(fn, target: float, increasing: bool, tol: float,
     """
     below, above = bracket
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if mid <= below:
             lo = mid
         elif mid >= above:
             hi = mid
-        elif (fn(mid) < target) == increasing:
+        elif fn(mid) < target:
             lo = mid
         else:
             hi = mid
@@ -233,7 +232,7 @@ def _lower_endpoint(k: int, n: int, target: float, z: float) -> float:
         # the tail's rounding error may reach the tail itself (from
         # about n = 5 * 10**12), so no point below the target can be
         # certified
-        return _bisect(fn, target, True, BISECTION_TOL)
+        return _bisect(fn, target)
     log_coef = lg_ab - lg_a - lg_b
     log_target = math.log(target)
     # the guess for k = n at a confidence near 0 is 1
@@ -268,7 +267,7 @@ def _lower_endpoint(k: int, n: int, target: float, z: float) -> float:
               + step + 4.0 * math.ulp(p))
     below = _certified(fn, target, p, -offset, margin)
     above = _certified(fn, target, p, offset, margin)
-    return _bisect(fn, target, True, BISECTION_TOL, (below, above))
+    return _bisect(fn, target, (below, above))
 
 
 def clopper_pearson(count: SampleCount, confidence: float) -> ProbInterval:

@@ -33,6 +33,10 @@ statement-parsing oracle checks every key and then lets Statement check
 its fields again, where the parser runs Statement's checks only when
 they would raise.
 
+The discount-threshold oracle bisects the pooled belief between the
+two ends, where the runtime solves the line that the belief's numerator
+and normaliser make in the rate.
+
 The binomial tail oracles sum the probability mass term by term from
 log-gamma binomial coefficients, O(n) work per tail, and check the
 incomplete-beta tails and the Clopper-Pearson endpoints built on them.
@@ -91,6 +95,9 @@ from credalbox import (
     ToleranceSpec,
     TraceRow,
     apply_level,
+    bel,
+    dempster_combine,
+    discount,
     dominates,
     eu_interval,
     intersect,
@@ -606,10 +613,10 @@ def oracle_clopper_pearson(x: int, n: int, confidence: float,
     return lo, hi
 
 
-def oracle_bisect(fn, target: float, increasing: bool, tol: float,
-                  bracket: tuple[float, float] = (0.0, 1.0)) -> float:
-    """Oracle: confidence._bisect as it reads with no certified bracket,
-    every midpoint evaluated; a bracket passed in is ignored."""
+def oracle_bisect(fn, target: float, increasing: bool, tol: float) -> float:
+    """Oracle: plain bisection of fn, monotone on [0, 1] in the given
+    direction, every midpoint evaluated, until the bracket is narrower
+    than tol."""
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -618,6 +625,30 @@ def oracle_bisect(fn, target: float, increasing: bool, tol: float,
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def oracle_discount_threshold(fixed, discounted, event, target: float) -> float:
+    """Oracle: the discount rate at which the combined belief in the
+    event crosses target, by bisecting the belief to 1e-9 in the
+    direction it moves between the two ends.  The runtime solves the
+    line the belief's numerator and normaliser make instead."""
+    if not 0.0 <= target <= 1.0:
+        raise ValueError(f"target must lie in [0, 1], got {target!r}")
+
+    def belief_at(rate: float) -> float:
+        return bel(dempster_combine(fixed, discount(discounted, rate)), event)
+
+    at0, at1 = belief_at(0.0), belief_at(1.0)
+    if abs(at0 - target) <= 1e-12:
+        return 0.0
+    if abs(at1 - target) <= 1e-12:
+        return 1.0
+    if not (min(at0, at1) <= target <= max(at0, at1)):
+        raise ValueError(
+            f"target {target!r} is outside the reachable beliefs "
+            f"[{min(at0, at1):.9g}, {max(at0, at1):.9g}]"
+        )
+    return oracle_bisect(belief_at, target, at1 > at0, 1e-9)
 
 
 def oracle_betacf(a: float, b: float, x: float) -> float:

@@ -1,8 +1,13 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from credalbox import belief
 from credalbox import (
     MassFunction,
     TotalConflictError,
@@ -13,6 +18,7 @@ from credalbox import (
     discount_threshold,
     pl,
 )
+from support import oracle_discount_threshold, outcome
 
 FRAME = ("G", "not-G")
 
@@ -39,6 +45,36 @@ def random_binary(rng, floor=0.05):
     raw = [floor + rng.random() for _ in range(3)]
     total = sum(raw)
     return binary(raw[0] / total, raw[1] / total, raw[2] / total)
+
+
+def exact_combination(m1, m2) -> dict:
+    """Dempster's rule in rational arithmetic on the float masses."""
+    acc = {}
+    for a, va in m1.masses.items():
+        for b, vb in m2.masses.items():
+            if a & b:
+                acc[a & b] = acc.get(a & b, 0) + Fraction(va) * Fraction(vb)
+    total = sum(acc.values())
+    return {focal: float(w / total) for focal, w in acc.items()}
+
+
+@st.composite
+def mass_functions(draw, frame):
+    """Valid mass functions on frame: weights spread over many orders of
+    magnitude, so that pairs of them reach conflicts near 1, and a sum
+    off 1 by up to 0.9e-9, as the mass check allows."""
+    subsets = [frozenset(c) for k in range(1, len(frame) + 1)
+               for c in itertools.combinations(frame, k)]
+    focal = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=4,
+                          unique=True))
+    raw = [draw(st.one_of(st.floats(0.0, 1.0),
+                          st.integers(1, 300).map(lambda k: 10.0 ** -k)))
+           for _ in focal]
+    total = math.fsum(raw)
+    if total == 0.0:
+        raw, total = [1.0] * len(raw), float(len(raw))
+    scale = 1.0 + draw(st.floats(-0.9e-9, 0.9e-9))
+    return MassFunction(frame, {f: x / total * scale for f, x in zip(focal, raw)})
 
 
 class TestMassFunction:
@@ -171,6 +207,67 @@ class TestDempsterCombine:
             other = random_binary(rng)
             assert dempster_combine(point, other).is_bayesian()
 
+    @pytest.mark.parametrize("draw_eps", [
+        # 1 minus the conflict cancels to a normaliser that left nine in
+        # ten of these pairs' masses missing 1 by more than 1e-9
+        lambda rng: rng.uniform(1e-10, 3e-9),
+        # conflicts from 1 - 2e-3 up: where 1 - conflict would still pass,
+        # its rounding would cost the combination digits
+        lambda rng: 10.0 ** rng.uniform(-10.0, -3.0),
+    ], ids=["near-cutoff", "log-spread"])
+    def test_drawn_high_conflicts_combine_or_refuse(self, draw_eps):
+        rng = random.Random(29)
+        refused = 0
+        for _ in range(2000):
+            e1, e2 = draw_eps(rng), draw_eps(rng)
+            m1, m2 = binary(1.0 - e1, e1), binary(e2, 1.0 - e2)
+            conflict = sum(Fraction(va) * Fraction(vb)
+                           for a, va in m1.masses.items()
+                           for b, vb in m2.masses.items() if not a & b)
+            try:
+                got = dempster_combine(m1, m2)
+            except TotalConflictError:
+                refused += 1
+                assert conflict > 1 - 1e-9 - 1e-15
+                continue
+            assert conflict < 1 - 1e-9 + 1e-15
+            want = exact_combination(m1, m2)
+            assert set(got.masses) == set(want)
+            for focal, mass in got.masses.items():
+                assert mass == pytest.approx(want[focal], rel=1e-12)
+        assert 0 < refused < 200
+
+    def test_slack_in_the_sums_is_not_passed_on(self):
+        # each mass function may miss 1 by 1e-9; divided by 1 - conflict,
+        # 2/3 agreeing weight that is 7e-10 high sums to 1 + 1.05e-9
+        third = 0.3333333335656062
+        m2 = MassFunction(FRAME, {"G": third, "not-G": third, FRAME: third})
+        got = dempster_combine(binary(1.0, 0.0), m2)
+        assert got == binary(1.0, 0.0)
+
+    @pytest.mark.parametrize("tiny", [0.0, 1e-200], ids=["no-pair", "underflow"])
+    def test_empty_agreement_is_total_conflict(self, tiny):
+        # masses may miss 1 by up to 1e-9, so a conflict of 1 - 1.6e-9
+        # passes the cutoff while no pair of focal sets meets, or the one
+        # pair that meets weighs tiny**2, which underflows to 0
+        frame = ("a", "b", "c")
+        big = 0.9999999992
+        m1 = MassFunction(frame, {"a": big, "b": tiny})
+        m2 = MassFunction(frame, {"c": big, "b": tiny})
+        with pytest.raises(TotalConflictError, match="total conflict"):
+            dempster_combine(m1, m2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_valid_pairs_combine_or_refuse(self, data):
+        frame = ("a", "b", "c")[:data.draw(st.integers(2, 3))]
+        m1, m2 = (data.draw(mass_functions(frame)) for _ in range(2))
+        try:
+            got = dempster_combine(m1, m2)
+        except TotalConflictError:
+            return
+        assert isinstance(got, MassFunction)
+
     def test_three_atom_frame(self):
         frame = ("a", "b", "c")
         m1 = MassFunction(frame, {frozenset({"a", "b"}): 0.6,
@@ -225,8 +322,52 @@ class TestDiscountThreshold:
     def test_crossing_rate(self):
         m1, m2 = self.vouchers()
         got = discount_threshold(m1, m2, {"G"}, 0.75)
-        assert got == pytest.approx(3.0 / 13.0, abs=1e-6)
-        assert self.belief_at(got) == pytest.approx(0.75, abs=1e-6)
+        assert got == pytest.approx(3.0 / 13.0, abs=1e-12)
+        assert self.belief_at(got) == pytest.approx(0.75, abs=1e-12)
+
+    def test_at_most_three_combinations(self, monkeypatch):
+        calls = []
+        combine = belief._combine
+
+        def spy(m1, m2):
+            calls.append((m1, m2))
+            return combine(m1, m2)
+
+        monkeypatch.setattr(belief, "_combine", spy)
+        m1, m2 = self.vouchers()
+        discount_threshold(m1, m2, {"G"}, 0.75)
+        assert 1 <= len(calls) <= 3
+
+    def test_high_conflict_crossing(self):
+        # a pooled belief of 0.83 at rate 0 that climbs to 0.9 by a rate
+        # near 2e-9: a conflict of 1 - 3e-9 at the undiscounted end
+        m1 = binary(0.9999999995, 0.0000000005)
+        m2 = binary(0.0000000025, 0.9999999975)
+        got = discount_threshold(m1, m2, {"G"}, 0.9)
+        assert 0.0 < got < 3e-9
+        assert got == pytest.approx(oracle_discount_threshold(m1, m2, {"G"}, 0.9),
+                                    abs=1e-9)
+        assert bel(dempster_combine(m1, discount(m2, got)), {"G"}) == \
+            pytest.approx(0.9, abs=1e-12)
+
+    def test_drawn_inputs_match_the_bisection_oracle(self):
+        rng = random.Random(31)
+        kinds = {}
+        for _ in range(2400):
+            m1, m2, event, target = threshold_inputs(rng)
+            got = outcome(lambda: discount_threshold(m1, m2, event, target))
+            want = outcome(lambda: oracle_discount_threshold(m1, m2, event, target))
+            if isinstance(got, tuple) or isinstance(want, tuple):
+                assert got == want, (m1, m2, event, target)
+                kinds[got[0].__name__] = kinds.get(got[0].__name__, 0) + 1
+                continue
+            kinds["solved"] = kinds.get("solved", 0) + 1
+            assert abs(got - want) <= 1e-9, (m1, m2, event, target)
+            pooled = bel(dempster_combine(m1, discount(m2, got)), event)
+            assert abs(pooled - target) <= 1e-12, (m1, m2, event, target)
+        # every refusal and the solve itself are reached
+        assert set(kinds) == {"solved", "ValueError", "TotalConflictError"}
+        assert kinds["solved"] >= 1200
 
     def test_target_already_met_at_zero(self):
         m1, m2 = self.vouchers()
@@ -267,3 +408,43 @@ class TestDiscountThreshold:
                        for k in range(17)]
             steps = [b - a for a, b in zip(beliefs, beliefs[1:])]
             assert all(d <= 1e-12 for d in steps) or all(d >= -1e-12 for d in steps)
+
+
+def threshold_inputs(rng):
+    """Mass functions on a frame of 2 to 4 atoms, an event and a target
+    for discount_threshold, with some faults: the two frames differ, the
+    sources are in total conflict, the event names a stray atom, or the
+    target lies outside [0, 1].  Most targets lie between the beliefs at
+    the two ends, the rest anywhere in [0, 1]."""
+    atoms = "abcd"
+
+    def mass(frame):
+        subsets = [frozenset(c) for k in range(1, len(frame) + 1)
+                   for c in itertools.combinations(frame, k)]
+        focal = rng.sample(subsets, rng.randint(1, min(4, len(subsets))))
+        raw = [0.01 + rng.random() for _ in focal]
+        total = math.fsum(raw)
+        return MassFunction(frame, {f: x / total for f, x in zip(focal, raw)})
+
+    frame = tuple(atoms[:rng.randint(2, 4)])
+    m1, m2 = mass(frame), mass(frame)
+    fault = rng.random()
+    if fault < 0.03:
+        m2 = mass(tuple(atoms[:rng.randint(2, 4)]))
+    elif fault < 0.06:
+        atom = rng.choice(frame)
+        m1 = MassFunction(frame, {atom: 1.0})
+        m2 = MassFunction(frame, {frozenset(frame) - {atom}: 1.0})
+    event = frozenset(rng.sample(frame, rng.randint(1, len(frame))))
+    if rng.random() < 0.03:
+        event |= {"z"}
+    pick = rng.random()
+    if pick < 0.02:
+        return m1, m2, event, rng.choice([-0.1, 1.5, math.nan])
+    try:
+        ends = bel(dempster_combine(m1, m2), event), bel(m1, event)
+    except ValueError:
+        return m1, m2, event, rng.random()
+    if pick < 0.25:
+        return m1, m2, event, rng.random()
+    return m1, m2, event, ends[0] + rng.random() * (ends[1] - ends[0])

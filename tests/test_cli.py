@@ -513,6 +513,13 @@ class TestReplicate:
         assert code == 0
         assert f"example {example.upper()}: all checks passed" in out
 
+    def test_example_d_rate_line(self, capsys):
+        # the crossing is solved in closed form, so it prints 3/13 to
+        # every digit shown
+        assert main(["replicate", "D"]) == 0
+        assert "  ok   discount rate where belief crosses .75: got 0.2307692308, " \
+            "want 0.2307692308\n" in capsys.readouterr().out
+
     def test_unknown_example_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["replicate", "Q"])
@@ -595,6 +602,17 @@ class TestDsThreshold:
         assert capsys.readouterr().out.splitlines() == [
             "threshold discount rate: 0.0000",
             "  above (r = 0.0010): belief 0.7500 no mandate",
+        ]
+
+    def test_near_total_conflict_crosses_near_zero(self, capsys):
+        # a conflict of about 1 - 3e-9 at rate 0: 1 - conflict cancels,
+        # so the combination divides by the agreeing weight instead
+        code = main(["ds-threshold", "--m1", "0.9999999995,0.0000000005",
+                     "--m2", "0.0000000025,0.9999999975", "--target", "0.9"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "threshold discount rate: 0.0000",
+            "  above (r = 0.0010): belief 1.0000 mandates a1",
         ]
 
     def test_non_number_mass_exits_one(self, capsys):

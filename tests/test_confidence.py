@@ -306,8 +306,11 @@ def bisect_cp_bits(x, n, conf):
     evaluates every midpoint.  It defines the lower endpoint; the upper
     is one minus the lower endpoint for n - x, which falling_upper_bits
     checks against its own definition."""
+    def plain(fn, target, bracket=(0.0, 1.0)):
+        return oracle_bisect(fn, target, True, confidence.BISECTION_TOL)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(confidence, "_bisect", oracle_bisect)
+        patch.setattr(confidence, "_bisect", plain)
         return cp_bits(x, n, conf)
 
 
@@ -454,9 +457,9 @@ class TestCertifiedBisection:
         brackets = []
         replay = confidence._bisect
 
-        def spy(fn, target, increasing, tol, bracket=(0.0, 1.0)):
+        def spy(fn, target, bracket=(0.0, 1.0)):
             brackets.append(bracket)
-            return replay(fn, target, increasing, tol, bracket)
+            return replay(fn, target, bracket)
 
         monkeypatch.setattr(confidence, "_CERT_MARGIN", margin)
         monkeypatch.setattr(confidence, "_bisect", spy)

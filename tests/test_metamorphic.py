@@ -27,6 +27,11 @@ the other.
 - Two paths, one answer.  A file that resolves, written back in levels
   form with its resolved boxes as overrides, gives the same exit code,
   stdout and stderr from decide --json.
+- Narrowing.  Shrinking every box of every resolved level toward a
+  feasible point inside it, and reading the result back as a levels-form
+  file, keeps each act's expected-utility interval inside the old one
+  and the maximal set inside the old one, up to the rounding of the
+  greedy allocation (NARROWING_ULPS).
 """
 
 import copy
@@ -44,7 +49,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from credalbox import NO_MANDATE, ToleranceSpec, explore, parse_document
+from credalbox import (
+    NO_MANDATE,
+    CredalLevel,
+    CredalSequence,
+    ProbInterval,
+    ToleranceSpec,
+    eu_all,
+    explore,
+    maximal_set,
+    parse_document,
+)
 from credalbox.cli import main
 from support import levels_document, seeded_pool
 from test_problem_fuzz import SEEDS, mutate
@@ -231,6 +246,85 @@ def check_two_paths(raw) -> bool:
     return True
 
 
+# --------------------------------------------------------------- narrowing
+
+def feasible_point(act, box, rng) -> dict:
+    """A distribution over the act's outcomes inside its bounds under box:
+    the lower bounds, with the mass they leave poured up to the upper
+    bounds in a random order.  Where the feasibility slack lets the lower
+    bounds sum above 1, or the upper bounds below it, it is those bounds."""
+    bounds = [box.get(o.label, o.prob) for o in act.outcomes]
+    p = [iv.lo for iv in bounds]
+    residual = 1.0 - math.fsum(p)
+    order = list(range(len(p)))
+    rng.shuffle(order)
+    for i in order:
+        add = min(bounds[i].hi - p[i], max(residual, 0.0))
+        p[i] += add
+        residual -= add
+    return dict(zip(act.labels(), p))
+
+
+def narrowed(problem, seq, rng) -> CredalSequence:
+    """seq with every box shrunk toward a feasible point inside it, by a
+    fraction drawn per box; a fraction of 1 leaves the point itself.
+    The min and max keep each interval around the point whatever the
+    rounding, so the shrunk box stays inside the old one and feasible."""
+    def shrink(act, box):
+        point = feasible_point(act, box, rng)
+        frac = rng.choice([1.0, rng.random()])
+        out = {}
+        for label, iv in box.items():
+            x = point[label]
+            out[label] = ProbInterval(min(iv.lo + frac * (x - iv.lo), x),
+                                      max(iv.hi - frac * (iv.hi - x), x))
+        return out
+
+    return CredalSequence(tuple(
+        CredalLevel(level.index, level.error,
+                    {name: shrink(problem.act(name), box)
+                     for name, box in level.assignments.items()})
+        for level in seq.levels))
+
+
+#: units of 2**-52 times the largest utility, per outcome and one more,
+#: by which a narrowed box's expected-utility endpoint may pass the old
+#: one's.  One evaluation pours mass outcome by outcome, rounding each
+#: probability and the mass left by at most 2**-53, and fsum rounds
+#: once more; the relation compares two evaluations
+NARROWING_ULPS = 2
+
+
+def check_narrowing(raw, rng) -> int | None:
+    """None when raw does not resolve; else the number of levels compared."""
+    doc = parse_document(raw)
+    try:
+        seq = doc.build_sequence()
+    except ValueError:
+        return None
+    # the shrunk boxes are written as a levels-form file, whichever form
+    # raw has, and read back as any file is
+    narrow = parse_document(levels_document(raw, narrowed(doc.problem, seq, rng)))
+    slack = {act.name: NARROWING_ULPS * (len(act.outcomes) + 1) * 2.0 ** -52
+             * max(abs(o.utility) for o in act.outcomes)
+             for act in doc.problem.acts}
+    levels = list(zip(seq.levels, narrow.build_sequence().levels, strict=True))
+    for old, new in levels:
+        before = eu_all(doc.problem, old.assignments)
+        after = eu_all(narrow.problem, new.assignments)
+        for name, was in before.items():
+            now = after[name]
+            assert now.lo >= was.lo - slack[name] and now.hi <= was.hi + slack[name], \
+                (old.index, name, was, now)
+        # an act may join the maximal set only if rounding could have
+        # put it there: its old upper bound within the slack of the best
+        # old lower bound
+        best = max(iv.lo for iv in before.values())
+        for name in set(maximal_set(after)) - set(maximal_set(before)):
+            assert before[name].hi >= best - 2.0 * max(slack.values()), (old.index, name)
+    return len(levels)
+
+
 # ---------------------------------------------------------- the seed pools
 
 def pool_tolerances(error: float) -> list[float]:
@@ -254,6 +348,12 @@ def test_relations_on_the_seed_pools(name, raw):
 @pytest.mark.parametrize("name, raw", POOL_DOCS, ids=[n for n, _ in POOL_DOCS])
 def test_two_paths_on_the_seed_pools(name, raw):
     assert check_two_paths(raw)
+
+
+def test_narrowing_on_the_seed_pools():
+    compared = sum(check_narrowing(raw, random.Random(f"{name}-{k}"))
+                   for name, raw in POOL_DOCS for k in range(3))
+    assert compared == 2679
 
 
 def test_the_seed_pools_stop_at_a_level():
@@ -302,3 +402,10 @@ def test_tolerance(raw, data):
 def test_two_paths(raw):
     assume(parses(raw))
     assume(check_two_paths(raw))
+
+
+@SETTINGS
+@given(DRAWN, st.randoms(use_true_random=False))
+def test_narrowing(raw, rng):
+    assume(parses(raw))
+    assume(check_narrowing(raw, rng) is not None)
