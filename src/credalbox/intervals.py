@@ -42,14 +42,14 @@ class Interval:
         return f"[{self.lo:g}, {self.hi:g}]"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ProbInterval(Interval):
     """A closed probability interval, constrained to [0, 1]."""
 
+    __slots__ = ()  # the endpoints live in Interval's slots
+
     def __post_init__(self):
-        # slots=True rebuilds the class, which leaves zero-argument
-        # super() pointing at the class it replaced
-        Interval.__post_init__(self)
+        super().__post_init__()
         if self.lo < 0.0 or self.hi > 1.0:
             raise ValueError(
                 f"probability interval [{self.lo!r}, {self.hi!r}] escapes [0, 1]"

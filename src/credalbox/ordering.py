@@ -92,32 +92,20 @@ def midpoint_rank(eu: Mapping[str, Interval]) -> list[str]:
     return sorted(eu, key=lambda name: -eu[name].midpoint)
 
 
-def _leximin_beats(a_utils: list[float], b_utils: list[float]) -> bool:
-    """Strictly better under worst-outcome-first comparison.
-
-    Vectors are compared sorted ascending; when lengths differ the shorter
-    one is read as if its last (best) value repeated forever.
-    """
-    va = sorted(a_utils)
-    vb = sorted(b_utils)
-    for i in range(max(len(va), len(vb))):
-        x = va[min(i, len(va) - 1)]
-        y = vb[min(i, len(vb) - 1)]
-        if x != y:
-            return x > y
-    return False
-
-
 def leximin(problem: DecisionProblem, acts: Iterable[str] | None = None) -> str:
     """Act whose sorted outcome utilities are lexicographically best, worst
-    outcome first; full ties go to the first act in problem order."""
+    outcome first; full ties go to the first act in problem order.
+
+    Each act's utilities are sorted ascending and padded with its best
+    value to the longest act's length, so a shorter vector reads as if
+    its best outcome repeated.
+    """
     wanted = None if acts is None else set(acts)
-    candidates = [a for a in problem.acts if wanted is None or a.name in wanted]
-    if not candidates:
+    vectors = {a.name: sorted(o.utility for o in a.outcomes)
+               for a in problem.acts if wanted is None or a.name in wanted}
+    if not vectors:
         raise ValueError("no acts to rank")
-    best = candidates[0]
-    for challenger in candidates[1:]:
-        if _leximin_beats([o.utility for o in challenger.outcomes],
-                          [o.utility for o in best.outcomes]):
-            best = challenger
-    return best.name
+    width = max(map(len, vectors.values()))
+    for v in vectors.values():
+        v += v[-1:] * (width - len(v))
+    return max(vectors, key=vectors.__getitem__)

@@ -5,11 +5,13 @@ polytope {p : lo <= p <= hi, sum p = 1} directly: every vertex has at
 most one coordinate strictly between its bounds, so fixing all but one
 coordinate at a bound and solving for the free one visits every vertex.
 
-The maximal-set, regret, nesting and closure oracles compute straight
-from their definitions, pair by pair, and check the one-pass runtime
-code; the nesting oracle compares every pair of levels that apply_level
-rebuilt, where is_nested reads each level's bounds without building an
-act and compares neighbours.
+The maximal-set, regret, leximin, nesting and closure oracles compute
+straight from their definitions, pair by pair, and check the one-pass
+runtime code.  The leximin oracle scans the acts and compares each
+challenger with the best so far, where the runtime pads every sorted
+vector to one length and takes one max.  The nesting oracle compares
+every pair of levels that apply_level rebuilt, where is_nested reads
+each level's bounds without building an act and compares neighbours.
 The apply_level oracle rebuilds every act, where the runtime passes
 acts with no box and outcomes a box does not name through.  The
 explore oracle rebuilds every act and computes every expected utility
@@ -256,6 +258,32 @@ def pairwise_worst_case_regrets(eu):
         rivals = [eu[b].hi for b in eu if b != a]
         out[a] = max(0.0, max(rivals) - eu[a].lo) if rivals else 0.0
     return out
+
+
+def oracle_leximin(problem, acts=None) -> str:
+    """Oracle leximin: a scan in problem order that keeps the best act so
+    far unless a challenger strictly beats it, comparing each pair's
+    sorted utilities worst first, the shorter vector read as if its last
+    (best) value repeated forever."""
+    def beats(a_utils, b_utils):
+        va, vb = sorted(a_utils), sorted(b_utils)
+        for i in range(max(len(va), len(vb))):
+            x = va[min(i, len(va) - 1)]
+            y = vb[min(i, len(vb) - 1)]
+            if x != y:
+                return x > y
+        return False
+
+    wanted = None if acts is None else set(acts)
+    candidates = [a for a in problem.acts if wanted is None or a.name in wanted]
+    if not candidates:
+        raise ValueError("no acts to rank")
+    best = candidates[0]
+    for challenger in candidates[1:]:
+        if beats([o.utility for o in challenger.outcomes],
+                 [o.utility for o in best.outcomes]):
+            best = challenger
+    return best.name
 
 
 def rebuild_every_act(problem, level):

@@ -394,6 +394,26 @@ def certification_points(x, n, conf):
     return points
 
 
+def solve_points(x, n, conf):
+    """cp_bits(x, n, conf) and, for each endpoint solve it makes, its k,
+    its target and the points where it evaluated the tail, in order."""
+    solves = []
+    solve = confidence._lower_endpoint
+
+    def solve_spy(k, n, target, z):
+        solves.append((k, target, []))
+        return solve(k, n, target, z)
+
+    def tail_spy(k, n, p):
+        solves[-1][2].append(p)
+        return binomial_sf(k, n, p)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(confidence, "_lower_endpoint", solve_spy)
+        patch.setattr(confidence, "binomial_sf", tail_spy)
+        return cp_bits(x, n, conf), solves
+
+
 class TestCertifiedBisection:
     # Newton finds each root, two certified points bracket it, and the
     # bisection is replayed between them: bit for bit plain bisection.
@@ -473,6 +493,24 @@ class TestCertifiedBisection:
             else:
                 assert lower == upper == (0.0, 1.0)
             assert got == bisect_cp_bits(x, n, conf)
+
+    @pytest.mark.parametrize("guess", [2.0 ** -1074, 1.0 - 2.0 ** -53])
+    def test_a_refused_newton_step_bisects_its_bracket(self, monkeypatch, guess):
+        # from a guess of 2**-1074 the tail is 0 once k >= 2, so no
+        # Newton step is taken; from 1 - 2**-53 the step leaves (0, 1)
+        # unless k = n.  Either way the second point evaluated is the
+        # middle of the bracket the first one gave, and no bit moves
+        monkeypatch.setattr(confidence, "_wilson_lower", lambda x, n, z: guess)
+        for x, n in [(1, 1), (1, 10), (3, 14), (9, 10), (7, 20), (500, 1000),
+                     (1, 10**6)]:
+            for conf in [1e-6, 0.5, 0.95, 1 - 1e-12]:
+                bits, solves = solve_points(x, n, conf)
+                assert bits == bisect_cp_bits(x, n, conf), (x, n, conf)
+                for k, target, points in solves:
+                    below = binomial_sf(k, n, guess) < target
+                    middle = 0.5 * (guess + 1.0) if below else 0.5 * guess
+                    refused = k >= 2 if guess < 0.5 else k < n
+                    assert (points[1] == middle) == refused, (k, n, conf)
 
     def test_continued_fraction_cap_still_raises(self, monkeypatch):
         # the first tail evaluated is at the Wilson-score guess for the

@@ -20,6 +20,7 @@ from credalbox import (
     intersect,
     scale_add,
 )
+from credalbox.intervals import _unchecked
 from support import full_interval_checks, interval_close, prob_intervals, utility_intervals
 
 
@@ -137,6 +138,15 @@ class TestSlots:
         assert len({make(0.25, 0.5), make(0.25, 0.5), make(0.5, 0.5)}) == 2
         # a ProbInterval is not equal to an Interval of the same endpoints
         assert Interval(0.25, 0.5) != ProbInterval(0.25, 0.5)
+
+    def test_prob_interval_keeps_its_endpoints_in_the_base_slots(self):
+        # slots of its own would shadow Interval's, which _unchecked writes
+        assert ProbInterval.__slots__ == ()
+        assert "lo" not in vars(ProbInterval) and "hi" not in vars(ProbInterval)
+        iv = _unchecked(ProbInterval, 0.25, 0.5)
+        assert (iv.lo, iv.hi) == (0.25, 0.5)
+        assert iv == ProbInterval(0.25, 0.5)
+        assert repr(iv) == repr(ProbInterval(0.25, 0.5))
 
     def test_repr(self):
         assert repr(Interval(-1.5, 2.0)) == "Interval(lo=-1.5, hi=2.0)"

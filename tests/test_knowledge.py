@@ -213,6 +213,28 @@ class TestAcceptThreshold:
             ids_later = {s.id for s in later.statements}
             assert ids_earlier <= ids_later
 
+    # 1 - p < eps is monotone in p in floats, so every threshold body is a
+    # prefix of one stable most-probable-first order.  Drawn: ties, the
+    # credences next to 1 (0.9999999999999999 is 1 - 2**-53, whose 1 - p
+    # is exact) against levels at and between their gaps, and tiny ones
+    # whose 1 - p rounds to 1
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from([1.0, 0.9999999999999999, 1 - 2.0 ** -52,
+                                     0.99, 0.5, 1e-20, 5e-324, 0.0])
+                    | st.floats(0.0, 1.0),
+                    max_size=8),
+           st.lists(st.sampled_from([2.0 ** -54, 2.0 ** -53, 1.5 * 2.0 ** -53,
+                                     2.0 ** -52, 0.01, 0.05, 0.5, 1.0])
+                    | st.floats(0.0, 1.0, exclude_min=True),
+                    min_size=1, max_size=5, unique=True).map(sorted))
+    def test_bodies_are_prefixes_of_the_most_probable_order(self, probs, levels):
+        corpus = [Statement.membership(f"s{i}", f"item{i}", "C", prob=p)
+                  for i, p in enumerate(probs)]
+        ranked = sorted(corpus, key=lambda s: -s.prob)
+        for body in accept_threshold(corpus, levels):
+            size = len(body.statements)
+            assert {s.id for s in body.statements} == {s.id for s in ranked[:size]}
+
 
 class TestAcceptNextMostProbable:
     def test_growth_order_and_errors(self):

@@ -18,7 +18,13 @@ from credalbox import (
     min_regret,
     worst_case_regrets,
 )
-from support import int_intervals, pairwise_maximal_set, pairwise_worst_case_regrets
+from support import (
+    int_intervals,
+    oracle_leximin,
+    outcome,
+    pairwise_maximal_set,
+    pairwise_worst_case_regrets,
+)
 
 WIDE = {"a1": Interval(-16.8, 10.0), "a2": Interval(-5.5, 0.0)}
 SHARP = {"a1": Interval(0.0, 10.0), "a2": Interval(-3.0, -1.5)}
@@ -177,6 +183,25 @@ def problem_from_utils(*acts):
     return DecisionProblem("p", tuple(built))
 
 
+# signed zeros, the least subnormal and a huge negative, a few small
+# values so that utilities tie, and any finite float
+LEXIMIN_UTILITIES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, -1e308, 1e308, -1.0, 1.0, 2.0]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def leximin_cases(draw):
+    """(problem, acts) with 1-6 acts of 1-5 outcomes each; acts is None,
+    empty, or a list that may repeat names and name unknown acts."""
+    vectors = draw(st.lists(st.lists(LEXIMIN_UTILITIES, min_size=1, max_size=5),
+                            min_size=1, max_size=6))
+    names = [f"a{i}" for i in range(len(vectors))]
+    acts = draw(st.none() | st.lists(st.sampled_from(names + ["nobody"]),
+                                     max_size=4))
+    return problem_from_utils(*zip(names, vectors)), acts
+
+
 class TestLeximin:
     def test_worst_outcome_decides(self):
         problem = problem_from_utils(("a1", (10.0, -30.0)), ("a2", (-10.0, 0.0)))
@@ -202,6 +227,13 @@ class TestLeximin:
     def test_second_position_breaks_first_position_tie(self):
         problem = problem_from_utils(("x", (0.0, 1.0)), ("y", (0.0, 2.0)))
         assert leximin(problem) == "y"
+
+    @settings(max_examples=300)
+    @given(leximin_cases())
+    def test_matches_the_pairwise_scan(self, case):
+        problem, acts = case
+        assert outcome(lambda: leximin(problem, acts)) == \
+            outcome(lambda: oracle_leximin(problem, acts))
 
 
 class TestSingletonAgreement:
