@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _quote
 from operator import mul as _mul
 from typing import Callable, Mapping, Sequence
@@ -156,13 +156,7 @@ class DecisionReport:
 
     def to_dict(self) -> dict:
         return {
-            "problem": self.problem,
-            "status": self.status,
-            "tolerance": self.tolerance,
-            "act": self.act,
-            "level_used": self.level_used,
-            "error_used": self.error_used,
-            "ambiguous": self.ambiguous,
+            **{name: getattr(self, name) for name in _REPORT_HEAD},
             "trace": [
                 {
                     "index": row.index,
@@ -192,16 +186,9 @@ class DecisionReport:
     def _write_json(self) -> str:
         # written in document order, so the first non-finite float is the
         # one json would refuse
-        head = (
-            f'{{\n  "problem": {_json_scalar(self.problem)},\n'
-            f'  "status": {_json_scalar(self.status)},\n'
-            f'  "tolerance": {_json_scalar(self.tolerance)},\n'
-            f'  "act": {_json_scalar(self.act)},\n'
-            f'  "level_used": {_json_scalar(self.level_used)},\n'
-            f'  "error_used": {_json_scalar(self.error_used)},\n'
-            f'  "ambiguous": {_json_scalar(self.ambiguous)},\n'
-            '  "trace": '
-        )
+        head = "{\n" + "".join(
+            f'  {_quote(name)}: {_json_scalar(getattr(self, name))},\n'
+            for name in _REPORT_HEAD) + '  "trace": '
         # (act name, id of its interval) -> the entry as written: an act
         # the levels leave unboxed brings back the same interval object
         # row after row.  The report holds every interval until this
@@ -223,6 +210,10 @@ class DecisionReport:
             maximal = _block("[", list(map(_quote, row.maximal)), "]", 6)
             rows.append(f'{start}{eu},\n      "maximal": {maximal}\n    }}')
         return head + _block("[", rows, "]", 2) + "\n}"
+
+
+# the report's fields before its trace, in document order
+_REPORT_HEAD = tuple(f.name for f in fields(DecisionReport) if f.name != "trace")
 
 
 def explore(problem: DecisionProblem, seq: CredalSequence,

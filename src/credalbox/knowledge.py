@@ -541,10 +541,10 @@ class _Resolver:
     recomputed event, or named in the level's assertions, are visited.
 
     The first body after a fresh start that adds a frequency makes a
-    working copy of the base table, and later bodies add theirs to its
-    frequencies in place.  Its entries, equality and repr keep the first
-    batch only, so the working table never leaves the resolver: no
-    level, error or caller is handed it.
+    working copy of the base table, and every body, that one included,
+    adds its frequencies to the copy's in place.  The copy's entries,
+    equality and repr are the base table's, so the working table never
+    leaves the resolver: no level, error or caller is handed it.
     """
 
     def __init__(self, problem: DecisionProblem, refs: ReferenceClassTable):
@@ -616,11 +616,10 @@ class _Resolver:
                  for s in added if s.kind == "class-frequency"]
         if freqs:
             if self.table is self.refs:
-                self.table = self.refs.with_entries(freqs)
-            else:
-                # a body that raises here leaves the next one to start
-                # afresh, which drops this table
-                _add_freqs(self.table._freqs, freqs)
+                self.table = self.refs.with_entries(())
+            # a body that raises here leaves the next one to start
+            # afresh, which drops this table
+            _add_freqs(self.table._freqs, freqs)
         table = self.table
         touched = self._touched(added)
         errors: list[tuple[tuple[str, str, int], ValueError]] = []
@@ -689,18 +688,13 @@ class _Resolver:
                             f"body {body.index}: constraints on {first.label!r} "
                             f"and {second.label!r} of act {act.name!r} conflict"
                         )
-            asserted = extra.get(act.name, {})
-            if not over:
-                # no statement bounds the act: the assertions are its box
-                over = dict(asserted)
-            else:
-                for label, iv in asserted.items():
-                    if not _meet(over, label, iv):
-                        raise ConflictingConstraintError(
-                            f"body {body.index}: asserted interval for outcome "
-                            f"{label!r} of act {act.name!r} conflicts with the "
-                            f"statement-derived bounds"
-                        )
+            for label, iv in extra.get(act.name, {}).items():
+                if not _meet(over, label, iv):
+                    raise ConflictingConstraintError(
+                        f"body {body.index}: asserted interval for outcome "
+                        f"{label!r} of act {act.name!r} conflicts with the "
+                        f"statement-derived bounds"
+                    )
             bounds = None
             if over:
                 bounds = _box_bounds(act, over)

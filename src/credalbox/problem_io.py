@@ -9,6 +9,7 @@ corpus.  A document with neither gets the single vacuous level 0.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -153,6 +154,9 @@ def _interval(value, path: str) -> ProbInterval:
 
 _STATEMENT_KEYS = frozenset({"id", "kind", "prob", "event", "interval", "value",
                              "item", "class"})
+# Statement's fields at their defaults, in field order; id and kind have
+# none and every parse sets them
+_STATEMENT_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Statement)}
 
 
 def _parse_statement(data, fallback_id: str) -> Statement:
@@ -163,8 +167,7 @@ def _parse_statement(data, fallback_id: str) -> Statement:
         _fail(".id", "expected a non-empty string")
     prob = _number(obj.get("prob", 1.0), ".prob", 0.0, 1.0)
     # in field order, as Statement's __init__ would set them
-    fields = {"id": sid, "kind": kind, "prob": prob, "event": None,
-              "interval": None, "value": True, "item": None, "cls": None}
+    fields = {**_STATEMENT_DEFAULTS, "id": sid, "kind": kind, "prob": prob}
     if "event" in obj:
         fields["event"] = _string(obj["event"], ".event")
     if "interval" in obj:

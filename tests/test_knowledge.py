@@ -53,6 +53,7 @@ from support import (
     oracle_level,
     oracle_sequence,
     outcome,
+    seeded_pool,
 )
 
 
@@ -914,6 +915,17 @@ def resolved(build):
         for act, box in out.assignments.items()))
 
 
+def _refuse(*args):
+    raise AssertionError("a grown body's statements were used")
+
+
+# stands in for a statements tuple: any use of it but `is` raises
+IdentityOnly = type("IdentityOnly", (), dict.fromkeys((
+    "__getattribute__", "__len__", "__iter__", "__getitem__", "__contains__",
+    "__bool__", "__eq__", "__ne__", "__hash__", "__add__", "__radd__", "__repr__"),
+    _refuse))
+
+
 class TestIncrementalResolution:
     @settings(max_examples=400, deadline=None)
     @given(corpora(), st.sampled_from(["next-most-probable", "threshold", "drawn"]),
@@ -992,6 +1004,74 @@ class TestIncrementalResolution:
         assert len(seq.levels) == 5
         assert sorted(seq.levels[4].assignments) == ["bet", "side", "tri"]
         assert calls == {"index": 1, "level_from_body": 5}
+
+    @staticmethod
+    def levels_form(constraints, overrides):
+        acts = [{"name": "a", "outcomes": [{"label": "G", "utility": 1.0},
+                                           {"label": "H", "utility": 0.0},
+                                           {"label": "I", "utility": -1.0}]},
+                {"name": "b", "outcomes": [{"label": "J", "utility": 1.0}]}]
+        doc = parse_document({"problem": "p", "acts": acts, "levels": [
+            {"error": 0.0, "constraints": constraints, "overrides": overrides}]})
+        return doc.level_specs[0].overrides, doc.build_sequence
+
+    def test_override_only_box_is_a_fresh_dict_of_the_same_intervals(self):
+        overrides, build = self.levels_form([], {"a": {"H": [0.1, 0.5], "G": [0.2, 0.6]}})
+        assignments = build().levels[0].assignments
+        assert list(assignments) == ["a"]
+        box = assignments["a"]
+        assert box == overrides["a"] and box is not overrides["a"]
+        assert list(box) == ["H", "G"]
+        assert all(box[label] is iv for label, iv in overrides["a"].items())
+
+    def test_constraint_and_override_on_other_labels_both_box(self):
+        _, build = self.levels_form(
+            [{"kind": "event-interval", "event": "G", "interval": [0.2, 0.4]}],
+            {"a": {"H": [0.1, 0.3]}})
+        assert build().levels[0].assignments == {"a": {
+            "G": ProbInterval(0.2, 0.4), "H": ProbInterval(0.1, 0.3)}}
+
+    def test_override_missing_a_constraint_names_the_outcome(self):
+        _, build = self.levels_form(
+            [{"kind": "event-interval", "event": "G", "interval": [0.6, 0.9]}],
+            {"a": {"G": [0.1, 0.2]}})
+        with pytest.raises(ConflictingConstraintError) as caught:
+            build()
+        assert str(caught.value) == (
+            "body 0: asserted interval for outcome 'G' of act 'a' conflicts "
+            "with the statement-derived bounds")
+
+    @pytest.mark.parametrize("rule", ["next-most-probable", "threshold"])
+    @pytest.mark.parametrize("k", range(len(seeded_pool("refclass-chain"))),
+                             ids=lambda k: f"doc{k}")
+    def test_grown_statements_are_only_an_identity_token(self, rule, k):
+        # resolution may meet a grown body's statements, and the parent
+        # statements its growth records, only through `is`
+        data = seeded_pool("refclass-chain")[k]
+        doc = parse_document(data)
+        pairs = [(s.cls, s.event) for s in doc.statements if s.kind == "class-frequency"]
+        pairs += [(cls, event) for cls, event, _ in doc.refs.entries]
+        # a repeated frequency sends its body back to its statements
+        assert len(set(pairs)) == len(pairs)
+
+        def bodies():
+            if rule == "next-most-probable":
+                return accept_next_most_probable(doc.statements)
+            levels = data["acceptance"].get("error_levels", (0.01, 0.05, 0.1))
+            return accept_threshold(doc.statements, levels)
+
+        want = sequence_bytes(sequence_from_bodies(bodies(), doc.problem, doc.refs))
+        grown = bodies()
+        parents = [body.statements for body in grown]
+        for i, body in enumerate(grown):
+            grown_from = body.__dict__.get("_grown_from")
+            if grown_from is None:
+                continue
+            assert i and grown_from[0] is parents[i - 1]
+            body.__dict__["statements"] = IdentityOnly()
+            body.__dict__["_grown_from"] = (grown[i - 1].statements, grown_from[1])
+        assert sum(type(body.statements) is IdentityOnly for body in grown) == len(grown) - 1
+        assert sequence_bytes(sequence_from_bodies(grown, doc.problem, doc.refs)) == want
 
     def test_later_specific_class_replaces_the_answer(self):
         # the narrower frequency of a more specific class replaces the
