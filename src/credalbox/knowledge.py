@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from itertools import pairwise
+from math import copysign
 from operator import gt, lt
 from typing import Iterable, Mapping, Sequence
 
@@ -124,13 +125,6 @@ def _event_bound(s: Statement) -> ProbInterval:
     return CERTAIN if s.value else IMPOSSIBLE
 
 
-def _conflict(event: str, group: Iterable[Statement]) -> InconsistentBodyError:
-    culprits = ", ".join(repr(t.id) for t in group)
-    return InconsistentBodyError(
-        f"statements {culprits} cannot all hold for event {event!r}"
-    )
-
-
 def _merged_events(statements: Sequence[Statement]) -> dict[str, ProbInterval]:
     """Each event's bounds under the body's event-interval and condition
     statements, merged in body order; raises when statements repeat an id
@@ -146,7 +140,9 @@ def _merged_events(statements: Sequence[Statement]) -> dict[str, ProbInterval]:
     for event, group in by_event.items():
         for s in group:
             if not _meet(merged, event, _event_bound(s)):
-                raise _conflict(event, group)
+                culprits = ", ".join(repr(t.id) for t in group)
+                raise InconsistentBodyError(
+                    f"statements {culprits} cannot all hold for event {event!r}")
     return merged
 
 
@@ -172,10 +168,10 @@ def _check_index_error(what: str, index: int, error: float) -> None:
 @dataclass(frozen=True)
 class BodyOfKnowledge:
     """Statements accepted at one error level of a nested (or merely
-    indexed) family of corpora.  The event bounds its statements entail
-    are merged once, here, and kept for resolution.  A body an acceptance
-    rule builds also records the statements of the body it grew from and
-    the statements it adds, never that body itself."""
+    indexed) family of corpora, checked to hold together; the resolver,
+    not the body, merges the event bounds they entail.  A body an
+    acceptance rule builds also records the statements of the body it
+    grew from and the statements it adds, never that body itself."""
 
     index: int
     error: float
@@ -184,7 +180,7 @@ class BodyOfKnowledge:
     def __post_init__(self):
         object.__setattr__(self, "statements", tuple(self.statements))
         _check_index_error("body", self.index, self.error)
-        object.__setattr__(self, "_events", _merged_events(self.statements))
+        _merged_events(self.statements)
 
 
 def _check_error_level(eps: float, previous: float | None) -> None:
@@ -196,6 +192,38 @@ def _check_error_level(eps: float, previous: float | None) -> None:
         raise ValueError("error levels must be strictly increasing")
 
 
+def _accepted(cuts: Iterable[tuple[float, str, tuple[Statement, ...],
+                                   tuple[Statement, ...]]]) -> list[BodyOfKnowledge]:
+    """Bodies K_0..K_m, K_j from the j-th cut: its error, the text after
+    "body j" in its errors, its statements, and the statements it adds
+    to K_{j-1}, whose statements it holds.  One id set and one event
+    bound dict grow along the walk, so each statement is checked once;
+    a body that fails is checked again in full, which raises the text
+    BodyOfKnowledge would.  The bodies nest, so the first one that fails
+    is the first one BodyOfKnowledge would refuse."""
+    bodies = [BodyOfKnowledge(0, 0.0, ())]
+    ids: set[str] = set()
+    events: dict[str, ProbInterval] = {}
+    for j, (error, where, statements, added) in enumerate(cuts, start=1):
+        _refuse_bool("body error", error, "a number")
+        for s in added:
+            if s.id in ids or (s.kind in _EVENT_KINDS
+                               and not _meet(events, s.event, _event_bound(s))):
+                try:
+                    _merged_events(statements)
+                except InconsistentBodyError as exc:
+                    raise InconsistentBodyError(f"body {j}{where}: {exc}") from exc
+            ids.add(s.id)
+        # built once, without __post_init__: index counts up from 1, error
+        # is a level in (0, 1] or some statement's 1 - prob, and the walk
+        # has checked the statements
+        body = object.__new__(BodyOfKnowledge)
+        body.__dict__.update(index=j, error=error, statements=statements,
+                             _grown_from=(bodies[-1].statements, added))
+        bodies.append(body)
+    return bodies
+
+
 def accept_threshold(statements: Sequence[Statement],
                      error_levels: Sequence[float]) -> list[BodyOfKnowledge]:
     """Bodies K_0..K_m where K_j holds the statements with 1 - prob below
@@ -203,63 +231,20 @@ def accept_threshold(statements: Sequence[Statement],
     levels = list(error_levels)
     for j, eps in enumerate(levels):
         _check_error_level(eps, levels[j - 1] if j else None)
-    bodies = [BodyOfKnowledge(0, 0.0, ())]
-    for j, eps in enumerate(levels, start=1):
-        parent = bodies[-1]
-        accepted = tuple(s for s in statements if 1.0 - s.prob < eps)
-        try:
-            body = BodyOfKnowledge(j, eps, accepted)
-        except InconsistentBodyError as exc:
-            raise InconsistentBodyError(
-                f"body {j} at error level {eps}: {exc}"
-            ) from exc
-        object.__setattr__(body, "_grown_from", (parent.statements, tuple(
-            s for s in accepted if parent.error <= 1.0 - s.prob)))
-        bodies.append(body)
-    return bodies
-
-
-def _grown(parent: BodyOfKnowledge, index: int, error: float, s: Statement,
-           ids: set[str]) -> BodyOfKnowledge:
-    """BodyOfKnowledge(index, error, parent.statements + (s,)), checked and
-    merged from its parent: ids holds the parent's statement ids and gains
-    s's, and only s's event is merged, into a copy of the parent's bounds."""
-    if s.id in ids:
-        raise InconsistentBodyError("statement ids repeat within one body")
-    ids.add(s.id)
-    statements = parent.statements + (s,)
-    events = parent._events
-    if s.kind in _EVENT_KINDS:
-        events = dict(events)
-        if not _meet(events, s.event, _event_bound(s)):
-            raise _conflict(s.event, [t for t in statements
-                                      if t.kind in _EVENT_KINDS and t.event == s.event])
-    # built once, without __post_init__: index counts up from 1 and error
-    # is some statement's 1 - prob, so both hold already
-    body = object.__new__(BodyOfKnowledge)
-    body.__dict__.update(index=index, error=error, statements=statements,
-                         _events=events, _grown_from=(parent.statements, (s,)))
-    return body
+    return _accepted(
+        (eps, f" at error level {eps}",
+         tuple(s for s in statements if 1.0 - s.prob < eps),
+         tuple(s for s in statements if previous <= 1.0 - s.prob < eps))
+        for previous, eps in zip([0.0, *levels], levels))
 
 
 def accept_next_most_probable(statements: Sequence[Statement]) -> list[BodyOfKnowledge]:
     """Bodies K_0..K_n grown one statement at a time, most probable first;
-    each body's error is the largest improbability accepted so far.  Each
-    body is grown from the one before, so the corpus is checked and merged
-    once in all."""
-    ordered = sorted(statements, key=lambda s: -s.prob)
-    body = BodyOfKnowledge(0, 0.0, ())
-    bodies = [body]
-    error = 0.0
-    ids: set[str] = set()
-    for j, s in enumerate(ordered, start=1):
-        error = max(error, 1.0 - s.prob)
-        try:
-            body = _grown(body, j, error, s, ids)
-        except InconsistentBodyError as exc:
-            raise InconsistentBodyError(f"body {j}: {exc}") from exc
-        bodies.append(body)
-    return bodies
+    each body's error is the largest improbability accepted so far, which
+    is the last one's, since 1 - prob never falls along that order."""
+    ordered = tuple(sorted(statements, key=lambda s: -s.prob))
+    return _accepted((1.0 - s.prob, "", ordered[:j], (s,))
+                     for j, s in enumerate(ordered, start=1))
 
 
 def _first_on_cycle(succ: Mapping[str, list[str]]) -> str:
@@ -544,7 +529,8 @@ class _Resolver:
     working copy of the base table, and every body, that one included,
     adds its frequencies to the copy's in place.  The copy's entries,
     equality and repr are the base table's, so the working table never
-    leaves the resolver: no level, error or caller is handed it.
+    leaves the resolver: no level, error or caller is handed it.  The
+    event bounds live here too, not on the bodies, and grow the same way.
     """
 
     def __init__(self, problem: DecisionProblem, refs: ReferenceClassTable):
@@ -566,7 +552,9 @@ class _Resolver:
         self.members: dict[str, set[str]] = {}
         # (item, event) -> most specific usable classes
         self.most: dict[tuple[str, str], frozenset[str]] = {}
-        # event -> item -> its inferred answer, and the event's merged bound
+        # event -> the bound its statements give, met in growth order;
+        # event -> item -> its inferred answer; and the event's merged bound
+        self.events: dict[str, ProbInterval] = {}
         self.answers: dict[str, dict[str, ProbInterval]] = {}
         self.bounds: dict[str, ProbInterval] = {}
         # act position -> its box at the last level, if any, and the
@@ -581,12 +569,19 @@ class _Resolver:
         grown_from = body.__dict__.get("_grown_from")
         if grown_from is None or grown_from[0] is not self.last:
             return None
-        # the bits of a repeated frequency come from whichever statement
-        # is first in body order, which the carried table cannot tell
+        # the bits of a repeated frequency, or of a zero endpoint met with
+        # a zero of the other sign, come from whichever statement is first
+        # in body order, which the carried table and bounds cannot tell
         added = grown_from[1]
-        if any(s.kind == "class-frequency" and self.table.freq(s.cls, s.event) is not None
-               for s in added):
-            return None
+        for s in added:
+            if s.kind == "class-frequency":
+                if self.table.freq(s.cls, s.event) is not None:
+                    return None
+            elif s.kind in _EVENT_KINDS and s.event in self.events:
+                old, new = self.events[s.event], _event_bound(s)
+                if any(x == y == 0.0 and copysign(1.0, x) != copysign(1.0, y)
+                       for x, y in ((old.lo, new.lo), (old.hi, new.hi))):
+                    return None
         return added
 
     def _touched(self, added: Sequence[Statement]) -> dict[tuple[str, str], list[str]]:
@@ -614,6 +609,10 @@ class _Resolver:
         by item and event by event would meet it."""
         freqs = [(s.cls, s.event, s.interval)
                  for s in added if s.kind == "class-frequency"]
+        # a body's statements hold together, so every meet succeeds
+        for s in added:
+            if s.kind in _EVENT_KINDS:
+                _meet(self.events, s.event, _event_bound(s))
         if freqs:
             if self.table is self.refs:
                 self.table = self.refs.with_entries(())
@@ -637,8 +636,8 @@ class _Resolver:
         changed.update(s.event for s in added if s.kind in _EVENT_KINDS)
         for event in changed:
             self.bounds.pop(event, None)
-            if event in body._events:
-                self.bounds[event] = body._events[event]
+            if event in self.events:
+                self.bounds[event] = self.events[event]
             answers = self.answers.get(event, {})
             for item in sorted(answers):
                 if not _meet(self.bounds, event, answers[item]):

@@ -24,9 +24,11 @@ The resolution oracle resolves every body of knowledge on its own:
 it closes the specificity order by a fixed-point scan for each
 inference, merges each event's statements again, and finds the most
 specific reference class pair by pair.  The runtime closes the order
-once and resolves nested bodies incrementally.  The acceptance oracle
-builds every next-most-probable body from scratch, where the runtime
-grows each from the one before.
+once and resolves nested bodies incrementally.  The acceptance oracles
+build every next-most-probable and threshold body from scratch, where
+the runtime builds both rules' bodies in one walk that checks each
+statement once.  event_corpus is the event-interval corpus whose bodies
+the acceptance memory guard measures.
 
 The interval-check oracle runs every endpoint check in one function,
 where the runtime splits them between Interval and ProbInterval, and
@@ -483,6 +485,28 @@ def oracle_accept_next_most_probable(statements) -> list:
         except InconsistentBodyError as exc:
             raise InconsistentBodyError(f"body {j}: {exc}") from exc
     return bodies
+
+
+def oracle_accept_threshold(statements, error_levels) -> list:
+    """Oracle for accept_threshold: each body built from scratch out of
+    the statements below its level, in corpus order."""
+    bodies = [BodyOfKnowledge(0, 0.0, ())]
+    for j, eps in enumerate(error_levels, start=1):
+        filtered = tuple(s for s in statements if 1.0 - s.prob < eps)
+        try:
+            bodies.append(BodyOfKnowledge(j, eps, filtered))
+        except InconsistentBodyError as exc:
+            raise InconsistentBodyError(f"body {j} at error level {eps}: {exc}") from exc
+    return bodies
+
+
+def event_corpus(n: int) -> list:
+    """n event-interval statements for next-most-probable acceptance:
+    s{i} bounds event E{i} to [0.1, 0.9] with credence 1 - (i+1)/(10n),
+    so body j holds j statements on j distinct events."""
+    iv = ProbInterval(0.1, 0.9)
+    return [Statement.event_interval(f"s{i}", f"E{i}", iv, 1.0 - (i + 1) / (10 * n))
+            for i in range(n)]
 
 
 def full_interval_checks(lo, hi, prob: bool) -> None:

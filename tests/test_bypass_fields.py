@@ -2,7 +2,7 @@
 
 Five places fill a frozen dataclass's __dict__ themselves, to skip checks
 or copies that cannot fail there: the parser's statements, level specs
-and outcomes, the bodies an acceptance rule grows, and the levels the
+and outcomes, the bodies both acceptance rules build, and the levels the
 resolver builds.  Each must set every field, in field order, so that an
 object built there equals and prints as the constructor's; a field added
 to the class and missed here would otherwise fail only when read.
@@ -20,6 +20,7 @@ from credalbox import (
     ProbInterval,
     Statement,
     accept_next_most_probable,
+    accept_threshold,
     parse_document,
 )
 
@@ -64,6 +65,11 @@ def grown_body():
     return body, BodyOfKnowledge(2, body.error, body.statements)
 
 
+def threshold_body():
+    body = accept_threshold(statements_document().statements, [0.08, 0.2])[2]
+    return body, BodyOfKnowledge(2, 0.2, body.statements)
+
+
 def resolved_level():
     level = levels_document().build_sequence().levels[0]
     return level, CredalLevel(0, 0.1, {"a": {"G": ProbInterval(0.25, 0.5),
@@ -71,7 +77,7 @@ def resolved_level():
 
 
 @pytest.mark.parametrize("build", [parsed_statement, parsed_level_spec, parsed_outcome,
-                                   grown_body, resolved_level],
+                                   grown_body, threshold_body, resolved_level],
                          ids=lambda build: build.__name__)
 def test_bypass_sets_every_field_in_order(build):
     obj, twin = build()

@@ -4,6 +4,8 @@ import json
 import math
 import pickle
 import re
+import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -43,10 +45,12 @@ from credalbox import knowledge, problem_io
 from support import (
     all_pairs_nested,
     chain_document,
+    event_corpus,
     feasible_acts,
     fixed_point_closure,
     interval_close,
     oracle_accept_next_most_probable,
+    oracle_accept_threshold,
     pairwise_direct_inference,
     prob_intervals,
     rebuild_every_act,
@@ -236,6 +240,14 @@ class TestAcceptThreshold:
             size = len(body.statements)
             assert {s.id for s in body.statements} == {s.id for s in ranked[:size]}
 
+    def test_a_true_last_level_is_refused_after_the_bodies_before_it(self):
+        # True passes as the level 1.0, but a body's error is written as a number
+        twice = [Statement.condition("a", "G"), Statement.condition("a", "H")]
+        with pytest.raises(ValueError, match="^body error must be a number, got True$"):
+            accept_threshold([], [0.5, True])
+        with pytest.raises(InconsistentBodyError, match="^body 1 at error level 0.5: "):
+            accept_threshold(twice, [0.5, True])
+
 
 class TestAcceptNextMostProbable:
     def test_growth_order_and_errors(self):
@@ -291,11 +303,6 @@ CORPUS_STATEMENT = st.one_of(
 )
 
 
-def event_bits(events):
-    """Each event's bounds by repr, so that -0.0 and 0.0 differ."""
-    return [(event, repr(iv.lo), repr(iv.hi)) for event, iv in events.items()]
-
-
 class TestGrownBodies:
     @settings(max_examples=400, deadline=None)
     @given(st.lists(CORPUS_STATEMENT, max_size=10))
@@ -309,9 +316,40 @@ class TestGrownBodies:
             return
         got = accept_next_most_probable(statements)
         assert got == want and repr(got) == repr(want)
-        for body in got:
-            assert event_bits(body._events) == event_bits(
-                knowledge._merged_events(body.statements))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(CORPUS_STATEMENT, max_size=10),
+           st.lists(st.sampled_from([0.005, 0.01, 0.02, 0.1, 0.2, 1.0]),
+                    min_size=1, max_size=4, unique=True))
+    def test_threshold_bodies_equal_bodies_built_from_scratch(self, statements, levels):
+        levels = sorted(levels)
+        try:
+            want = oracle_accept_threshold(statements, levels)
+        except InconsistentBodyError as exc:
+            with pytest.raises(InconsistentBodyError) as caught:
+                accept_threshold(statements, levels)
+            assert str(caught.value) == str(exc)
+            return
+        got = accept_threshold(statements, levels)
+        assert got == want and repr(got) == repr(want)
+        for parent, body in zip(got, got[1:]):
+            assert body._grown_from[1] == tuple(
+                s for s in statements
+                if any(s is t for t in body.statements)
+                and all(s is not t for t in parent.statements))
+
+    def test_acceptance_holds_little_beyond_the_statement_tuples(self):
+        # every body holds its own statements tuple, n^2/2 pointers in
+        # all; nothing else a body keeps may grow with its size
+        statements = event_corpus(2000)
+        tracemalloc.start()
+        try:
+            bodies = accept_next_most_probable(statements)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tuples = sum(sys.getsizeof(body.statements) for body in bodies)
+        assert peak < 1.5 * tuples
 
     def test_conflict_names_every_statement_on_the_event(self):
         statements = [
@@ -370,7 +408,8 @@ class TestGrownBodies:
             Statement.event_interval("b", "G", ProbInterval(0.0, 0.5), prob=0.9),
         ]
         bodies = accept_next_most_probable(statements)
-        assert repr(bodies[2]._events["G"].lo) == "-0.0"
+        level = sequence_from_bodies(bodies, jerry_problem()).levels[2]
+        assert repr(level.assignments["a1"]["G"].lo) == "-0.0"
 
 
 class TestReferenceClassTable:
@@ -927,6 +966,48 @@ IdentityOnly = type("IdentityOnly", (), dict.fromkeys((
 
 
 class TestIncrementalResolution:
+    @staticmethod
+    def level_g(bodies, j):
+        """Level j's box on G, after checking the whole sequence's bytes
+        against the oracle's."""
+        problem = jerry_problem()
+        seq = sequence_from_bodies(bodies, problem)
+        assert sequence_bytes(seq) == sequence_bytes(oracle_sequence(bodies, problem))
+        return seq.levels[j].assignments["a1"]["G"]
+
+    def test_a_later_accepted_zero_that_comes_first_keeps_its_sign(self):
+        # `late` comes first in the corpus, so threshold body 2 lists it
+        # first and its -0.0 wins the tie, though body 1 carries `early`'s
+        statements = [
+            Statement.event_interval("late", "G", ProbInterval(-0.0, 0.5), prob=0.95),
+            Statement.event_interval("early", "G", ProbInterval(0.0, 0.5), prob=0.99),
+        ]
+        bodies = accept_threshold(statements, [0.02, 0.1])
+        assert repr(self.level_g(bodies, 1).lo) == "0.0"
+        assert repr(self.level_g(bodies, 2).lo) == "-0.0"
+
+    def test_a_later_accepted_zero_upper_endpoint_keeps_its_sign(self):
+        statements = [
+            Statement.event_interval("late", "G", ProbInterval(0.0, -0.0), prob=0.95),
+            Statement.condition("early", "G", False, prob=0.99),
+        ]
+        bodies = accept_threshold(statements, [0.02, 0.1])
+        assert repr(self.level_g(bodies, 1).hi) == "0.0"
+        assert repr(self.level_g(bodies, 2).hi) == "-0.0"
+
+    def test_next_most_probable_zeros_keep_the_first_sign(self):
+        # growth order is body order here, so the carried -0.0 stays
+        # first whichever way the grown body is resolved
+        statements = [
+            Statement.event_interval("b", "G", ProbInterval(0.0, 0.5), prob=0.9),
+            Statement.event_interval("a", "G", ProbInterval(-0.0, -0.0), prob=0.99),
+            Statement.condition("c", "G", False, prob=0.8),
+        ]
+        bodies = accept_next_most_probable(statements)
+        assert [s.id for s in bodies[3].statements] == ["a", "b", "c"]
+        g = self.level_g(bodies, 3)
+        assert (repr(g.lo), repr(g.hi)) == ("-0.0", "-0.0")
+
     @settings(max_examples=400, deadline=None)
     @given(corpora(), st.sampled_from(["next-most-probable", "threshold", "drawn"]),
            st.data())
