@@ -12,7 +12,7 @@ import gc
 import sys
 
 from . import __version__
-from .belief import MassFunction, bel, dempster_combine, discount, discount_threshold
+from .belief import MassFunction, discount_threshold
 from .confidence import SampleCount, clopper_pearson
 from .engine import DECIDED, NO_MANDATE, RISK_PROBLEM, ToleranceSpec, explore
 from .expectation import eu_all
@@ -29,7 +29,7 @@ from .ordering import (
     worst_case_regrets,
 )
 from .problem_io import load_path
-from .replicate import EXAMPLES, _pooled_level_sequence, load_fixture, replicate
+from .replicate import EXAMPLES, _pooled_decision, load_fixture, replicate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,10 +179,7 @@ def _cmd_ds_threshold(args) -> int:
     for side, rate in (("below", rstar - 1e-3), ("above", rstar + 1e-3)):
         if not 0.0 <= rate <= 1.0:
             continue
-        pooled = bel(dempster_combine(m1, discount(m2, rate)), event)
-        report = explore(doc.problem,
-                         _pooled_level_sequence(doc.problem, event, pooled),
-                         doc.tolerance)
+        pooled, report = _pooled_decision(doc, m1, m2, event, rate)
         # a2's one outcome keeps its vacuous box, so the level never
         # collapses to points and explore cannot report a risk problem
         verdict = f"mandates {report.act}" if report.status == DECIDED else "no mandate"

@@ -170,8 +170,8 @@ class BodyOfKnowledge:
     """Statements accepted at one error level of a nested (or merely
     indexed) family of corpora, checked to hold together; the resolver,
     not the body, merges the event bounds they entail.  A body an
-    acceptance rule builds also records the statements of the body it
-    grew from and the statements it adds, never that body itself."""
+    acceptance rule builds also records its parent's statements, the
+    statements it adds and whether they come last, never the parent."""
 
     index: int
     error: float
@@ -200,7 +200,8 @@ def _accepted(cuts: Iterable[tuple[float, str, tuple[Statement, ...],
     bound dict grow along the walk, so each statement is checked once;
     a body that fails is checked again in full, which raises the text
     BodyOfKnowledge would.  The bodies nest, so the first one that fails
-    is the first one BodyOfKnowledge would refuse."""
+    is the first one BodyOfKnowledge would refuse.  Each body records
+    whether the statements it adds come last, as next-most-probable ones do."""
     bodies = [BodyOfKnowledge(0, 0.0, ())]
     ids: set[str] = set()
     events: dict[str, ProbInterval] = {}
@@ -216,10 +217,11 @@ def _accepted(cuts: Iterable[tuple[float, str, tuple[Statement, ...],
             ids.add(s.id)
         # built once, without __post_init__: index counts up from 1, error
         # is a level in (0, 1] or some statement's 1 - prob, and the walk
-        # has checked the statements
+        # has checked the statements; ids are unique, so the tail is added
         body = object.__new__(BodyOfKnowledge)
+        appends = statements[len(statements) - len(added):] == added
         body.__dict__.update(index=j, error=error, statements=statements,
-                             _grown_from=(bodies[-1].statements, added))
+                             _grown_from=(bodies[-1].statements, added, appends))
         bodies.append(body)
     return bodies
 
@@ -514,10 +516,11 @@ class _Resolver:
     one body after another.
 
     A body that an acceptance rule grew from the body resolved last
-    records that body's statements and the statements it adds; that
-    body's table, event bounds and per-(item, event) most specific
-    classes then carry forward, and only the (item, event) pairs, events
-    and acts that the added statements touch are recomputed.  Direct
+    carries that body's table, event bounds and per-(item, event) most
+    specific classes forward, and only the (item, event) pairs, events
+    and acts that its added statements touch are recomputed.  Added
+    statements that come last in the body are met in body order, as a
+    fresh start meets them; _added reads any others for ties.  Direct
     inference is not monotone, because a newly accepted, more specific
     class replaces the old answer, so a touched event is merged again
     from its parts instead of narrowing its old bound.  Any other body
@@ -526,11 +529,10 @@ class _Resolver:
     recomputed event, or named in the level's assertions, are visited.
 
     The first body after a fresh start that adds a frequency makes a
-    working copy of the base table, and every body, that one included,
-    adds its frequencies to the copy's in place.  The copy's entries,
-    equality and repr are the base table's, so the working table never
-    leaves the resolver: no level, error or caller is handed it.  The
-    event bounds live here too, not on the bodies, and grow the same way.
+    working copy of the base table, which it and later bodies grow in
+    place.  The copy's entries, equality and repr stay the base table's,
+    so it never leaves the resolver: no level, error or caller is handed
+    it.  The event bounds live here too, not on the bodies.
     """
 
     def __init__(self, problem: DecisionProblem, refs: ReferenceClassTable):
@@ -564,15 +566,17 @@ class _Resolver:
 
     def _added(self, body: BodyOfKnowledge) -> Sequence[Statement] | None:
         """The statements body adds to the body resolved last, when an
-        acceptance rule grew it from that one; None when body must be
-        resolved from empty."""
+        acceptance rule grew it from that one and no inserted statement
+        sets a tie's bits; None when body must be resolved from empty."""
         grown_from = body.__dict__.get("_grown_from")
         if grown_from is None or grown_from[0] is not self.last:
             return None
+        _, added, appends = grown_from
+        if appends:
+            return added
         # the bits of a repeated frequency, or of a zero endpoint met with
         # a zero of the other sign, come from whichever statement is first
         # in body order, which the carried table and bounds cannot tell
-        added = grown_from[1]
         for s in added:
             if s.kind == "class-frequency":
                 if self.table.freq(s.cls, s.event) is not None:
@@ -727,9 +731,8 @@ def level_from_body(body: BodyOfKnowledge, problem: DecisionProblem,
     complementary bounds onto the other.  extra supplies act-keyed
     interval assertions that are intersected on top.  resolver, when
     given, is one built for the same problem and table; it carries its
-    state forward when an acceptance rule grew body from the body it
-    resolved last, and otherwise resolves body from empty, as a call
-    without it does.
+    state from body to body (see _Resolver), and the level is the one a
+    call without it gives.
     """
     if resolver is None:
         resolver = _Resolver(problem, refs)
@@ -739,9 +742,8 @@ def level_from_body(body: BodyOfKnowledge, problem: DecisionProblem,
 def sequence_from_bodies(bodies: Sequence[BodyOfKnowledge],
                          problem: DecisionProblem,
                          refs: ReferenceClassTable = EMPTY_TABLE) -> CredalSequence:
-    """Credal sequence induced by resolving each body against the problem.
-    A body an acceptance rule grew from the body before it is resolved
-    from that one's state; any other body from empty."""
+    """Credal sequence induced by resolving each body against the problem,
+    through one resolver that carries its state from body to body."""
     resolver = _Resolver(problem, refs)
     return CredalSequence(tuple(
         level_from_body(body, problem, refs, resolver=resolver) for body in bodies

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .belief import MassFunction, bel, dempster_combine, discount, discount_threshold
-from .engine import DECIDED, explore
+from .engine import DECIDED, DecisionReport, explore
 from .intervals import Interval, ProbInterval
 from .knowledge import BodyOfKnowledge, CredalSequence, Statement, is_nested, level_from_body
 from .ordering import midpoint_rank
@@ -163,11 +163,14 @@ def _replicate_c() -> ReplicationResult:
     return result
 
 
-def _pooled_level_sequence(problem, event: str, value: float) -> CredalSequence:
+def _pooled_decision(doc: ProblemDocument, fixed: MassFunction, discounted: MassFunction,
+                     event: str, rate: float) -> tuple[float, DecisionReport]:
+    """Belief in event from fixed pooled with discounted at rate, and explore's report."""
+    belief = bel(dempster_combine(fixed, discount(discounted, rate)), event)
     body = BodyOfKnowledge(0, 0.0, (
-        Statement.event_interval("pooled", event, ProbInterval(value, value)),
-    ))
-    return CredalSequence((level_from_body(body, problem),))
+        Statement.event_interval("pooled", event, ProbInterval(belief, belief)),))
+    seq = CredalSequence((level_from_body(body, doc.problem),))
+    return belief, explore(doc.problem, seq, doc.tolerance)
 
 
 def _replicate_d() -> ReplicationResult:
@@ -183,11 +186,9 @@ def _replicate_d() -> ReplicationResult:
            rstar, 3.0 / 13.0, tol=1e-6)
     doc = load_fixture("example_d")
     for rate, want_act in ((0.2, "a1"), (0.25, "a2")):
-        blend = bel(dempster_combine(m1, discount(m2, rate)), "G")
+        blend, report = _pooled_decision(doc, m1, m2, "G", rate)
         want = (0.42 + 0.28 * rate) / (0.54 + 0.46 * rate)
         _value(checks, f"belief in G at discount {rate}", blend, want)
-        seq = _pooled_level_sequence(doc.problem, "G", blend)
-        report = explore(doc.problem, seq, doc.tolerance)
         _true(checks, f"discount {rate} mandates {want_act}",
               report.status == DECIDED and report.act == want_act,
               f"got {report.status}/{report.act}")

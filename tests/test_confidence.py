@@ -274,6 +274,11 @@ class TestWrittenOutContinuedFraction:
         (1.5, 12.5, 0.9375),  # c is 0 after the odd numerator of step 1
         (1.0, 7.0, 0.5),     # d is 0 after the odd numerator of step 2
         (7.5, 14.5, 0.5),    # d is 0 after the even numerator of step 3
+        # c is 0 after the even numerator of step 1, outside the domain: a
+        # search over a, b > 0 (halves to 40 with dyadic x, quarters to 20
+        # and 40 with small-denominator x) found no point that zeroes c at
+        # an even step
+        (0.0, -1.0, 1.0),
     ])
     def test_tiny_guards_match_the_loop(self, a, b, x):
         assert betacf_bits(confidence._betacf, a, b, x) == \

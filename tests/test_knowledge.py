@@ -383,10 +383,14 @@ class TestGrownBodies:
             return
         assert "_grown_from" not in bodies[0].__dict__
         for parent, body in zip(bodies, bodies[1:]):
-            held, added = body._grown_from
+            held, added, appends = body._grown_from
             assert held is parent.statements
             assert added == tuple(s for s in body.statements
                                   if all(s is not t for t in held))
+            # appends: the added statements are the tail of the body's
+            tail = body.statements[len(body.statements) - len(added):]
+            assert appends == all(s is t for s, t in zip(tail, added))
+            assert appends or rule == "threshold"
 
     def test_last_body_of_a_long_chain_copies_and_pickles(self):
         # bodies record their parent's statements, not the parent: a body
@@ -975,7 +979,25 @@ class TestIncrementalResolution:
         assert sequence_bytes(seq) == sequence_bytes(oracle_sequence(bodies, problem))
         return seq.levels[j].assignments["a1"]["G"]
 
-    def test_a_later_accepted_zero_that_comes_first_keeps_its_sign(self):
+    @staticmethod
+    def fresh_starts(monkeypatch, bodies) -> int:
+        """The _Resolver._start calls that resolving bodies makes, the
+        resolver's own included, after checking the sequence's bytes
+        against the oracle's."""
+        calls = []
+        start = knowledge._Resolver._start
+
+        def counted(self):
+            calls.append(self)
+            start(self)
+
+        problem = jerry_problem()
+        monkeypatch.setattr(knowledge._Resolver, "_start", counted)
+        seq = sequence_from_bodies(bodies, problem)
+        assert sequence_bytes(seq) == sequence_bytes(oracle_sequence(bodies, problem))
+        return len(calls)
+
+    def test_a_later_accepted_zero_that_comes_first_keeps_its_sign(self, monkeypatch):
         # `late` comes first in the corpus, so threshold body 2 lists it
         # first and its -0.0 wins the tie, though body 1 carries `early`'s
         statements = [
@@ -985,6 +1007,35 @@ class TestIncrementalResolution:
         bodies = accept_threshold(statements, [0.02, 0.1])
         assert repr(self.level_g(bodies, 1).lo) == "0.0"
         assert repr(self.level_g(bodies, 2).lo) == "-0.0"
+        # body 2 inserts a zero of the other sign, so it starts afresh
+        assert not bodies[2]._grown_from[2]
+        assert self.fresh_starts(monkeypatch, bodies) == 3
+
+    def test_an_inserted_zero_of_the_same_sign_carries_the_state(self, monkeypatch):
+        # body 2 puts `a` before `b` on G, but both zeros are +0.0, so the
+        # tie's bits are the same whichever comes first; a rule that
+        # restarted every inserting step on a key its parent holds would
+        # start a third time
+        statements = [
+            Statement.event_interval("a", "G", ProbInterval(0.0, 0.6), prob=0.95),
+            Statement.event_interval("b", "G", ProbInterval(0.0, 0.5), prob=0.99),
+        ]
+        bodies = accept_threshold(statements, [0.02, 0.1])
+        assert [s.id for s in bodies[2].statements] == ["a", "b"]
+        assert not bodies[2]._grown_from[2]
+        assert self.fresh_starts(monkeypatch, bodies) == 2
+
+    def test_next_most_probable_zeros_of_alternating_sign_never_restart(self, monkeypatch):
+        # every step appends, so the carried bound is the one resolution in
+        # body order gives, although each new zero differs in sign from the
+        # carried one: the resolver's own start and body 0's are the only two
+        n = 200
+        statements = [
+            Statement.event_interval(f"s{i}", "G", ProbInterval(-0.0 if i % 2 else 0.0, 0.9),
+                                     prob=1 - (i + 1) / (10 * n))
+            for i in range(n)]
+        bodies = accept_next_most_probable(statements)
+        assert self.fresh_starts(monkeypatch, bodies) == 2
 
     def test_a_later_accepted_zero_upper_endpoint_keeps_its_sign(self):
         statements = [
@@ -1150,7 +1201,7 @@ class TestIncrementalResolution:
                 continue
             assert i and grown_from[0] is parents[i - 1]
             body.__dict__["statements"] = IdentityOnly()
-            body.__dict__["_grown_from"] = (grown[i - 1].statements, grown_from[1])
+            body.__dict__["_grown_from"] = (grown[i - 1].statements, *grown_from[1:])
         assert sum(type(body.statements) is IdentityOnly for body in grown) == len(grown) - 1
         assert sequence_bytes(sequence_from_bodies(grown, doc.problem, doc.refs)) == want
 
