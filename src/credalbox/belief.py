@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .intervals import ProbInterval
-
 #: how far the masses may miss summing to exactly 1
 MASS_TOL = 1e-9
 
@@ -143,15 +141,6 @@ def pl(m: MassFunction, event) -> float:
     """Total mass not committed against the event."""
     ev = _as_set(m.frame, event)
     return math.fsum(v for focal, v in m.masses.items() if focal & ev)
-
-
-def bel_pl_interval(m: MassFunction, event) -> ProbInterval:
-    """The [belief, plausibility] probability bounds for an event."""
-    lo = bel(m, event)
-    hi = pl(m, event)
-    lo = min(max(lo, 0.0), 1.0)
-    hi = min(max(hi, lo), 1.0)
-    return ProbInterval(lo, hi)
 
 
 def discount_threshold(fixed: MassFunction, discounted: MassFunction,

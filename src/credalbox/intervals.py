@@ -81,26 +81,6 @@ CERTAIN = ProbInterval(1.0, 1.0)
 IMPOSSIBLE = ProbInterval(0.0, 0.0)
 
 
-def scale_add(iv: Interval, c: float, d: float) -> Interval:
-    """Image of the interval under x -> c*x + d."""
-    a = c * iv.lo + d
-    b = c * iv.hi + d
-    return Interval(min(a, b), max(a, b))
-
-
-def frechet_and(p: ProbInterval, q: ProbInterval) -> ProbInterval:
-    """Tightest bounds on P(A and B) given only marginal bounds on A and B.
-
-    Nothing is assumed about how the two events interact, so the lower
-    bound is max(0, p.lo + q.lo - 1) and the upper is min(p.hi, q.hi).
-    The lower bound never exceeds the upper in exact arithmetic, but the
-    float sum can round just above it (1.0 + x - 1.0 > x for some x), so
-    it is capped at the upper bound.
-    """
-    hi = min(p.hi, q.hi)
-    return ProbInterval(min(max(0.0, p.lo + q.lo - 1.0), hi), hi)
-
-
 def intersect(p: ProbInterval, q: ProbInterval) -> ProbInterval | None:
     """Intersection of two probability intervals, or None when disjoint."""
     lo = max(p.lo, q.lo)

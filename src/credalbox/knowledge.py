@@ -18,7 +18,6 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from itertools import pairwise
-from math import copysign
 from operator import gt, lt
 from typing import Iterable, Mapping, Sequence
 
@@ -169,9 +168,10 @@ def _check_index_error(what: str, index: int, error: float) -> None:
 class BodyOfKnowledge:
     """Statements accepted at one error level of a nested (or merely
     indexed) family of corpora, checked to hold together; the resolver,
-    not the body, merges the event bounds they entail.  A body an
-    acceptance rule builds also records its parent's statements, the
-    statements it adds and whether they come last, never the parent."""
+    not the body, merges the event bounds they entail.  Both acceptance
+    rules list a body's statements most probable first, ties in corpus
+    order, so each body they build extends its parent's statements; it
+    records those and the statements it adds, never the parent."""
 
     index: int
     error: float
@@ -192,21 +192,22 @@ def _check_error_level(eps: float, previous: float | None) -> None:
         raise ValueError("error levels must be strictly increasing")
 
 
-def _accepted(cuts: Iterable[tuple[float, str, tuple[Statement, ...],
-                                   tuple[Statement, ...]]]) -> list[BodyOfKnowledge]:
+def _accepted(ordered: tuple[Statement, ...],
+              cuts: Iterable[tuple[float, str, int]]) -> list[BodyOfKnowledge]:
     """Bodies K_0..K_m, K_j from the j-th cut: its error, the text after
-    "body j" in its errors, its statements, and the statements it adds
-    to K_{j-1}, whose statements it holds.  One id set and one event
-    bound dict grow along the walk, so each statement is checked once;
-    a body that fails is checked again in full, which raises the text
-    BodyOfKnowledge would.  The bodies nest, so the first one that fails
-    is the first one BodyOfKnowledge would refuse.  Each body records
-    whether the statements it adds come last, as next-most-probable ones do."""
+    "body j" in its errors, and k_j.  K_j holds the first k_j of the
+    ordered statements, so it adds their tail past K_{j-1}'s.  One id
+    set and one event bound dict grow along the walk, so each statement
+    is checked once; a body that fails is checked again in full, which
+    raises the text BodyOfKnowledge would.  The bodies nest, so the
+    first one that fails is the first one BodyOfKnowledge would refuse."""
     bodies = [BodyOfKnowledge(0, 0.0, ())]
     ids: set[str] = set()
     events: dict[str, ProbInterval] = {}
-    for j, (error, where, statements, added) in enumerate(cuts, start=1):
+    for j, (error, where, k) in enumerate(cuts, start=1):
         _refuse_bool("body error", error, "a number")
+        parent = bodies[-1].statements
+        statements, added = ordered[:k], ordered[len(parent):k]
         for s in added:
             if s.id in ids or (s.kind in _EVENT_KINDS
                                and not _meet(events, s.event, _event_bound(s))):
@@ -217,11 +218,10 @@ def _accepted(cuts: Iterable[tuple[float, str, tuple[Statement, ...],
             ids.add(s.id)
         # built once, without __post_init__: index counts up from 1, error
         # is a level in (0, 1] or some statement's 1 - prob, and the walk
-        # has checked the statements; ids are unique, so the tail is added
+        # has checked the statements
         body = object.__new__(BodyOfKnowledge)
-        appends = statements[len(statements) - len(added):] == added
         body.__dict__.update(index=j, error=error, statements=statements,
-                             _grown_from=(bodies[-1].statements, added, appends))
+                             _grown_from=(parent, added))
         bodies.append(body)
     return bodies
 
@@ -229,24 +229,29 @@ def _accepted(cuts: Iterable[tuple[float, str, tuple[Statement, ...],
 def accept_threshold(statements: Sequence[Statement],
                      error_levels: Sequence[float]) -> list[BodyOfKnowledge]:
     """Bodies K_0..K_m where K_j holds the statements with 1 - prob below
-    the j-th error level.  K_0 is always the empty body at error 0."""
+    the j-th error level, most probable first, ties in corpus order.
+    1 - prob never falls along that order, so K_j is its first k_j
+    statements, and one pointer walk finds each k_j as the level rises.
+    K_0 is always the empty body at error 0."""
     levels = list(error_levels)
+    ordered = tuple(sorted(statements, key=lambda s: -s.prob))
+    cuts, k = [], 0
     for j, eps in enumerate(levels):
         _check_error_level(eps, levels[j - 1] if j else None)
-    return _accepted(
-        (eps, f" at error level {eps}",
-         tuple(s for s in statements if 1.0 - s.prob < eps),
-         tuple(s for s in statements if previous <= 1.0 - s.prob < eps))
-        for previous, eps in zip([0.0, *levels], levels))
+        while k < len(ordered) and 1.0 - ordered[k].prob < eps:
+            k += 1
+        cuts.append((eps, f" at error level {eps}", k))
+    return _accepted(ordered, cuts)
 
 
 def accept_next_most_probable(statements: Sequence[Statement]) -> list[BodyOfKnowledge]:
-    """Bodies K_0..K_n grown one statement at a time, most probable first;
-    each body's error is the largest improbability accepted so far, which
-    is the last one's, since 1 - prob never falls along that order."""
+    """Bodies K_0..K_n grown one statement at a time, most probable first,
+    ties in corpus order; each body's error is the largest improbability
+    accepted so far, which is the last one's, since 1 - prob never falls
+    along that order."""
     ordered = tuple(sorted(statements, key=lambda s: -s.prob))
-    return _accepted((1.0 - s.prob, "", ordered[:j], (s,))
-                     for j, s in enumerate(ordered, start=1))
+    return _accepted(ordered, ((1.0 - s.prob, "", j)
+                               for j, s in enumerate(ordered, start=1)))
 
 
 def _first_on_cycle(succ: Mapping[str, list[str]]) -> str:
@@ -518,9 +523,11 @@ class _Resolver:
     A body that an acceptance rule grew from the body resolved last
     carries that body's table, event bounds and per-(item, event) most
     specific classes forward, and only the (item, event) pairs, events
-    and acts that its added statements touch are recomputed.  Added
-    statements that come last in the body are met in body order, as a
-    fresh start meets them; _added reads any others for ties.  Direct
+    and acts that its added statements touch are recomputed.  Both
+    rules list a body most probable first, so the added statements are
+    its last: they are met in body order, as a fresh start meets them,
+    and a tied zero or a repeated frequency keeps the bits of the first
+    statement in body order.  Direct
     inference is not monotone, because a newly accepted, more specific
     class replaces the old answer, so a touched event is merged again
     from its parts instead of narrowing its old bound.  Any other body
@@ -566,27 +573,13 @@ class _Resolver:
 
     def _added(self, body: BodyOfKnowledge) -> Sequence[Statement] | None:
         """The statements body adds to the body resolved last, when an
-        acceptance rule grew it from that one and no inserted statement
-        sets a tie's bits; None when body must be resolved from empty."""
+        acceptance rule grew it from that one: they follow that body's
+        statements in body order.  None when body must be resolved from
+        empty."""
         grown_from = body.__dict__.get("_grown_from")
         if grown_from is None or grown_from[0] is not self.last:
             return None
-        _, added, appends = grown_from
-        if appends:
-            return added
-        # the bits of a repeated frequency, or of a zero endpoint met with
-        # a zero of the other sign, come from whichever statement is first
-        # in body order, which the carried table and bounds cannot tell
-        for s in added:
-            if s.kind == "class-frequency":
-                if self.table.freq(s.cls, s.event) is not None:
-                    return None
-            elif s.kind in _EVENT_KINDS and s.event in self.events:
-                old, new = self.events[s.event], _event_bound(s)
-                if any(x == y == 0.0 and copysign(1.0, x) != copysign(1.0, y)
-                       for x, y in ((old.lo, new.lo), (old.hi, new.hi))):
-                    return None
-        return added
+        return grown_from[1]
 
     def _touched(self, added: Sequence[Statement]) -> dict[tuple[str, str], list[str]]:
         """(item, event) pairs that gain usable classes, with the classes."""

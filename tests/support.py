@@ -489,10 +489,12 @@ def oracle_accept_next_most_probable(statements) -> list:
 
 def oracle_accept_threshold(statements, error_levels) -> list:
     """Oracle for accept_threshold: each body built from scratch out of
-    the statements below its level, in corpus order."""
+    the statements below its level, most probable first, ties in corpus
+    order."""
+    ranked = sorted(statements, key=lambda s: -s.prob)
     bodies = [BodyOfKnowledge(0, 0.0, ())]
     for j, eps in enumerate(error_levels, start=1):
-        filtered = tuple(s for s in statements if 1.0 - s.prob < eps)
+        filtered = tuple(s for s in ranked if 1.0 - s.prob < eps)
         try:
             bodies.append(BodyOfKnowledge(j, eps, filtered))
         except InconsistentBodyError as exc:

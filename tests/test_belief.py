@@ -12,7 +12,6 @@ from credalbox import (
     MassFunction,
     TotalConflictError,
     bel,
-    bel_pl_interval,
     dempster_combine,
     discount,
     discount_threshold,
@@ -285,25 +284,30 @@ class TestDempsterCombine:
 class TestBelPl:
     def test_point_belief_after_combination(self):
         m = dempster_combine(binary(0.7, 0.3), binary(0.6, 0.4))
-        iv = bel_pl_interval(m, {"G"})
-        assert iv.lo == pytest.approx(0.42 / 0.54)
-        assert iv.hi == pytest.approx(0.42 / 0.54)
-        assert iv.width == pytest.approx(0.0, abs=1e-15)
+        assert bel(m, {"G"}) == pytest.approx(0.42 / 0.54)
+        assert pl(m, {"G"}) == pytest.approx(0.42 / 0.54)
 
     def test_vacuous_is_maximally_open(self):
-        iv = bel_pl_interval(MassFunction.vacuous(FRAME), {"G"})
-        assert (iv.lo, iv.hi) == (0.0, 1.0)
+        vacuous = MassFunction.vacuous(FRAME)
+        assert (bel(vacuous, {"G"}), pl(vacuous, {"G"})) == (0.0, 1.0)
 
     def test_partial_support(self):
         m = binary(0.5, 0.0, 0.5)
-        iv = bel_pl_interval(m, {"G"})
-        assert (iv.lo, iv.hi) == (0.5, 1.0)
+        assert (bel(m, {"G"}), pl(m, {"G"})) == (0.5, 1.0)
 
     def test_bel_pl_duality(self):
         rng = random.Random(19)
         for _ in range(50):
             m = random_binary(rng)
             assert bel(m, {"G"}) == pytest.approx(1.0 - pl(m, {"not-G"}))
+
+    def test_belief_never_exceeds_plausibility(self):
+        rng = random.Random(23)
+        events = [{"G"}, {"not-G"}, set(FRAME)]
+        for _ in range(50):
+            m = random_binary(rng, floor=0.0)
+            for event in events:
+                assert 0.0 <= bel(m, event) <= pl(m, event)
 
     def test_whole_frame(self):
         m = binary(0.2, 0.3, 0.5)

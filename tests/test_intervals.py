@@ -16,9 +16,7 @@ from credalbox import (
     Interval,
     ProbInterval,
     dominates,
-    frechet_and,
     intersect,
-    scale_add,
 )
 from credalbox.intervals import _unchecked
 from support import full_interval_checks, interval_close, prob_intervals, utility_intervals
@@ -172,57 +170,6 @@ class TestSlots:
         assert str(caught.value) == "lower endpoint 0.75 exceeds upper endpoint 0.5"
 
 
-class TestScaleAdd:
-    def test_affine_image_of_unit(self):
-        assert interval_close(scale_add(Interval(0.0, 1.0), 40.0, -30.0), -30.0, 10.0)
-
-    def test_even_lottery_on_event(self):
-        assert interval_close(scale_add(Interval(0.6, 0.8), 2.0, -1.0), 0.2, 0.6)
-
-    def test_constant_map(self):
-        assert interval_close(scale_add(Interval(0.5, 0.5), 0.0, 7.0), 7.0, 7.0)
-
-    def test_negative_scale_swaps_endpoints(self):
-        assert interval_close(scale_add(Interval(1.0, 2.0), -3.0, 0.0), -6.0, -3.0)
-
-
-class TestFrechetAnd:
-    def test_two_near_certain_conjuncts(self):
-        got = frechet_and(ProbInterval(0.9, 1.0), ProbInterval(0.95, 1.0))
-        assert interval_close(got, 0.85, 1.0)
-
-    def test_conjunction_with_certainty(self):
-        got = frechet_and(ProbInterval(1.0, 1.0), ProbInterval(0.3, 0.7))
-        assert interval_close(got, 0.3, 0.7)
-
-    def test_low_marginals_floor_at_zero(self):
-        got = frechet_and(ProbInterval(0.2, 0.4), ProbInterval(0.3, 0.5))
-        assert interval_close(got, 0.0, 0.4)
-
-    def test_certain_conjunct_with_rounding_point(self):
-        # 1.0 + x - 1.0 rounds above x for this x.
-        x = 0.7216369042122349
-        got = frechet_and(ProbInterval(1.0, 1.0), ProbInterval(x, x))
-        assert got.lo <= got.hi == x
-
-    @given(prob_intervals(), prob_intervals())
-    def test_result_is_a_probability_interval(self, p, q):
-        got = frechet_and(p, q)
-        assert 0.0 <= got.lo <= got.hi <= 1.0
-
-    @given(prob_intervals(), prob_intervals(),
-           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    def test_contains_every_independent_product(self, p, q, s, t):
-        x = p.lo + s * (p.hi - p.lo)
-        y = q.lo + t * (q.hi - q.lo)
-        got = frechet_and(p, q)
-        assert got.lo - 1e-12 <= x * y <= got.hi + 1e-12
-
-    @given(prob_intervals(), prob_intervals())
-    def test_commutative(self, p, q):
-        assert frechet_and(p, q) == frechet_and(q, p)
-
-
 class TestDominates:
     def test_separated_intervals(self):
         assert dominates(Interval(0.0, 10.0), Interval(-3.0, -1.5))
@@ -301,3 +248,11 @@ class TestIntersect:
         if got is not None:
             assert got.lo == max(p.lo, q.lo)
             assert got.hi == min(p.hi, q.hi)
+
+    @given(prob_intervals(), prob_intervals())
+    def test_none_exactly_when_disjoint(self, p, q):
+        assert (intersect(p, q) is None) == (max(p.lo, q.lo) > min(p.hi, q.hi))
+
+    @given(prob_intervals(), prob_intervals())
+    def test_commutative(self, p, q):
+        assert intersect(p, q) == intersect(q, p)

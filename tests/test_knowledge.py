@@ -218,8 +218,51 @@ class TestAcceptThreshold:
             ids_later = {s.id for s in later.statements}
             assert ids_earlier <= ids_later
 
+    def test_bodies_list_the_most_probable_first(self):
+        # each level's new statements follow the old ones, wherever the
+        # corpus lists them
+        statements = [
+            Statement.condition("a", "E1", prob=0.9),
+            Statement.condition("b", "E2", prob=0.99),
+            Statement.condition("c", "E3", prob=0.95),
+        ]
+        bodies = accept_threshold(statements, [0.02, 0.06, 0.2])
+        assert [[s.id for s in b.statements] for b in bodies] == [
+            [], ["b"], ["b", "c"], ["b", "c", "a"]]
+
+    def test_corpus_order_is_left_alone(self):
+        statements = [Statement.condition(f"s{i}", f"E{i}", prob=p)
+                      for i, p in enumerate((0.9, 0.99, 0.95, 0.99))]
+        before = list(statements)
+        accept_threshold(statements, [0.02, 0.2])
+        accept_next_most_probable(statements)
+        assert all(s is t for s, t in zip(statements, before))
+
+    def test_a_level_that_adds_nothing_keeps_its_parents_statements(self):
+        s = Statement.condition("seen", "G", prob=0.99)
+        bodies = accept_threshold([s], [0.02, 0.03, 0.04])
+        for parent, body in zip(bodies[1:], bodies[2:]):
+            assert body.statements == parent.statements
+            held, added = body._grown_from
+            assert held is parent.statements and added == ()
+
+    def test_conflict_names_statements_most_probable_first(self):
+        # the corpus lists them least probable first; the message follows
+        # the body's order
+        statements = [
+            Statement.event_interval("d", "G", ProbInterval(0.7, 1.0), prob=0.97),
+            Statement.event_interval("c", "G", ProbInterval(0.4, 1.0), prob=0.98),
+            Statement.event_interval("a", "G", ProbInterval(0.0, 0.6), prob=1.0),
+        ]
+        with pytest.raises(InconsistentBodyError) as caught:
+            accept_threshold(statements, [0.025, 0.05])
+        assert str(caught.value) == (
+            "body 2 at error level 0.05: "
+            "statements 'a', 'c', 'd' cannot all hold for event 'G'")
+
     # 1 - p < eps is monotone in p in floats, so every threshold body is a
-    # prefix of one stable most-probable-first order.  Drawn: ties, the
+    # prefix of one stable most-probable-first order, as every
+    # next-most-probable body is, and lists it in that order.  Drawn: ties, the
     # credences next to 1 (0.9999999999999999 is 1 - 2**-53, whose 1 - p
     # is exact) against levels at and between their gaps, and tiny ones
     # whose 1 - p rounds to 1
@@ -231,14 +274,19 @@ class TestAcceptThreshold:
            st.lists(st.sampled_from([2.0 ** -54, 2.0 ** -53, 1.5 * 2.0 ** -53,
                                      2.0 ** -52, 0.01, 0.05, 0.5, 1.0])
                     | st.floats(0.0, 1.0, exclude_min=True),
-                    min_size=1, max_size=5, unique=True).map(sorted))
-    def test_bodies_are_prefixes_of_the_most_probable_order(self, probs, levels):
+                    min_size=1, max_size=5, unique=True).map(sorted),
+           st.sampled_from(["next-most-probable", "threshold"]))
+    def test_bodies_are_prefixes_of_the_most_probable_order(self, probs, levels, rule):
         corpus = [Statement.membership(f"s{i}", f"item{i}", "C", prob=p)
                   for i, p in enumerate(probs)]
         ranked = sorted(corpus, key=lambda s: -s.prob)
-        for body in accept_threshold(corpus, levels):
+        bodies = (accept_threshold(corpus, levels) if rule == "threshold"
+                  else accept_next_most_probable(corpus))
+        for body in bodies:
             size = len(body.statements)
-            assert {s.id for s in body.statements} == {s.id for s in ranked[:size]}
+            # the same objects in the same order
+            assert body.statements == tuple(ranked[:size])
+            assert all(s is t for s, t in zip(body.statements, ranked))
 
     def test_a_true_last_level_is_refused_after_the_bodies_before_it(self):
         # True passes as the level 1.0, but a body's error is written as a number
@@ -332,9 +380,11 @@ class TestGrownBodies:
             return
         got = accept_threshold(statements, levels)
         assert got == want and repr(got) == repr(want)
+        # each body adds the statements its parent lacks, most probable first
+        ranked = sorted(statements, key=lambda s: -s.prob)
         for parent, body in zip(got, got[1:]):
             assert body._grown_from[1] == tuple(
-                s for s in statements
+                s for s in ranked
                 if any(s is t for t in body.statements)
                 and all(s is not t for t in parent.statements))
 
@@ -383,14 +433,11 @@ class TestGrownBodies:
             return
         assert "_grown_from" not in bodies[0].__dict__
         for parent, body in zip(bodies, bodies[1:]):
-            held, added, appends = body._grown_from
+            held, added = body._grown_from
             assert held is parent.statements
-            assert added == tuple(s for s in body.statements
-                                  if all(s is not t for t in held))
-            # appends: the added statements are the tail of the body's
-            tail = body.statements[len(body.statements) - len(added):]
-            assert appends == all(s is t for s, t in zip(tail, added))
-            assert appends or rule == "threshold"
+            # the body extends its parent: held, then added, same objects
+            assert len(body.statements) == len(held) + len(added)
+            assert all(s is t for s, t in zip(body.statements, held + added))
 
     def test_last_body_of_a_long_chain_copies_and_pickles(self):
         # bodies record their parent's statements, not the parent: a body
@@ -997,32 +1044,40 @@ class TestIncrementalResolution:
         assert sequence_bytes(seq) == sequence_bytes(oracle_sequence(bodies, problem))
         return len(calls)
 
-    def test_a_later_accepted_zero_that_comes_first_keeps_its_sign(self, monkeypatch):
-        # `late` comes first in the corpus, so threshold body 2 lists it
-        # first and its -0.0 wins the tie, though body 1 carries `early`'s
+    def test_a_later_accepted_zero_follows_the_earlier_ones_sign(self, monkeypatch):
+        # `late` comes first in the corpus, but threshold body 2 lists it
+        # after `early`, as the tail it adds to body 1, so `early`'s 0.0
+        # wins the tie at both levels and body 2 is grown from body 1's state
         statements = [
             Statement.event_interval("late", "G", ProbInterval(-0.0, 0.5), prob=0.95),
             Statement.event_interval("early", "G", ProbInterval(0.0, 0.5), prob=0.99),
         ]
         bodies = accept_threshold(statements, [0.02, 0.1])
+        assert [s.id for s in bodies[2].statements] == ["early", "late"]
+        assert [s.id for s in bodies[2]._grown_from[1]] == ["late"]
         assert repr(self.level_g(bodies, 1).lo) == "0.0"
-        assert repr(self.level_g(bodies, 2).lo) == "-0.0"
-        # body 2 inserts a zero of the other sign, so it starts afresh
-        assert not bodies[2]._grown_from[2]
-        assert self.fresh_starts(monkeypatch, bodies) == 3
+        assert repr(self.level_g(bodies, 2).lo) == "0.0"
+        assert self.fresh_starts(monkeypatch, bodies) == 2
 
     def test_an_inserted_zero_of_the_same_sign_carries_the_state(self, monkeypatch):
-        # body 2 puts `a` before `b` on G, but both zeros are +0.0, so the
-        # tie's bits are the same whichever comes first; a rule that
-        # restarted every inserting step on a key its parent holds would
-        # start a third time
+        # `a` comes first in the corpus but is accepted after `b`, so body
+        # 2 adds it after `b` instead of inserting it before; body 2 is
+        # grown from body 1's state, and `b`'s tighter upper bound holds
         statements = [
             Statement.event_interval("a", "G", ProbInterval(0.0, 0.6), prob=0.95),
             Statement.event_interval("b", "G", ProbInterval(0.0, 0.5), prob=0.99),
         ]
         bodies = accept_threshold(statements, [0.02, 0.1])
-        assert [s.id for s in bodies[2].statements] == ["a", "b"]
-        assert not bodies[2]._grown_from[2]
+        assert [s.id for s in bodies[2].statements] == ["b", "a"]
+        assert [s.id for s in bodies[2]._grown_from[1]] == ["a"]
+        assert self.level_g(bodies, 2) == ProbInterval(0.0, 0.5)
+        assert self.fresh_starts(monkeypatch, bodies) == 2
+
+    def test_a_level_that_adds_nothing_carries_the_state(self, monkeypatch):
+        statements = [
+            Statement.event_interval("s", "G", ProbInterval(-0.0, 0.5), prob=0.99)]
+        bodies = accept_threshold(statements, [0.02, 0.05, 0.1])
+        assert repr(self.level_g(bodies, 3).lo) == "-0.0"
         assert self.fresh_starts(monkeypatch, bodies) == 2
 
     def test_next_most_probable_zeros_of_alternating_sign_never_restart(self, monkeypatch):
@@ -1037,14 +1092,28 @@ class TestIncrementalResolution:
         bodies = accept_next_most_probable(statements)
         assert self.fresh_starts(monkeypatch, bodies) == 2
 
-    def test_a_later_accepted_zero_upper_endpoint_keeps_its_sign(self):
+    def test_threshold_zeros_of_alternating_sign_never_restart(self, monkeypatch):
+        # listed least probable first, so each level's new statements
+        # come before the old ones in the corpus; every body still lists
+        # them last, and the resolver's own start and body 0's are the
+        # only two
+        n = 200
+        statements = [
+            Statement.event_interval(f"s{i}", "G", ProbInterval(-0.0 if i % 2 else 0.0, 0.9),
+                                     prob=1 - (i + 1) / (10 * n))
+            for i in reversed(range(n))]
+        bodies = accept_threshold(statements, [(k + 1) / 200 for k in range(20)])
+        assert len(bodies) == 21 and len(bodies[-1].statements) == n
+        assert self.fresh_starts(monkeypatch, bodies) == 2
+
+    def test_a_later_accepted_zero_upper_endpoint_follows_the_earlier_sign(self):
         statements = [
             Statement.event_interval("late", "G", ProbInterval(0.0, -0.0), prob=0.95),
             Statement.condition("early", "G", False, prob=0.99),
         ]
         bodies = accept_threshold(statements, [0.02, 0.1])
         assert repr(self.level_g(bodies, 1).hi) == "0.0"
-        assert repr(self.level_g(bodies, 2).hi) == "-0.0"
+        assert repr(self.level_g(bodies, 2).hi) == "0.0"
 
     def test_next_most_probable_zeros_keep_the_first_sign(self):
         # growth order is body order here, so the carried -0.0 stays
@@ -1221,11 +1290,13 @@ class TestIncrementalResolution:
         assert got == [None, None, ProbInterval(0.2, 0.9), ProbInterval(0.2, 0.9),
                        ProbInterval(0.1, 0.3)]
 
-    def test_repeated_frequency_follows_body_order(self):
-        # body 2 lists the -0.0 frequency first, although body 1 accepted
-        # the 0.0 one, so the first entry in body order is the -0.0 one
+    @staticmethod
+    def repeated_frequency_signs(late_prob):
+        """The sign of G's lower bound at levels 1 and 2 when `late`
+        (-0.0, listed first) and `early` (0.0, credence 0.99) give class
+        c the same frequency."""
         statements = [
-            Statement.class_frequency("late", "c", "G", ProbInterval(-0.0, 0.5), 0.95),
+            Statement.class_frequency("late", "c", "G", ProbInterval(-0.0, 0.5), late_prob),
             Statement.class_frequency("early", "c", "G", ProbInterval(0.0, 0.5), 0.99),
             Statement.membership("m", "i", "c", 0.99),
         ]
@@ -1233,12 +1304,21 @@ class TestIncrementalResolution:
         seq = sequence_from_bodies(bodies, jerry_problem())
         assert sequence_bytes(seq) == sequence_bytes(
             oracle_sequence(bodies, jerry_problem()))
-        assert [math.copysign(1.0, lvl.assignments["a1"]["G"].lo)
-                for lvl in seq.levels[1:]] == [1.0, -1.0]
+        return [math.copysign(1.0, lvl.assignments["a1"]["G"].lo)
+                for lvl in seq.levels[1:]]
+
+    def test_repeated_frequency_follows_body_order(self):
+        # `late` comes first in the corpus; accepted after `early`, it
+        # follows it in body order, so `early`'s 0.0 wins
+        assert self.repeated_frequency_signs(0.95) == [1.0, 1.0]
+
+    def test_repeated_frequency_tied_in_credence_follows_corpus_order(self):
+        # a tie in credence keeps corpus order, so `late`'s -0.0 wins
+        assert self.repeated_frequency_signs(0.99) == [-1.0, -1.0]
 
     def test_conflicting_frequencies_named_in_body_order(self):
-        # in body order 'd' conflicts first, though the body before
-        # already held the entry that the new 'c' statement conflicts with
+        # body 2 adds 'c2' and then 'd2' to body 1's 'd1' and 'c1', so in
+        # body order 'c' conflicts first, on the grown state as from empty
         statements = [
             Statement.class_frequency("d1", "d", "G", ProbInterval(0.1, 0.2), 0.99),
             Statement.class_frequency("c2", "c", "G", ProbInterval(0.3, 0.4), 0.95),
@@ -1246,8 +1326,10 @@ class TestIncrementalResolution:
             Statement.class_frequency("c1", "c", "G", ProbInterval(0.7, 0.8), 0.99),
         ]
         bodies = accept_threshold(statements, [0.02, 0.1])
-        with pytest.raises(ValueError, match="^class 'd' has two different"):
-            sequence_from_bodies(bodies, jerry_problem())
+        assert [s.id for s in bodies[2].statements] == ["d1", "c1", "c2", "d2"]
+        for resolve in (sequence_from_bodies, oracle_sequence):
+            with pytest.raises(ValueError, match="^class 'c' has two different"):
+                resolve(bodies, jerry_problem())
 
     @pytest.mark.parametrize("x_statements,message", [
         ((Statement.membership("x1", "x", "n1"), Statement.membership("x2", "x", "s1")),

@@ -9,15 +9,19 @@ for the tracer though it no longer calls them (their table in
 perfbench/tracing.py says why each stays).  A private function, class
 or constant (one named with a single leading underscore) that no
 runtime module reads is dead the same way: a constant left behind by
-the loop that used it, say.
+the loop that used it, say.  So is an exported name that no runtime
+module reads and README.md never names: only its own tests call it.
 """
 
 import ast
+import re
 from pathlib import Path
 
+import credalbox
 from test_tracing_places import tracing_tables
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "credalbox"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "credalbox"
 
 
 def unused_imports(tree):
@@ -106,3 +110,25 @@ def test_runtime_modules_read_every_private_definition():
         if private not in read
     ]
     assert dead == []
+
+
+def unread_exports(names, trees, readme):
+    """Every one of names that no tree reads and the readme text never names."""
+    read = set().union(*map(read_names, trees))
+    named = set(re.findall(r"\w+", readme))
+    return [name for name in names if name not in read | named]
+
+
+def test_finds_unread_exported_names():
+    trees = [ast.parse("from .intervals import frechet_and\n"
+                       "def f(a, b):\n    return intersect(a, b)\n")]
+    readme = "`bel(m, event)` is the belief in an event."
+    assert unread_exports(["intersect", "bel", "frechet_and", "scale_add"],
+                          trees, readme) == ["frechet_and", "scale_add"]
+
+
+def test_every_exported_name_is_read_or_documented():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert unread_exports(credalbox.__all__, trees, readme) == []
