@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from itertools import pairwise
+from itertools import chain, pairwise
 from operator import gt, lt
 from typing import Iterable, Mapping, Sequence
 
@@ -164,21 +164,43 @@ def _check_index_error(what: str, index: int, error: float) -> None:
         raise ValueError(f"{what} error must lie in [0, 1], got {error!r}")
 
 
+class _Cut(tuple):
+    """(order, k): the first k statements of an order that the bodies of
+    one acceptance walk share."""
+
+    __slots__ = ()
+
+
+class _Statements:
+    """BodyOfKnowledge.statements.  A constructed body stores its tuple;
+    a body an acceptance rule builds stores a _Cut, sliced only when
+    something reads it.  Read on the class, it is the field's default."""
+
+    def __get__(self, body, owner=None):
+        held = () if body is None else body.__dict__["statements"]
+        return held[0][:held[1]] if type(held) is _Cut else held
+
+    def __set__(self, body, value):
+        body.__dict__["statements"] = tuple(value)
+
+
 @dataclass(frozen=True)
 class BodyOfKnowledge:
     """Statements accepted at one error level of a nested (or merely
     indexed) family of corpora, checked to hold together; the resolver,
     not the body, merges the event bounds they entail.  Both acceptance
     rules list a body's statements most probable first, ties in corpus
-    order, so each body they build extends its parent's statements; it
-    records those and the statements it adds, never the parent."""
+    order, so each body they build is a cut of one shared order: it
+    stores (order, k), not its own tuple, and that cut is all the
+    resolver needs to tell that it extends the body resolved before it.
+    Equality, hash, repr, copies and pickles read the statements as the
+    tuple a constructor-built twin holds."""
 
     index: int
     error: float
-    statements: tuple[Statement, ...] = ()
+    statements: tuple[Statement, ...] = _Statements()
 
     def __post_init__(self):
-        object.__setattr__(self, "statements", tuple(self.statements))
         _check_index_error("body", self.index, self.error)
         _merged_events(self.statements)
 
@@ -195,33 +217,34 @@ def _check_error_level(eps: float, previous: float | None) -> None:
 def _accepted(ordered: tuple[Statement, ...],
               cuts: Iterable[tuple[float, str, int]]) -> list[BodyOfKnowledge]:
     """Bodies K_0..K_m, K_j from the j-th cut: its error, the text after
-    "body j" in its errors, and k_j.  K_j holds the first k_j of the
-    ordered statements, so it adds their tail past K_{j-1}'s.  One id
-    set and one event bound dict grow along the walk, so each statement
-    is checked once; a body that fails is checked again in full, which
-    raises the text BodyOfKnowledge would.  The bodies nest, so the
-    first one that fails is the first one BodyOfKnowledge would refuse."""
-    bodies = [BodyOfKnowledge(0, 0.0, ())]
+    "body j" in its errors, and k_j; K_0 is the cut at error 0 and k 0.
+    K_j holds the first k_j of the ordered statements and stores them as
+    the cut (ordered, k_j), so it adds ordered[k_{j-1}:k_j] to K_{j-1}.
+    One id set and one event bound dict grow along the walk, so each
+    statement is checked once; a body that fails is checked again in
+    full, which raises the text BodyOfKnowledge would.  The bodies nest,
+    so the first one that fails is the first one BodyOfKnowledge would
+    refuse."""
+    bodies: list[BodyOfKnowledge] = []
     ids: set[str] = set()
     events: dict[str, ProbInterval] = {}
-    for j, (error, where, k) in enumerate(cuts, start=1):
+    done = 0
+    for j, (error, where, k) in enumerate(chain([(0.0, "", 0)], cuts)):
         _refuse_bool("body error", error, "a number")
-        parent = bodies[-1].statements
-        statements, added = ordered[:k], ordered[len(parent):k]
-        for s in added:
+        for s in ordered[done:k]:
             if s.id in ids or (s.kind in _EVENT_KINDS
                                and not _meet(events, s.event, _event_bound(s))):
                 try:
-                    _merged_events(statements)
+                    _merged_events(ordered[:k])
                 except InconsistentBodyError as exc:
                     raise InconsistentBodyError(f"body {j}{where}: {exc}") from exc
             ids.add(s.id)
-        # built once, without __post_init__: index counts up from 1, error
-        # is a level in (0, 1] or some statement's 1 - prob, and the walk
-        # has checked the statements
+        done = k
+        # built once, without __post_init__: index counts up from 0, error
+        # is 0, a level in (0, 1] or some statement's 1 - prob, and the
+        # walk has checked the statements
         body = object.__new__(BodyOfKnowledge)
-        body.__dict__.update(index=j, error=error, statements=statements,
-                             _grown_from=(parent, added))
+        body.__dict__.update(index=j, error=error, statements=_Cut((ordered, k)))
         bodies.append(body)
     return bodies
 
@@ -520,18 +543,20 @@ class _Resolver:
     """Resolves bodies of knowledge against one problem and base table,
     one body after another.
 
-    A body that an acceptance rule grew from the body resolved last
-    carries that body's table, event bounds and per-(item, event) most
-    specific classes forward, and only the (item, event) pairs, events
-    and acts that its added statements touch are recomputed.  Both
-    rules list a body most probable first, so the added statements are
-    its last: they are met in body order, as a fresh start meets them,
-    and a tied zero or a repeated frequency keeps the bits of the first
-    statement in body order.  Direct
-    inference is not monotone, because a newly accepted, more specific
-    class replaces the old answer, so a touched event is merged again
-    from its parts instead of narrowing its old bound.  Any other body
-    (levels-form, hand-built, or one after an assertion or an error) is
+    The resolver keeps the statements value the body resolved last
+    stores, a cut (order, k) when an acceptance rule built it.  A body
+    whose cut has the same order and a k no smaller carries that body's
+    table, event bounds and per-(item, event) most specific classes
+    forward, and only the (item, event) pairs, events and acts that the
+    statements order[last k:k] touch are recomputed; bodies between the
+    two may be skipped.  Those statements come last in the body, so
+    they are met in body order, as a fresh start meets them, and a tied
+    zero or a repeated frequency keeps the bits of the first statement
+    in body order.  Direct inference is not monotone, because a newly
+    accepted, more specific class replaces the old answer, so a touched
+    event is merged again from its parts instead of narrowing its old
+    bound.  Any other body (levels-form, hand-built, a shorter cut or
+    one of another order, or one after an assertion or an error) is
     resolved from empty.  Either way only the acts with an outcome on a
     recomputed event, or named in the level's assertions, are visited.
 
@@ -549,8 +574,9 @@ class _Resolver:
         self._start()
 
     def _start(self) -> None:
-        # the statements of the body resolved last; None after assertions or an error
-        self.last: tuple[Statement, ...] | None = None
+        # the statements value the body resolved last stores (a _Cut when
+        # an acceptance rule built it); None after assertions or an error
+        self.last: _Cut | tuple[Statement, ...] | None = None
         # the base table until a body adds a frequency, then the working
         # table that later bodies grow in place (see the class docstring)
         self.table = self.refs
@@ -572,14 +598,15 @@ class _Resolver:
         self.checked: list[_Bounds | None] = [None] * len(self.boxes)
 
     def _added(self, body: BodyOfKnowledge) -> Sequence[Statement] | None:
-        """The statements body adds to the body resolved last, when an
-        acceptance rule grew it from that one: they follow that body's
-        statements in body order.  None when body must be resolved from
-        empty."""
-        grown_from = body.__dict__.get("_grown_from")
-        if grown_from is None or grown_from[0] is not self.last:
-            return None
-        return grown_from[1]
+        """The statements body adds to the body resolved last, when both
+        store cuts of one order and body's is no shorter.  None when body
+        must be resolved from empty."""
+        held, last = body.__dict__["statements"], self.last
+        if type(held) is _Cut and type(last) is _Cut:
+            (order, k), (last_order, last_k) = held, last
+            if order is last_order and k >= last_k:
+                return order[last_k:k]
+        return None
 
     def _touched(self, added: Sequence[Statement]) -> dict[tuple[str, str], list[str]]:
         """(item, event) pairs that gain usable classes, with the classes."""
@@ -701,7 +728,7 @@ class _Resolver:
             self.boxes[pos] = over
             self.checked[pos] = bounds
         # the boxes now hold extra, which the next body must not inherit
-        self.last = None if extra else body.statements
+        self.last = None if extra else body.__dict__["statements"]
         # CredalLevel(body.index, body.error, boxes) without copying the
         # boxes, which were built here and are never changed afterwards;
         # the body has checked its index and error

@@ -282,7 +282,7 @@ class ProblemDocument:
                 levels.append(level_from_body(body, self.problem, self.refs,
                                               extra=spec.overrides, resolver=resolver))
             return CredalSequence(tuple(levels))
-        if self.statements:
+        if self.rule is not None:
             if self.rule == "threshold":
                 bodies = accept_threshold(self.statements, self.error_levels)
             else:

@@ -18,9 +18,13 @@ from credalbox import (
     DecisionReport,
     ToleranceSpec,
     TraceRow,
+    accept_next_most_probable,
+    accept_threshold,
     explore,
     load_fixture,
     load_path,
+    sequence_bytes,
+    sequence_from_bodies,
 )
 from credalbox import cli
 from credalbox.cli import main
@@ -301,6 +305,30 @@ class TestDecide:
         # first to lift the lower bound on E above 1/3
         assert (got["status"], got["act"], got["level_used"]) == ("decided", "bet", 12)
         assert got["error_used"] == pytest.approx(0.022)
+
+    @pytest.mark.parametrize("acceptance, errors", [
+        ({"rule": "threshold", "error_levels": [0.1, 0.2]}, [0.0, 0.1, 0.2]),
+        ({"rule": "next-most-probable"}, [0.0]),
+    ], ids=["threshold", "next-most-probable"])
+    def test_an_empty_corpus_keeps_its_error_levels(self, tmp_path, capsys,
+                                                     acceptance, errors):
+        # no act ever dominates, so the trace has a row for every level
+        target = tmp_path / "empty.json"
+        target.write_text(json.dumps({
+            "problem": "p", "statements": [], "acceptance": acceptance,
+            "acts": [{"name": "a", "outcomes": [{"label": "G", "utility": 1.0},
+                                                {"label": "not-G", "utility": -1.0}]},
+                     {"name": "b", "outcomes": [
+                         {"label": "H", "utility": 0.0, "prob": [1.0, 1.0]}]}]}),
+            encoding="utf-8")
+        assert main(["decide", str(target), "--json"]) == 2
+        got = json.loads(capsys.readouterr().out)
+        assert [row["error"] for row in got["trace"]] == errors
+        doc = load_path(target)
+        bodies = (accept_threshold([], acceptance["error_levels"])
+                  if acceptance["rule"] == "threshold" else accept_next_most_probable([]))
+        assert sequence_bytes(doc.build_sequence()) == \
+            sequence_bytes(sequence_from_bodies(bodies, doc.problem))
 
     def test_closed_order_decides_as_the_order_given(self, tmp_path, capsys):
         outputs, tables = [], []

@@ -6,9 +6,10 @@ version, which catches newer syntax on a machine that has no older
 interpreter.  The parity test finds every other CPython at or above
 that version that starts, runs tests/parity_driver.py under each and
 under the running interpreter, and compares what they print; it skips
-when it finds none.  Candidates are each python3 and python3.N on PATH
-and each pyenv version's python3, since a pyenv shim may name a version
-it then refuses to start.
+when it finds none, after checking that the running interpreter finds
+every cut body equal to its constructor-built twin.  Candidates are
+each python3 and python3.N on PATH and each pyenv version's python3,
+since a pyenv shim may name a version it then refuses to start.
 """
 
 import ast
@@ -104,15 +105,20 @@ def drive(python: str, workdir: Path) -> tuple[int, bytes]:
 
 
 def test_other_interpreters_print_the_same_bytes(tmp_path):
-    others = other_interpreters()
-    if not others:
-        pytest.skip("no other CPython at or above the declared floor starts here")
     for workload in ("explore-wide", "refclass-chain"):
         for k, doc in enumerate(seeded_pool(workload)):
             (tmp_path / f"pool-{workload}-{k:03d}.json").write_text(
                 json.dumps(doc), encoding="utf-8")
     code, want = drive(sys.executable, tmp_path)
     assert code == 0 and b"\nexit raised " not in want
+    # every last body matches its twin here, so on every interpreter
+    # that prints the same bytes
+    twins = re.findall(rb"^twin pool-refclass-chain-\d{3}\.json: (.*)$", want, re.M)
+    assert len(twins) == len(seeded_pool("refclass-chain"))
+    assert set(twins) == {b"== True hash True repr True pickle True deepcopy True"}
+    others = other_interpreters()
+    if not others:
+        pytest.skip("no other CPython at or above the declared floor starts here")
     differ = [f"{python} ({'.'.join(map(str, version))})"
               for version, python in others
               if drive(python, tmp_path) != (code, want)]

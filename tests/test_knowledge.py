@@ -4,7 +4,6 @@ import json
 import math
 import pickle
 import re
-import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -59,6 +58,14 @@ from support import (
     outcome,
     seeded_pool,
 )
+
+
+def added_ids(parent, body):
+    """The ids of the statements body's cut adds to parent's cut of the
+    same order."""
+    (order, k), (parent_order, parent_k) = vars(body)["statements"], vars(parent)["statements"]
+    assert order is parent_order and k >= parent_k
+    return [s.id for s in order[parent_k:k]]
 
 
 def jerry_problem():
@@ -243,8 +250,7 @@ class TestAcceptThreshold:
         bodies = accept_threshold([s], [0.02, 0.03, 0.04])
         for parent, body in zip(bodies[1:], bodies[2:]):
             assert body.statements == parent.statements
-            held, added = body._grown_from
-            assert held is parent.statements and added == ()
+            assert added_ids(parent, body) == []
 
     def test_conflict_names_statements_most_probable_first(self):
         # the corpus lists them least probable first; the message follows
@@ -380,26 +386,33 @@ class TestGrownBodies:
             return
         got = accept_threshold(statements, levels)
         assert got == want and repr(got) == repr(want)
-        # each body adds the statements its parent lacks, most probable first
+        # each body's cut adds the statements its parent lacks, most
+        # probable first
         ranked = sorted(statements, key=lambda s: -s.prob)
         for parent, body in zip(got, got[1:]):
-            assert body._grown_from[1] == tuple(
-                s for s in ranked
+            assert added_ids(parent, body) == [
+                s.id for s in ranked
                 if any(s is t for t in body.statements)
-                and all(s is not t for t in parent.statements))
+                and all(s is not t for t in parent.statements)]
 
-    def test_acceptance_holds_little_beyond_the_statement_tuples(self):
-        # every body holds its own statements tuple, n^2/2 pointers in
-        # all; nothing else a body keeps may grow with its size
-        statements = event_corpus(2000)
-        tracemalloc.start()
-        try:
-            bodies = accept_next_most_probable(statements)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        tuples = sum(sys.getsizeof(body.statements) for body in bodies)
-        assert peak < 1.5 * tuples
+    def test_acceptance_and_resolution_memory_grows_near_linearly(self):
+        # the bodies are cuts of one shared order, so doubling the corpus
+        # about doubles the peak; a statements tuple per body, n^2/2
+        # pointers in all, nearly quadruples it
+        problem = DecisionProblem("events", (
+            Act("a", (Outcome("E0", 10.0), Outcome("not-E0", -30.0))),
+            Act("b", (Outcome("pass", 0.0),))))
+
+        def peak(n):
+            statements = event_corpus(n)
+            tracemalloc.start()
+            try:
+                sequence_from_bodies(accept_next_most_probable(statements), problem)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4000) < 2.5 * peak(2000)
 
     def test_conflict_names_every_statement_on_the_event(self):
         statements = [
@@ -423,7 +436,7 @@ class TestGrownBodies:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(CORPUS_STATEMENT, max_size=10),
            st.sampled_from(["next-most-probable", "threshold"]))
-    def test_bodies_record_their_parent_and_what_they_add(self, statements, rule):
+    def test_bodies_are_cuts_of_one_shared_order(self, statements, rule):
         try:
             if rule == "threshold":
                 bodies = accept_threshold(statements, [0.005, 0.02, 0.2])
@@ -431,17 +444,22 @@ class TestGrownBodies:
                 bodies = accept_next_most_probable(statements)
         except InconsistentBodyError:
             return
-        assert "_grown_from" not in bodies[0].__dict__
-        for parent, body in zip(bodies, bodies[1:]):
-            held, added = body._grown_from
-            assert held is parent.statements
-            # the body extends its parent: held, then added, same objects
-            assert len(body.statements) == len(held) + len(added)
-            assert all(s is t for s, t in zip(body.statements, held + added))
+        cuts = [vars(body)["statements"] for body in bodies]
+        order = cuts[0][0]
+        assert order == tuple(sorted(statements, key=lambda s: -s.prob))
+        assert all(type(cut) is knowledge._Cut and cut[0] is order for cut in cuts)
+        ks = [k for _, k in cuts]
+        assert ks[0] == 0 and ks == sorted(ks)
+        if rule == "next-most-probable":
+            assert ks == list(range(len(statements) + 1))
+        for body, k in zip(bodies, ks):
+            # the body reads as the order's first k statements, same objects
+            assert len(body.statements) == k
+            assert all(s is t for s, t in zip(body.statements, order))
 
     def test_last_body_of_a_long_chain_copies_and_pickles(self):
-        # bodies record their parent's statements, not the parent: a body
-        # linked to its parent would nest 2000 deep here
+        # bodies store a cut of the shared order, not a link to the
+        # parent: a body linked to its parent would nest 2000 deep here
         statements = []
         for k in range(1000):
             statements.append(Statement.class_frequency(
@@ -1005,15 +1023,26 @@ def resolved(build):
         for act, box in out.assignments.items()))
 
 
-def _refuse(*args):
-    raise AssertionError("a grown body's statements were used")
+class SliceLog(tuple):
+    """A statement order that logs every slice taken of it."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.slices.append((key.start, key.stop))
+        return super().__getitem__(key)
 
 
-# stands in for a statements tuple: any use of it but `is` raises
-IdentityOnly = type("IdentityOnly", (), dict.fromkeys((
-    "__getattribute__", "__len__", "__iter__", "__getitem__", "__contains__",
-    "__bool__", "__eq__", "__ne__", "__hash__", "__add__", "__radd__", "__repr__"),
-    _refuse))
+# a chain of two classes, memberships and frequencies on it, an event
+# bound and a condition, each accepted at its own level
+GROWTH_REFS = ReferenceClassTable(specificity=frozenset({("soft", "berries")}))
+GROWTH_CORPUS = (
+    Statement.membership("m1", "i", "berries", prob=0.99),
+    Statement.class_frequency("f1", "berries", "G", ProbInterval(0.2, 0.9), 0.98),
+    Statement.event_interval("e1", "G", ProbInterval(0.0, 0.8), prob=0.97),
+    Statement.membership("m2", "i", "soft", prob=0.95),
+    Statement.class_frequency("f2", "soft", "G", ProbInterval(0.1, 0.3), 0.9),
+    Statement.condition("h", "H", prob=0.85),
+)
 
 
 class TestIncrementalResolution:
@@ -1027,10 +1056,9 @@ class TestIncrementalResolution:
         return seq.levels[j].assignments["a1"]["G"]
 
     @staticmethod
-    def fresh_starts(monkeypatch, bodies) -> int:
-        """The _Resolver._start calls that resolving bodies makes, the
-        resolver's own included, after checking the sequence's bytes
-        against the oracle's."""
+    def counted_starts(monkeypatch) -> list:
+        """A list that gains an entry on every _Resolver._start call from
+        now on."""
         calls = []
         start = knowledge._Resolver._start
 
@@ -1038,11 +1066,80 @@ class TestIncrementalResolution:
             calls.append(self)
             start(self)
 
-        problem = jerry_problem()
         monkeypatch.setattr(knowledge._Resolver, "_start", counted)
+        return calls
+
+    def fresh_starts(self, monkeypatch, bodies) -> int:
+        """The _Resolver._start calls that resolving bodies makes, the
+        resolver's own included, after checking the sequence's bytes
+        against the oracle's."""
+        problem = jerry_problem()
+        calls = self.counted_starts(monkeypatch)
         seq = sequence_from_bodies(bodies, problem)
         assert sequence_bytes(seq) == sequence_bytes(oracle_sequence(bodies, problem))
         return len(calls)
+
+    def starts_in_turn(self, monkeypatch, bodies, extras=None) -> int:
+        """Resolve bodies in turn through one resolver on GROWTH_REFS, each
+        level checked against oracle_level with its assertions, and count
+        the fresh starts past the resolver's own."""
+        problem = jerry_problem()
+        calls = self.counted_starts(monkeypatch)
+        resolver = knowledge._Resolver(problem, GROWTH_REFS)
+        for body, extra in zip(bodies, extras or [{}] * len(bodies)):
+            assert resolved(lambda: level_from_body(
+                body, problem, GROWTH_REFS, extra, resolver=resolver)) == \
+                resolved(lambda: oracle_level(body, problem, GROWTH_REFS, extra))
+        return len(calls) - 1
+
+    def test_a_longer_cut_of_the_same_order_skips_the_bodies_between(self, monkeypatch):
+        bodies = accept_next_most_probable(GROWTH_CORPUS)
+        assert self.starts_in_turn(monkeypatch, [bodies[0], bodies[2], bodies[5],
+                                                 bodies[5], bodies[6]]) == 1
+
+    def test_a_shorter_cut_starts_afresh(self, monkeypatch):
+        bodies = accept_next_most_probable(GROWTH_CORPUS)
+        assert self.starts_in_turn(monkeypatch, [bodies[5], bodies[3], bodies[6]]) == 2
+
+    def test_a_cut_after_a_hand_built_twin_starts_afresh(self, monkeypatch):
+        bodies = accept_next_most_probable(GROWTH_CORPUS)
+        twin = BodyOfKnowledge(3, bodies[3].error, bodies[3].statements)
+        assert twin == bodies[3]
+        assert self.starts_in_turn(monkeypatch, [bodies[2], twin, bodies[4]]) == 3
+
+    def test_a_cut_of_another_order_starts_afresh(self, monkeypatch):
+        first, second = (accept_next_most_probable(GROWTH_CORPUS) for _ in range(2))
+        assert first[2] == second[2]
+        assert self.starts_in_turn(monkeypatch, [first[2], second[4], second[5]]) == 2
+
+    def test_a_cut_after_assertions_starts_afresh(self, monkeypatch):
+        # body 3 must not inherit body 2's asserted box
+        bodies = accept_next_most_probable(GROWTH_CORPUS)
+        extras = [{}, {"a1": {"G": ProbInterval(0.3, 0.7)}}, {}, {}]
+        assert self.starts_in_turn(monkeypatch, bodies[1:5], extras) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpora(), st.data())
+    def test_cuts_in_any_order_match_the_oracle(self, corpus, data):
+        # cuts of two walks over one corpus, of two rules, and
+        # constructor-built twins, resolved in any order through one
+        # resolver, each with its own assertions
+        refs, statements = corpus
+        try:
+            walks = [accept_next_most_probable(statements),
+                     accept_next_most_probable(statements),
+                     accept_threshold(statements, [0.02, 0.06])]
+        except InconsistentBodyError:
+            return
+        pool = [body for walk in walks for body in walk]
+        pool += [BodyOfKnowledge(b.index, b.error, b.statements) for b in walks[0]]
+        problem = RESOLUTION_PROBLEM
+        resolver = knowledge._Resolver(problem, refs)
+        for body in data.draw(st.lists(st.sampled_from(pool), max_size=8)):
+            extra = data.draw(EXTRAS)
+            assert resolved(lambda: level_from_body(
+                body, problem, refs, extra, resolver=resolver)) == \
+                resolved(lambda: oracle_level(body, problem, refs, extra))
 
     def test_a_later_accepted_zero_follows_the_earlier_ones_sign(self, monkeypatch):
         # `late` comes first in the corpus, but threshold body 2 lists it
@@ -1054,7 +1151,7 @@ class TestIncrementalResolution:
         ]
         bodies = accept_threshold(statements, [0.02, 0.1])
         assert [s.id for s in bodies[2].statements] == ["early", "late"]
-        assert [s.id for s in bodies[2]._grown_from[1]] == ["late"]
+        assert added_ids(bodies[1], bodies[2]) == ["late"]
         assert repr(self.level_g(bodies, 1).lo) == "0.0"
         assert repr(self.level_g(bodies, 2).lo) == "0.0"
         assert self.fresh_starts(monkeypatch, bodies) == 2
@@ -1069,7 +1166,7 @@ class TestIncrementalResolution:
         ]
         bodies = accept_threshold(statements, [0.02, 0.1])
         assert [s.id for s in bodies[2].statements] == ["b", "a"]
-        assert [s.id for s in bodies[2]._grown_from[1]] == ["a"]
+        assert added_ids(bodies[1], bodies[2]) == ["a"]
         assert self.level_g(bodies, 2) == ProbInterval(0.0, 0.5)
         assert self.fresh_starts(monkeypatch, bodies) == 2
 
@@ -1245,15 +1342,11 @@ class TestIncrementalResolution:
     @pytest.mark.parametrize("rule", ["next-most-probable", "threshold"])
     @pytest.mark.parametrize("k", range(len(seeded_pool("refclass-chain"))),
                              ids=lambda k: f"doc{k}")
-    def test_grown_statements_are_only_an_identity_token(self, rule, k):
-        # resolution may meet a grown body's statements, and the parent
-        # statements its growth records, only through `is`
+    def test_grown_bodies_are_read_only_as_the_statements_they_add(self, rule, k):
+        # resolution reads body 0 in full and each grown body only as the
+        # slice of the shared order that its cut adds to the one before
         data = seeded_pool("refclass-chain")[k]
         doc = parse_document(data)
-        pairs = [(s.cls, s.event) for s in doc.statements if s.kind == "class-frequency"]
-        pairs += [(cls, event) for cls, event, _ in doc.refs.entries]
-        # a repeated frequency sends its body back to its statements
-        assert len(set(pairs)) == len(pairs)
 
         def bodies():
             if rule == "next-most-probable":
@@ -1263,16 +1356,13 @@ class TestIncrementalResolution:
 
         want = sequence_bytes(sequence_from_bodies(bodies(), doc.problem, doc.refs))
         grown = bodies()
-        parents = [body.statements for body in grown]
-        for i, body in enumerate(grown):
-            grown_from = body.__dict__.get("_grown_from")
-            if grown_from is None:
-                continue
-            assert i and grown_from[0] is parents[i - 1]
-            body.__dict__["statements"] = IdentityOnly()
-            body.__dict__["_grown_from"] = (grown[i - 1].statements, *grown_from[1:])
-        assert sum(type(body.statements) is IdentityOnly for body in grown) == len(grown) - 1
+        order = SliceLog(vars(grown[0])["statements"][0])
+        order.slices = []
+        ks = [vars(body)["statements"][1] for body in grown]
+        for body, size in zip(grown, ks):
+            vars(body)["statements"] = knowledge._Cut((order, size))
         assert sequence_bytes(sequence_from_bodies(grown, doc.problem, doc.refs)) == want
+        assert order.slices == [(None, 0), *itertools.pairwise(ks)]
 
     def test_later_specific_class_replaces_the_answer(self):
         # the narrower frequency of a more specific class replaces the
